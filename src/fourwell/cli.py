@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .energy import relaxed_elastic_energy, surface_energy, total_energy
+from .energy import _weighted, relaxed_elastic_energy, surface_energy, total_energy
 from .fields import (
     Grid,
     PhaseField,
@@ -199,18 +199,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(field: PhaseField, eta: float) -> dict[str, float]:
-    breakdown = total_energy(field, eta)
+def _sweep_rows(field: PhaseField, etas: list[float]) -> list[dict[str, float]]:
+    """One row per eta; everything but the eta weighting is computed once."""
+    m = to_modified(field)
+    elastic = relaxed_elastic_energy(m)
+    surface = surface_energy(field)
+    breakdowns = [_weighted(eta, elastic, surface) for eta in etas]
     theta = volume_fractions(field)
     d14, d12 = incompatibility_defect(theta)
-    m = to_modified(field)
     outer = extract_outer(m)
     inner = extract_inner(m, outer)
-    return {
-        "eta": eta,
-        "E_elast": breakdown.elastic,
-        "E_surf": breakdown.surface,
-        "E": breakdown.total,
+    shared = {
         "theta1": theta[0],
         "theta2": theta[1],
         "theta3": theta[2],
@@ -220,6 +219,10 @@ def _sweep_row(field: PhaseField, eta: float) -> dict[str, float]:
         "outer_defect": outer.defect_l1,
         "inner_defect": inner.defect_l2,
     }
+    return [
+        {"eta": b.eta, "E_elast": b.elastic, "E_surf": b.surface, "E": b.total, **shared}
+        for b in breakdowns
+    ]
 
 
 def _fit_slope(rows: list[dict[str, float]], column: str) -> float:
@@ -259,11 +262,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if kind == "branching":
             for eta in etas:
                 inner_res = _Resolver(args, dict(config, eta=repr(eta)))
-                rows.append(_sweep_row(_generate_field(kind, inner_res), eta))
+                rows += _sweep_rows(_generate_field(kind, inner_res), [eta])
         else:
-            field = _generate_field(kind, _Resolver(args, config))
-            for eta in etas:
-                rows.append(_sweep_row(field, eta))
+            rows += _sweep_rows(_generate_field(kind, _Resolver(args, config)), etas)
 
     res.resolved["kinds"] = ",".join(kinds)
     res.resolved["etas"] = ",".join(repr(e) for e in etas)

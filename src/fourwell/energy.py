@@ -25,10 +25,12 @@ from .fields import (
     ModifiedIndicators,
     PhaseField,
     ScalarField,
+    _jump_mass,
     to_modified,
     total_variation,
 )
-from .spectral import _deriv_freqs, _freqs, inv_gradient, spectral_derivative
+from .model import MaterialParams
+from .spectral import _coeffs, _deriv_freqs, _freqs, _ksq, inv_gradient, spectral_derivative
 
 __all__ = [
     "DEFAULT_DIAG",
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 #: Well diagonal (d1, d2, d3) at the reference strain anisotropy.
-DEFAULT_DIAG: tuple[float, float, float] = (-1.0 / 3.0, 24.0, -1.0 / 3.0)
+DEFAULT_DIAG: tuple[float, float, float] = MaterialParams().diag
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,13 @@ def relaxed_elastic_energy(m: ModifiedIndicators | RawTriple) -> float:
     which is invariant under rescaling k, so integer frequencies suffice.
     """
     grid, a1, a2, a3 = _triple_arrays(m)
-    n = grid.n1 * grid.n2
-    c1 = np.fft.fft2(a1) / n
-    c2 = np.fft.fft2(a2) / n
-    c3 = np.fft.fft2(a3) / n
+    return _relaxed(_coeffs(a1), _coeffs(a2), _coeffs(a3), grid)
+
+
+def _relaxed(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
+    """The relaxed elastic energy's multiplier on the three slots' coefficients."""
     k1, k2 = _freqs(grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
+    ksq = _ksq(grid)
     shear = np.abs(k2 * c2 - k1 * c1) ** 2
     cross = 2.0 * (k1**2) * (k2**2) * np.abs(c3) ** 2
     per_mode = 2.0 * (ksq * shear + cross) / ksq**2
@@ -192,17 +194,12 @@ def full_multiplier_energy(u0: SymStrainField) -> float:
     indicator fields off-diagonal and a constant diagonal.
     """
     grid = u0.grid
-    n = grid.n1 * grid.n2
     comps = {
-        name: np.fft.fft2(getattr(u0, name)) / n
+        name: _coeffs(getattr(u0, name))
         for name in ("e11", "e22", "e33", "e12", "e13", "e23")
     }
     k1, k2 = _freqs(grid)
-    k1 = k1.astype(float)
-    k2 = k2.astype(float)
-    ksq = k1**2 + k2**2
-    ksq0 = ksq.copy()
-    ksq0[0, 0] = 1.0
+    ksq0 = _ksq(grid)
 
     frob = (
         np.abs(comps["e11"]) ** 2
@@ -242,13 +239,22 @@ def total_energy(
     Without an explicit strain the elastic part is the relaxed minimum; with
     one it is the pointwise misfit against ``diag`` and the cell's well.
     """
-    if not (eta > 0.0 and np.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    _check_eta(eta)
     m = to_modified(p)
     elastic = (
         relaxed_elastic_energy(m) if e is None else elastic_energy_pointwise(e, m, diag)
     )
-    surface = surface_energy(p)
+    return _weighted(eta, elastic, surface_energy(p))
+
+
+def _check_eta(eta: float) -> None:
+    if not (eta > 0.0 and np.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+
+
+def _weighted(eta: float, elastic: float, surface: float) -> EnergyBreakdown:
+    """The one place surface and elastic parts are weighted into a total."""
+    _check_eta(eta)
     root = float(np.cbrt(eta))
     total = root * surface + elastic / root**2
     return EnergyBreakdown(eta=eta, elastic=elastic, surface=surface, total=total)
@@ -300,21 +306,17 @@ def compute_residuals(
     rho13 = m.chi2t - e.e13
     rho23 = m.chi1t - e.e23
 
-    n = grid.n1 * grid.n2
-    c3 = np.fft.fft2(m.chi3t) / n
-    r11 = np.fft.fft2(rho11) / n
-    r12 = np.fft.fft2(rho12) / n
-    r22 = np.fft.fft2(rho22) / n
+    c3 = _coeffs(m.chi3t)
+    r11 = _coeffs(rho11)
+    r12 = _coeffs(rho12)
+    r22 = _coeffs(rho22)
     k1d, k2d = _deriv_freqs(grid)
     combo = (
         -4.0
         * np.pi**2
         * (k1d * k2d * c3 - k1d**2 * r11 - k1d * k2d * r12 - k2d**2 * r22)
     )
-    k1, k2 = _freqs(grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
-    weighted = np.abs(combo) ** 2 / ksq**2
+    weighted = np.abs(combo) ** 2 / _ksq(grid) ** 2
     weighted[0, 0] = 0.0
     residual = float(np.sqrt(weighted.sum()))
 
@@ -329,15 +331,6 @@ def compute_residuals(
     )
 
 
-def _gradient_l1(f: ScalarField) -> float:
-    """Anisotropic total gradient mass: one-cell jumps weighted by face length."""
-    v = f.values
-    n1, n2 = f.grid.shape
-    d1 = np.abs(np.roll(v, -1, axis=0) - v).sum() / n2
-    d2 = np.abs(np.roll(v, -1, axis=1) - v).sum() / n1
-    return float(d1 + d2)
-
-
 def interpolation_gap(f: ScalarField, eta: float) -> tuple[float, float, float]:
     """Compare the squared size of ``f`` against its weighted interpolants.
 
@@ -347,12 +340,11 @@ def interpolation_gap(f: ScalarField, eta: float) -> tuple[float, float, float]:
     The identically zero field yields ``(0.0, 0.0, 0.0)``; otherwise ``f``
     must have zero mean.
     """
-    if not (eta > 0.0 and np.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    _check_eta(eta)
     if not f.values.any():
         return (0.0, 0.0, 0.0)
     lhs = float(np.mean(f.values**2))
-    grad = _gradient_l1(f)
+    grad = _jump_mass(f)
     sup = float(np.abs(f.values).max())
     potential_sq = float(np.mean(inv_gradient(f).values ** 2))
     root = float(np.cbrt(eta))

@@ -219,6 +219,12 @@ def total_variation(f: ScalarField) -> float:
         bad = ~np.isin(v, (0.0, 1.0))
         j, i = np.argwhere(bad)[0]
         raise ValueError(f"total_variation needs a 0/1 field; cell ({j}, {i}) holds {v[j, i]}")
+    return _jump_mass(f)
+
+
+def _jump_mass(f: ScalarField) -> float:
+    """Anisotropic total gradient mass: one-cell jumps weighted by face length."""
+    v = f.values
     n1, n2 = f.grid.shape
     jumps1 = np.abs(np.roll(v, -1, axis=0) - v).sum() / n2
     jumps2 = np.abs(np.roll(v, -1, axis=1) - v).sum() / n1

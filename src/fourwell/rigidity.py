@@ -18,22 +18,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown, total_energy
+from .energy import EnergyBreakdown, _check_eta, _relaxed, _weighted, surface_energy
 from .fields import (
     Grid,
     ModifiedIndicators,
     PhaseField,
     ScalarField,
-    VectorField,
     shear_resample,
     to_modified,
     volume_fractions,
 )
 from .microstructures import staircase_shifts
 from .spectral import (
-    helmholtz_potential,
+    _coeffs,
+    _derivative,
+    _potential,
+    _profile_derivative,
     neg_sobolev_norm,
-    spectral_derivative,
 )
 
 __all__ = [
@@ -193,8 +194,13 @@ def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:
     the transverse derivative; any function constant along the (unit-slope,
     sign f) characteristic field nulls it.
     """
-    d1 = spectral_derivative(u, 0).values
-    d2 = spectral_derivative(u, 1).values
+    return _transport_residual(_coeffs(u.values), u.grid, outer)
+
+
+def _transport_residual(c: np.ndarray, grid: Grid, outer: OuterProfile) -> float:
+    """:func:`characteristic_residual` of the field with coefficients ``c``."""
+    d1 = _derivative(c, grid, 0)
+    d2 = _derivative(c, grid, 1)
     if outer.axis == "y1":
         resid = d1 - outer.f[:, None] * d2
     else:
@@ -261,9 +267,7 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
 
     gm = inner.g - inner.g.mean()
     primitive = (np.cumsum(gm) - 0.5 * gm) / n_trans
-    freqs = np.rint(np.fft.fftfreq(n_trans) * n_trans).astype(np.int64)
-    freqs = np.where(2 * freqs == -n_trans, 0, freqs)
-    deriv = np.fft.ifft(np.fft.fft(primitive) * 2j * np.pi * freqs).real
+    deriv = _profile_derivative(primitive)
 
     template = shear_resample(np.broadcast_to(deriv[None, :], primary.shape), shifts)
     canon_grid = Grid(n_along, n_trans)
@@ -276,6 +280,16 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
     return float(math.hypot(gap_primary, gap_product))
 
 
+def _spectral_pass(m: ModifiedIndicators, outer: OuterProfile) -> tuple[float, float]:
+    """Relaxed elastic energy and the characteristic residual of the Helmholtz
+    potential of (chi2t, chi1t), from one transform of each indicator."""
+    c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
+    elastic = _relaxed(c1, c2, _coeffs(m.chi3t), m.grid)
+    potential = _potential(c2, c1, m.grid)
+    del c1, c2  # freed before differentiating, where a report's memory peaks
+    return elastic, _transport_residual(potential, m.grid, outer)
+
+
 def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
     """Run the full diagnostic suite on one phase arrangement.
 
@@ -283,14 +297,14 @@ def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
     pull-back requires grid-aligned staircases, which square grids always
     provide.
     """
+    _check_eta(eta)
     m = to_modified(p)
-    energy = total_energy(p, eta)
-    theta = volume_fractions(p)
     outer = extract_outer(m)
+    elastic, char = _spectral_pass(m, outer)
+    energy = _weighted(eta, elastic, surface_energy(p))
+    theta = volume_fractions(p)
     inner = extract_inner(m, outer)
     d14, d12 = incompatibility_defect(theta)
-    potential = helmholtz_potential(VectorField(p.grid, m.chi2t, m.chi1t))
-    char = characteristic_residual(potential, outer)
     weak = _weak_defect(m, outer, inner)
     diagnostics = {
         "log10_char_residual": _log10_or_none(char),

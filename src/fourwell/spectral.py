@@ -1,28 +1,29 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
-Conventions, used consistently across the package:
+The private core (``_coeffs``, ``_values``, ``_freqs``, ``_deriv_freqs``,
+``_ksq``, ``_drop``) is the only owner of the package's Fourier conventions:
 
-* Forward coefficients are ``fft2(values) / (n1 * n2)``, so Parseval reads
+* Coefficients are ``fft2(values) / (n1 * n2)``, so Parseval reads
   ``sum |c_k|^2 = mean |f|^2`` and norms below are mean-square quantities.
 * Frequencies are the integer lattice duals from ``fftfreq(n) * n``; on even
-  grids the unpaired mode sits at ``-n/2``.
-* Negative-order norms weight by integer ``|k|``; derivatives carry the
-  physical factor ``2 pi i k`` and drop the unpaired mode, which has no
-  well-defined sign.
+  grids the unpaired mode sits at ``-n/2``.  It has no well-defined sign, so
+  derivatives and sign-sensitive multipliers drop it.
+* Negative-order weights divide by the integer ``|k|^2`` with the mean mode
+  set to 1; derivatives carry the physical factor ``2 pi i k``.
+
+Callers that hold coefficients use the core directly, so a rigidity report
+transforms each indicator once.  :func:`permode_elastic_oracle` keeps its own
+plain ``fft2`` path on purpose: it checks the closed-form multiplier in
+:mod:`fourwell.energy` and must share none of its algebra.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import Grid, ModifiedIndicators, ScalarField, VectorField
 
 __all__ = [
-    "SpectralField",
-    "forward",
-    "inverse",
     "spectral_derivative",
     "neg_sobolev_norm",
     "inv_gradient",
@@ -33,68 +34,88 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Normalized Fourier coefficients of a scalar field."""
+def _coeffs(values: np.ndarray) -> np.ndarray:
+    """Normalized Fourier coefficients of a real 2-D array."""
+    return np.fft.fft2(values) / values.size
 
-    grid: Grid
-    coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match grid {self.grid.shape}"
-            )
+def _values(c: np.ndarray) -> np.ndarray:
+    """Real values whose normalized coefficients are ``c``.
+
+    Scaled in place, so no second full-size complex array is allocated.
+    """
+    v = np.fft.ifft2(c)
+    v *= c.size
+    return v.real
+
+
+def _axis_freqs(n: int) -> np.ndarray:
+    """Integer frequencies of one periodic axis, in FFT order."""
+    return np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+
+
+def _axis_deriv_freqs(n: int) -> np.ndarray:
+    """Axis frequencies for differentiation: the unpaired mode ``-n/2`` zeroed."""
+    k = _axis_freqs(n)
+    return np.where(2 * k == -n, 0, k)
 
 
 def _freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Integer frequencies, shaped to broadcast over a coefficient array."""
-    k1 = np.rint(np.fft.fftfreq(grid.n1) * grid.n1).astype(np.int64)
-    k2 = np.rint(np.fft.fftfreq(grid.n2) * grid.n2).astype(np.int64)
-    return k1[:, None], k2[None, :]
+    return _axis_freqs(grid.n1)[:, None], _axis_freqs(grid.n2)[None, :]
 
 
 def _deriv_freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies for differentiation: unpaired even-grid modes zeroed."""
+    return _axis_deriv_freqs(grid.n1)[:, None], _axis_deriv_freqs(grid.n2)[None, :]
+
+
+def _ksq(grid: Grid) -> np.ndarray:
+    """Float ``|k|^2`` with the mean mode set to 1, so it can divide."""
     k1, k2 = _freqs(grid)
-    k1 = np.where(2 * k1 == -grid.n1, 0, k1)
-    k2 = np.where(2 * k2 == -grid.n2, 0, k2)
-    return k1, k2
+    ksq = (k1**2 + k2**2).astype(float)
+    ksq[0, 0] = 1.0
+    return ksq
 
 
-def _unpaired_mask(grid: Grid) -> np.ndarray:
-    """Modes whose conjugate partner aliases onto themselves (even grids).
+def _drop(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Zero the mean and the unpaired even-grid modes of ``c`` in place; return it.
 
-    Sign-sensitive multipliers are ill-defined there: keeping such a mode
-    breaks the Hermitian symmetry a real output needs, so the projection
-    family below zeroes them, exactly as differentiation does.
+    Unpaired modes are where differentiation zeroes a nonzero frequency.
     """
     k1, k2 = _freqs(grid)
-    return (2 * k1 == -grid.n1) | (2 * k2 == -grid.n2)
+    d1, d2 = _deriv_freqs(grid)
+    c[(k1 != d1) | (k2 != d2)] = 0.0
+    c[0, 0] = 0.0
+    return c
 
 
-def forward(f: ScalarField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fft2(f.values) / (f.grid.n1 * f.grid.n2))
+def _derivative(c: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Values of the derivative along ``axis`` of the field with coefficients ``c``."""
+    return _values(2j * np.pi * _deriv_freqs(grid)[axis] * c)
 
 
-def inverse(sf: SpectralField) -> ScalarField:
-    values = np.fft.ifft2(sf.coeffs) * (sf.grid.n1 * sf.grid.n2)
-    return ScalarField(sf.grid, values.real)
+def _profile_derivative(profile: np.ndarray) -> np.ndarray:
+    """Spectral derivative of a periodic 1-D profile on the unit interval."""
+    k = _axis_deriv_freqs(profile.size)
+    return np.fft.ifft(np.fft.fft(profile) * 2j * np.pi * k).real
+
+
+def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients of the zero-mean potential of the curl-free part of (c1, c2)."""
+    k1, k2 = _freqs(grid)
+    return _drop((k1 * c1 + k2 * c2) / (2j * np.pi * _ksq(grid)), grid)
 
 
 def spectral_derivative(f: ScalarField, axis: int) -> ScalarField:
     """Partial derivative along one axis via the 2 pi i k multiplier."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    c = forward(f).coeffs
-    k = _deriv_freqs(f.grid)[axis]
-    return inverse(SpectralField(f.grid, 2j * np.pi * k * c))
+    return ScalarField(f.grid, _derivative(_coeffs(f.values), f.grid, axis))
 
 
 def _mean_coeff_checked(f: ScalarField, what: str) -> np.ndarray:
-    c = forward(f).coeffs
+    c = _coeffs(f.values)
     scale = max(1.0, float(np.sqrt(np.mean(f.values**2))))
     if abs(c[0, 0]) > 1e-12 * scale:
         raise ValueError(f"{what} requires a zero-mean field; mean is {c[0, 0].real:.3e}")
@@ -109,17 +130,14 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
     inhomogeneous weight ``1/(1+|k|^2)`` and keeps the mean.
     """
     if s == "full1":
-        c = forward(f).coeffs
+        c = _coeffs(f.values)
         k1, k2 = _freqs(f.grid)
         w = 1.0 / (1.0 + k1**2 + k2**2)
         return float(np.sqrt((np.abs(c) ** 2 * w).sum()))
     if s not in (1, 2):
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
     c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
-    k1, k2 = _freqs(f.grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
-    w = ksq ** (-int(s))
+    w = _ksq(f.grid) ** (-int(s))
     w[0, 0] = 0.0
     return float(np.sqrt((np.abs(c) ** 2 * w).sum()))
 
@@ -131,13 +149,10 @@ def inv_gradient(f: ScalarField) -> ScalarField:
     result has the same mean-square size as the negative-order content of
     ``f`` measured with physical frequencies.
     """
-    c = _mean_coeff_checked(f, "inv_gradient").copy()
-    k1, k2 = _freqs(f.grid)
-    kabs = np.sqrt((k1**2 + k2**2).astype(float))
-    kabs[0, 0] = 1.0
-    c /= 2.0 * np.pi * kabs
+    c = _mean_coeff_checked(f, "inv_gradient")
+    c /= 2.0 * np.pi * np.sqrt(_ksq(f.grid))
     c[0, 0] = 0.0
-    return inverse(SpectralField(f.grid, c))
+    return ScalarField(f.grid, _values(c))
 
 
 def leray_project(w: VectorField) -> VectorField:
@@ -148,40 +163,17 @@ def leray_project(w: VectorField) -> VectorField:
     the three pieces split the mean-square size of ``w`` with no cross term.
     """
     grid = w.grid
-    n = grid.n1 * grid.n2
-    c1 = np.fft.fft2(w.v1) / n
-    c2 = np.fft.fft2(w.v2) / n
+    c1, c2 = _coeffs(w.v1), _coeffs(w.v2)
     k1, k2 = _freqs(grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
-    dot = (k1 * c1 + k2 * c2) / ksq
-    p1 = c1 - k1 * dot
-    p2 = c2 - k2 * dot
-    drop = _unpaired_mask(grid)
-    p1[drop] = 0.0
-    p2[drop] = 0.0
-    p1[0, 0] = 0.0
-    p2[0, 0] = 0.0
-    return VectorField(
-        grid,
-        (np.fft.ifft2(p1) * n).real,
-        (np.fft.ifft2(p2) * n).real,
-    )
+    dot = (k1 * c1 + k2 * c2) / _ksq(grid)
+    p1 = _drop(c1 - k1 * dot, grid)
+    p2 = _drop(c2 - k2 * dot, grid)
+    return VectorField(grid, _values(p1), _values(p2))
 
 
 def helmholtz_potential(w: VectorField) -> ScalarField:
     """Zero-mean scalar u whose gradient is the curl-free part of ``w``."""
-    grid = w.grid
-    n = grid.n1 * grid.n2
-    c1 = np.fft.fft2(w.v1) / n
-    c2 = np.fft.fft2(w.v2) / n
-    k1, k2 = _freqs(grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
-    u = (k1 * c1 + k2 * c2) / (2j * np.pi * ksq)
-    u[_unpaired_mask(grid)] = 0.0
-    u[0, 0] = 0.0
-    return inverse(SpectralField(grid, u))
+    return ScalarField(w.grid, _values(_potential(_coeffs(w.v1), _coeffs(w.v2), w.grid)))
 
 
 def curl_neg_sobolev(w: VectorField) -> float:
@@ -192,22 +184,16 @@ def curl_neg_sobolev(w: VectorField) -> float:
     coincides with the mean-square size of :func:`leray_project` of ``w``.
     """
     grid = w.grid
-    n = grid.n1 * grid.n2
-    c1 = np.fft.fft2(w.v1) / n
-    c2 = np.fft.fft2(w.v2) / n
+    c1, c2 = _coeffs(w.v1), _coeffs(w.v2)
     k1, k2 = _freqs(grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
-    curl = k1 * c2 - k2 * c1
-    weighted = np.abs(curl) ** 2 / ksq
-    weighted[_unpaired_mask(grid)] = 0.0
-    weighted[0, 0] = 0.0
+    weighted = _drop(np.abs(k1 * c2 - k2 * c1) ** 2 / _ksq(grid), grid)
     return float(np.sqrt(weighted.sum()))
 
 
 def _indicator_coeffs(
     m: ModifiedIndicators,
 ) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's own transforms, independent of the core's ``_coeffs``."""
     n = m.grid.n1 * m.grid.n2
     return (
         m.grid,

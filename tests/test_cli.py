@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fourwell.cli
 from fourwell.cli import load_config, main
 from fourwell.energy import total_energy
 from fourwell.fields import read_phase_field
@@ -249,6 +251,39 @@ class TestSweep:
         )
         text = (tmp_path / "sweep.csv").read_text()
         assert "# fit_slope_d12=nan" in text
+
+    def test_output_is_golden_and_each_field_is_priced_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Three fixed kinds plus one branching field per eta: six pricings.
+
+        The golden file was written before the sweep reused per-field work.
+        """
+        priced = []
+        original = fourwell.cli.relaxed_elastic_energy
+        monkeypatch.setattr(
+            fourwell.cli,
+            "relaxed_elastic_energy",
+            lambda m: priced.append(m) or original(m),
+        )
+        code, _, _ = run(
+            capsys,
+            "sweep",
+            "--grid",
+            "32",
+            "--kinds",
+            "laminate,crossing-twin,branching,random",
+            "--etas",
+            "0.3,0.1,0.05",
+            "--seed",
+            "5",
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "sweep_grid32.csv"
+        assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
+        assert len(priced) == 6
 
     def test_missing_etas_is_an_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--kinds", "laminate", "--out", str(tmp_path))

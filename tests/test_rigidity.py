@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourwell.fields import Grid, ScalarField, from_modified, to_modified
-from fourwell.microstructures import gen_counterexample, gen_crossing_twin, gen_laminate
+from fourwell.fields import Grid, PhaseField, ScalarField, VectorField, from_modified, to_modified
+from fourwell.microstructures import (
+    gen_counterexample,
+    gen_crossing_twin,
+    gen_laminate,
+    gen_random_partition,
+)
 from fourwell.rigidity import (
     OuterProfile,
     characteristic_residual,
@@ -19,6 +24,7 @@ from fourwell.rigidity import (
     uncorrelatedness_gap,
     wave_decompose,
 )
+from fourwell.spectral import helmholtz_potential
 
 
 def stripe_profile(n, stripes):
@@ -247,3 +253,46 @@ class TestRigidityReport:
         assert report.outer.defect_l1 == 0.0
         assert report.inner.defect_l2 > 0.5
         assert report.char_residual > 0.5
+
+
+class TestReportSpectralPass:
+    """The report transforms each indicator once and shares the coefficients."""
+
+    FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2")
+
+    def count_ffts(self, monkeypatch):
+        calls = dict.fromkeys(self.FFTS, 0)
+        for name in self.FFTS:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_transform_count(self, monkeypatch):
+        p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
+        calls = self.count_ffts(monkeypatch)
+        rigidity_report(p, 1e-2)
+        assert {k: v for k, v in calls.items() if v} == {"fft2": 5, "ifft2": 2, "fft": 1, "ifft": 1}
+
+    def test_bad_eta_fails_before_any_transform(self, monkeypatch):
+        p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
+        calls = self.count_ffts(monkeypatch)
+        with pytest.raises(ValueError, match="eta"):
+            rigidity_report(p, float("inf"))
+        assert sum(calls.values()) == 0
+
+    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_char_residual_matches_public_path(self, n, transpose):
+        p = gen_random_partition(3, Grid(n, n), feature_scale=0.2)
+        if transpose:  # seed 3 puts the outer axis on y1 one way and y2 the other
+            p = PhaseField(p.grid, p.labels.T)
+        report = rigidity_report(p, 1e-2)
+        m = to_modified(p)
+        potential = helmholtz_potential(VectorField(p.grid, m.chi2t, m.chi1t))
+        expected = characteristic_residual(potential, report.outer)
+        assert report.char_residual == pytest.approx(expected, rel=1e-12)

@@ -10,7 +10,7 @@ Everything is deterministic: randomness flows from one 64-bit seed, headers
 carry the fully resolved configuration, and rerunning a command with the
 parameters recorded in an output header reproduces the output byte for byte.
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage or
-input errors.
+input errors, a grid too large to allocate included.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ from .microstructures import (
     gen_random_partition,
     plan_branching,
 )
+from .model import _check_eta
 from .rigidity import (
     extract_inner,
     extract_outer,
     incompatibility_defect,
+    mixed_difference_sup,
     rigidity_report,
     wave_decompose,
 )
@@ -92,8 +94,7 @@ def _parse_etas(text: str) -> list[float]:
     if not values:
         raise ValueError(f"no eta values in {text!r}")
     for v in values:
-        if not v > 0.0:
-            raise ValueError(f"eta values must be positive, got {v!r}")
+        _check_eta(v)
     return values
 
 
@@ -141,16 +142,13 @@ def _generate_field(kind: str, res: _Resolver) -> PhaseField:
     if kind == "laminate":
         axis = res.get("axis", "y1")
         stripes = res.get("stripes", 2, int)
-        n = grid.n1 if axis == "y1" else grid.n2
-        return gen_laminate(axis, _stripe_profile(n, stripes), grid)
+        return gen_laminate(axis, _stripe_profile(grid_n, stripes), grid)
     if kind == "crossing-twin":
         axis = res.get("axis", "y1")
         stripes = res.get("stripes", 2, int)
         g_stripes = res.get("g-stripes", 8, int)
-        n_f = grid.n1 if axis == "y1" else grid.n2
-        n_g = grid.n2 if axis == "y1" else grid.n1
         return gen_crossing_twin(
-            axis, _stripe_profile(n_f, stripes), _stripe_profile(n_g, g_stripes), grid
+            axis, _stripe_profile(grid_n, stripes), _stripe_profile(grid_n, g_stripes), grid
         )
     if kind == "counterexample":
         k = res.get("k", 2, int)
@@ -283,6 +281,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Fine stripes of the verify twin check; every other verify profile divides it.
+_TWIN_FINE_STRIPES = 8
+
+
 def _random_indicators(rng: np.random.Generator, grid: Grid):
     labels = rng.integers(1, 5, size=grid.shape)
     return to_modified(PhaseField(grid, labels))
@@ -320,7 +322,7 @@ def _verify_checks(grid_n: int, seed: int):
 
     def check_twin_defects():
         f = _stripe_profile(grid_n, 2)
-        g = _stripe_profile(grid_n, 8)
+        g = _stripe_profile(grid_n, _TWIN_FINE_STRIPES)
         worst = 0.0
         for axis, which in (("y1", 0), ("y2", 1)):
             field = gen_crossing_twin(axis, f, g, grid)
@@ -335,15 +337,9 @@ def _verify_checks(grid_n: int, seed: int):
         worst_margin = -np.inf
         ok = True
         for _ in range(3):
-            v = rng.standard_normal(grid.shape)
-            f = ScalarField(grid, v)
+            f = ScalarField(grid, rng.standard_normal(grid.shape))
             _, _, residual = wave_decompose(f)
-            sup_mixed = 0.0
-            for h1 in range(grid_n):
-                d1 = np.roll(v, -h1, axis=0) - v
-                for h2 in range(grid_n):
-                    mass = float(np.abs(np.roll(d1, -h2, axis=1) - d1).mean())
-                    sup_mixed = max(sup_mixed, mass)
+            sup_mixed = mixed_difference_sup(f)
             ok = ok and residual <= 4.0 * sup_mixed + 1e-12
             worst_margin = max(worst_margin, residual - 4.0 * sup_mixed)
         return ok, f"worst residual minus bound {worst_margin:.2e}"
@@ -366,6 +362,10 @@ def _verify_checks(grid_n: int, seed: int):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     grid_n = args.grid if args.grid is not None else 32
+    if grid_n < _TWIN_FINE_STRIPES or grid_n % _TWIN_FINE_STRIPES:
+        raise ValueError(
+            f"verify --grid must be a positive multiple of {_TWIN_FINE_STRIPES}, got {grid_n}"
+        )
     seed = args.seed if args.seed is not None else 0
     failures = 0
     for name, check in _verify_checks(grid_n, seed):
@@ -425,7 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="run built-in self-checks")
-    ver.add_argument("--grid", type=int, help="check resolution (default 32)")
+    ver.add_argument(
+        "--grid",
+        type=int,
+        help=f"check resolution, a positive multiple of {_TWIN_FINE_STRIPES} (default 32)",
+    )
     ver.add_argument("--seed", type=int, help="seed for randomized checks (default 0)")
     ver.set_defaults(func=_cmd_verify)
 
@@ -442,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,7 +29,7 @@ from .fields import (
     to_modified,
     total_variation,
 )
-from .model import MaterialParams
+from .model import MaterialParams, _check_eta
 from .spectral import _coeffs, _deriv_freqs, _freqs, _ksq, inv_gradient, spectral_derivative
 
 __all__ = [
@@ -245,11 +245,6 @@ def total_energy(
         relaxed_elastic_energy(m) if e is None else elastic_energy_pointwise(e, m, diag)
     )
     return _weighted(eta, elastic, surface_energy(p))
-
-
-def _check_eta(eta: float) -> None:
-    if not (eta > 0.0 and np.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
 
 
 def _weighted(eta: float, elastic: float, surface: float) -> EnergyBreakdown:

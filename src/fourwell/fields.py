@@ -192,6 +192,15 @@ def from_modified(m: ModifiedIndicators) -> PhaseField:
     return PhaseField(m.grid, labels)
 
 
+def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:
+    """The model's transpose symmetry: swap the two axes and the slots chi1t, chi2t.
+
+    The image of an admissible triple is admissible, and energies and defects
+    are unchanged; a structure normal to y2 is the image of one normal to y1.
+    """
+    return ModifiedIndicators(Grid(m.grid.n2, m.grid.n1), m.chi2t.T, m.chi1t.T, m.chi3t.T)
+
+
 def volume_fractions(p: PhaseField) -> tuple[float, float, float, float]:
     """Fraction of cells carrying each phase label, in label order."""
     counts = np.bincount(p.labels.ravel(), minlength=5)[1:5]

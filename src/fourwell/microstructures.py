@@ -32,9 +32,11 @@ from .fields import (
     Grid,
     ModifiedIndicators,
     PhaseField,
+    _transposed,
     from_modified,
     shear_resample,
 )
+from .model import _check_eta
 
 __all__ = [
     "BranchingParams",
@@ -82,23 +84,26 @@ def gen_constant(phase: int, grid: Grid) -> PhaseField:
     return PhaseField(grid, np.full(grid.shape, phase, dtype=np.int64))
 
 
+def _along(axis: str, grid: Grid) -> Grid:
+    """``grid`` laid out as (along ``axis``, transverse)."""
+    if axis not in ("y1", "y2"):
+        raise ValueError(f"axis must be 'y1' or 'y2', got {axis!r}")
+    return grid if axis == "y1" else Grid(grid.n2, grid.n1)
+
+
+def _placed(axis: str, m: ModifiedIndicators) -> PhaseField:
+    """Labels of a structure built normal to y1, turned to be normal to ``axis``."""
+    return from_modified(m if axis == "y1" else _transposed(m))
+
+
 def gen_laminate(axis: str, profile: np.ndarray, grid: Grid) -> PhaseField:
     """Stripes normal to one axis: the in-plane indicator follows ``profile``
     and the two out-of-plane ones are slaved so the triple stays admissible
     with zero relaxed elastic energy."""
-    if axis == "y1":
-        f = _check_pm1(profile, "profile", grid.n1)[:, None]
-        chi3 = np.broadcast_to(f, grid.shape)
-        chi1 = np.ones(grid.shape)
-        chi2 = chi3.copy()
-    elif axis == "y2":
-        f = _check_pm1(profile, "profile", grid.n2)[None, :]
-        chi3 = np.broadcast_to(f, grid.shape)
-        chi2 = np.ones(grid.shape)
-        chi1 = chi3.copy()
-    else:
-        raise ValueError(f"axis must be 'y1' or 'y2', got {axis!r}")
-    return from_modified(ModifiedIndicators(grid, chi1, chi2, chi3))
+    along = _along(axis, grid)
+    f = _check_pm1(profile, "profile", along.n1)[:, None]
+    chi3 = np.broadcast_to(f, along.shape)
+    return _placed(axis, ModifiedIndicators(along, np.ones(along.shape), chi3, chi3))
 
 
 def _crossing_arrays(
@@ -133,19 +138,11 @@ def gen_crossing_twin(
     the exact staircase primitive of ``f_profile``, which requires the
     transverse resolution to be a multiple of the coarse one.
     """
-    if axis == "y1":
-        f = _check_pm1(f_profile, "f_profile", grid.n1)
-        g = _check_pm1(g_profile, "g_profile", grid.n2)
-        coarse, sheared, product = _crossing_arrays(f, g, grid.n1, grid.n2)
-        chi1, chi2, chi3 = sheared, product, coarse
-    elif axis == "y2":
-        f = _check_pm1(f_profile, "f_profile", grid.n2)
-        g = _check_pm1(g_profile, "g_profile", grid.n1)
-        coarse, sheared, product = _crossing_arrays(f, g, grid.n2, grid.n1)
-        chi1, chi2, chi3 = product.T, sheared.T, coarse.T
-    else:
-        raise ValueError(f"axis must be 'y1' or 'y2', got {axis!r}")
-    return from_modified(ModifiedIndicators(grid, chi1, chi2, chi3))
+    along = _along(axis, grid)
+    f = _check_pm1(f_profile, "f_profile", along.n1)
+    g = _check_pm1(g_profile, "g_profile", along.n2)
+    coarse, sheared, product = _crossing_arrays(f, g, along.n1, along.n2)
+    return _placed(axis, ModifiedIndicators(along, sheared, product, coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +184,7 @@ class BranchingParams:
         inv = 1.0 / self.w1
         if abs(inv - round(inv)) > 1e-9:
             raise ValueError(f"w1 must be the reciprocal of an integer, got {self.w1!r}")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        _check_eta(self.eta)
 
     def widths(self) -> np.ndarray:
         """Stripe periods w_n = 2^(1-n) w1 for n = 1..N."""
@@ -255,8 +251,7 @@ def plan_branching(
     walked down until the proportions are admissible and the grid that
     resolves every generation exactly fits within ``max_grid``.
     """
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    _check_eta(eta)
     root = float(np.cbrt(eta))
     den_start = max(1, math.ceil(1.0 / (root * (1.0 - lam)) - 1e-9))
     n_start = max(1, math.floor(-math.log2(root**2) + 1e-9))

@@ -121,3 +121,9 @@ def make_wells(params: MaterialParams) -> WellSet:
 def eta(params: MaterialParams) -> float:
     """Dimensionless interface-to-elastic energy ratio 2 d^2 kappa / (eps^2 mu L)."""
     return 2.0 * params.d**2 * params.kappa / (params.epsilon**2 * params.mu * params.L)
+
+
+def _check_eta(value: float) -> None:
+    """The one admissibility rule for an energy ratio eta."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"eta must be positive and finite, got {value!r}")

@@ -18,17 +18,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _check_eta, _relaxed, _weighted, surface_energy
+from .energy import EnergyBreakdown, _relaxed, _weighted, surface_energy
 from .fields import (
     Grid,
     ModifiedIndicators,
     PhaseField,
     ScalarField,
+    _transposed,
+    finite_difference,
     shear_resample,
     to_modified,
     volume_fractions,
 )
 from .microstructures import staircase_shifts
+from .model import _check_eta
 from .spectral import (
     _coeffs,
     _derivative,
@@ -44,6 +47,7 @@ __all__ = [
     "extract_outer",
     "extract_inner",
     "wave_decompose",
+    "mixed_difference_sup",
     "incompatibility_defect",
     "uncorrelatedness_gap",
     "characteristic_residual",
@@ -87,30 +91,23 @@ def extract_outer(m: ModifiedIndicators) -> OuterProfile:
     Both axes are tried; the one with the smaller mean absolute defect wins,
     the first axis on ties.  Sign ties within a column resolve to +1.
     """
-    candidates = []
-    for axis in ("y1", "y2"):
-        if axis == "y1":
-            means = m.chi3t.mean(axis=1)
-            f = np.where(means >= 0.0, 1.0, -1.0)
-            defect = float(np.abs(m.chi3t - f[:, None]).mean())
-            step = m.grid.n2 / m.grid.n1
-        else:
-            means = m.chi3t.mean(axis=0)
-            f = np.where(means >= 0.0, 1.0, -1.0)
-            defect = float(np.abs(m.chi3t - f[None, :]).mean())
-            step = m.grid.n1 / m.grid.n2
-        candidates.append(OuterProfile(axis, f, defect, staircase_shifts(f, step)))
-    first, second = candidates
+    first = _row_profile("y1", m.chi3t)
+    second = _row_profile("y2", m.chi3t.T)
     return second if second.defect_l1 < first.defect_l1 else first
 
 
-def _canonical_pair(
-    m: ModifiedIndicators, outer: OuterProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (sheared, slaved-product) field pair with the outer axis on axis 0."""
-    if outer.axis == "y1":
-        return m.chi1t, m.chi2t
-    return m.chi2t.T, m.chi1t.T
+def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
+    """Sign profile along axis 0 of ``chi3t``, recorded as the outer ``axis``."""
+    f = np.where(chi3t.mean(axis=1) >= 0.0, 1.0, -1.0)
+    defect = float(np.abs(chi3t - f[:, None]).mean())
+    n_along, n_trans = chi3t.shape
+    return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
+
+
+def _canonical(m: ModifiedIndicators, outer: OuterProfile) -> ModifiedIndicators:
+    """``m`` with the outer axis on axis 0: chi1t is the sheared field and
+    chi2t its slaved product."""
+    return m if outer.axis == "y1" else _transposed(m)
 
 
 def _integer_shifts(outer: OuterProfile) -> np.ndarray:
@@ -132,11 +129,11 @@ def extract_inner(m: ModifiedIndicators, outer: OuterProfile) -> InnerProfile:
     direction, and measures both residuals.
     """
     shifts = _integer_shifts(outer)
-    primary, product = _canonical_pair(m, outer)
-    pulled = shear_resample(primary, -shifts)
+    c = _canonical(m, outer)
+    pulled = shear_resample(c.chi1t, -shifts)
     g = pulled.mean(axis=0)
     defect_l2 = float(np.mean((pulled - g[None, :]) ** 2))
-    pulled_product = shear_resample(product, -shifts)
+    pulled_product = shear_resample(c.chi2t, -shifts)
     misfit = pulled_product - outer.f[:, None] * g[None, :]
     defect_chi2 = float(np.sqrt(np.mean(misfit**2)))
     return InnerProfile(g=g, defect_l2=defect_l2, defect_chi2=defect_chi2)
@@ -157,6 +154,25 @@ def wave_decompose(f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
     g2 = v.mean(axis=0) - half_mean
     residual = float(np.abs(v - g1[:, None] - g2[None, :]).mean())
     return g1, g2, residual
+
+
+def mixed_difference_sup(f: ScalarField) -> float:
+    """Worst mixed-difference mass: the largest mean of ``|D_h2 D_h1 f|``.
+
+    ``D_h`` is the periodic difference along one axis with an offset of h
+    cells.  Offsets -h and +h give the same mass (the two differences agree
+    up to a translation by h and a sign) and h = 0 gives none, so only
+    ``1 <= h <= n // 2`` is visited on each axis.  This is the quantity that
+    bounds the :func:`wave_decompose` remainder.
+    """
+    n1, n2 = f.grid.shape
+    sup = 0.0
+    for h1 in range(1, n1 // 2 + 1):
+        d1 = finite_difference(f, 0, h1)
+        for h2 in range(1, n2 // 2 + 1):
+            mass = float(np.abs(finite_difference(d1, 1, h2).values).mean())
+            sup = max(sup, mass)
+    return sup
 
 
 def incompatibility_defect(theta: Sequence) -> tuple:
@@ -199,12 +215,10 @@ def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:
 
 def _transport_residual(c: np.ndarray, grid: Grid, outer: OuterProfile) -> float:
     """:func:`characteristic_residual` of the field with coefficients ``c``."""
-    d1 = _derivative(c, grid, 0)
-    d2 = _derivative(c, grid, 1)
-    if outer.axis == "y1":
-        resid = d1 - outer.f[:, None] * d2
-    else:
-        resid = d2 - outer.f[None, :] * d1
+    along, across = _derivative(c, grid, 0), _derivative(c, grid, 1)
+    if outer.axis == "y2":  # the transposed view puts the outer axis on axis 0
+        along, across = across.T, along.T
+    resid = along - outer.f[:, None] * across
     return float(np.sqrt(np.mean(resid**2)))
 
 
@@ -262,20 +276,16 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
     negative norm and combined in quadrature.
     """
     shifts = _integer_shifts(outer)
-    primary, product = _canonical_pair(m, outer)
-    n_along, n_trans = primary.shape
+    c = _canonical(m, outer)
 
     gm = inner.g - inner.g.mean()
-    primitive = (np.cumsum(gm) - 0.5 * gm) / n_trans
+    primitive = (np.cumsum(gm) - 0.5 * gm) / c.grid.n2
     deriv = _profile_derivative(primitive)
 
-    template = shear_resample(np.broadcast_to(deriv[None, :], primary.shape), shifts)
-    canon_grid = Grid(n_along, n_trans)
-    gap_primary = neg_sobolev_norm(
-        ScalarField(canon_grid, primary - template), "full1"
-    )
+    template = shear_resample(np.broadcast_to(deriv[None, :], c.grid.shape), shifts)
+    gap_primary = neg_sobolev_norm(ScalarField(c.grid, c.chi1t - template), "full1")
     gap_product = neg_sobolev_norm(
-        ScalarField(canon_grid, product - outer.f[:, None] * template), "full1"
+        ScalarField(c.grid, c.chi2t - outer.f[:, None] * template), "full1"
     )
     return float(math.hypot(gap_primary, gap_product))
 

@@ -101,6 +101,18 @@ class TestGenerate:
         _, header = read_phase_field(tmp_path / "laminate.field")
         assert header["stripes"] == "8"
 
+    def test_allocation_failure_returns_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+        monkeypatch.setattr(fourwell.cli, "gen_laminate", exhausted)
+        code, out, err = run(
+            capsys, "generate", "laminate", "--grid", "8", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory: Unable to allocate")
+
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert main(["generate", "mystery"]) == 2
 
@@ -291,10 +303,13 @@ class TestSweep:
         assert "etas" in err
 
     def test_bad_eta_value_is_an_error(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "sweep", "--etas", "0,-1", "--kinds", "laminate", "--out", str(tmp_path)
-        )
-        assert code == 2
+        for etas in ("0,-1", "1e-2,inf"):
+            code, _, err = run(
+                capsys, "sweep", "--etas", etas, "--kinds", "laminate", "--out", str(tmp_path)
+            )
+            assert code == 2
+            assert "eta must be positive and finite" in err
+            assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestVerify:
@@ -305,6 +320,18 @@ class TestVerify:
         assert len(lines) == 6
         assert all("PASS" in l for l in lines)
         assert not any("FAIL" in l for l in lines)
+
+    @pytest.mark.parametrize("grid", ["36", "4", "0", "-8"])
+    def test_grid_must_be_a_positive_multiple_of_eight(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "positive multiple of 8" in err
+
+    def test_help_states_the_grid_rule(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        assert "positive multiple of 8" in out
 
     def test_check_names_are_stable(self, capsys):
         _, out, _ = run(capsys, "verify", "--grid", "16", "--seed", "1")

@@ -88,12 +88,26 @@ class TestLaminate:
 
 
 class TestCrossingTwin:
-    def test_y2_is_the_transposed_y1_with_swapped_wings(self):
-        grid = Grid(32, 32)
-        f = stripe_profile(32, 2)
-        g = stripe_profile(32, 8)
-        a = gen_crossing_twin("y1", f, g, grid).labels
-        b = gen_crossing_twin("y2", f, g, grid).labels
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda axis, grid, n_along, n_trans: gen_crossing_twin(
+                    axis, stripe_profile(n_along, 2), stripe_profile(n_trans, 8), grid
+                ),
+                id="crossing-twin",
+            ),
+            pytest.param(
+                lambda axis, grid, n_along, n_trans: gen_laminate(
+                    axis, stripe_profile(n_along, 4), grid
+                ),
+                id="laminate",
+            ),
+        ],
+    )
+    def test_y2_is_the_transposed_y1_with_swapped_wings(self, make):
+        a = make("y1", Grid(16, 32), 16, 32).labels
+        b = make("y2", Grid(32, 16), 16, 32).labels
         swap = np.array([0, 1, 4, 3, 2])
         assert np.array_equal(b, swap[a.T])
 

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fourwell.energy import total_energy
+from fourwell.fields import Grid, PhaseField
+from fourwell.microstructures import BranchingParams, plan_branching
 from fourwell.model import ADMISSIBLE_TUPLES, MaterialParams, eta, make_wells
 
 # The six stress-free strains at the default parameters, written out in full.
@@ -126,3 +129,21 @@ def test_eta_homogeneity(change, factor):
     """Scaling one input rescales the ratio by the advertised power."""
     base = eta(MaterialParams())
     assert eta(MaterialParams(**change)) == pytest.approx(base * factor, rel=1e-14)
+
+
+ETA_ENTRY_POINTS = {
+    "total_energy": lambda bad: total_energy(
+        PhaseField(Grid(4, 4), np.ones((4, 4), dtype=np.int64)), bad
+    ),
+    "BranchingParams": lambda bad: BranchingParams(
+        mu=0.25, lam=0.25, beta=1.5, N=2, w1=0.25, eta=bad
+    ),
+    "plan_branching": plan_branching,
+}
+
+
+@pytest.mark.parametrize("entry", ETA_ENTRY_POINTS.values(), ids=ETA_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_every_eta_entry_point_shares_one_rule(entry, bad):
+    with pytest.raises(ValueError, match=r"^eta must be positive and finite, got "):
+        entry(bad)

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourwell.fields import Grid, PhaseField, ScalarField, VectorField, from_modified, to_modified
+from fourwell.energy import relaxed_elastic_energy, surface_energy
+from fourwell.fields import (
+    Grid,
+    PhaseField,
+    ScalarField,
+    VectorField,
+    _transposed,
+    from_modified,
+    to_modified,
+)
 from fourwell.microstructures import (
     gen_counterexample,
     gen_crossing_twin,
@@ -20,6 +29,7 @@ from fourwell.rigidity import (
     extract_inner,
     extract_outer,
     incompatibility_defect,
+    mixed_difference_sup,
     rigidity_report,
     uncorrelatedness_gap,
     wave_decompose,
@@ -33,6 +43,17 @@ def stripe_profile(n, stripes):
 
 def coords(grid):
     return grid.axis_coords(0)[:, None], grid.axis_coords(1)[None, :]
+
+
+def full_offset_mixed_sup(v):
+    """Oracle: the mixed-difference mass over every offset pair, h = 0 included."""
+    sup_mixed = 0.0
+    for h1 in range(v.shape[0]):
+        d1 = np.roll(v, -h1, axis=0) - v
+        for h2 in range(v.shape[1]):
+            mass = float(np.abs(np.roll(d1, -h2, axis=1) - d1).mean())
+            sup_mixed = max(sup_mixed, mass)
+    return sup_mixed
 
 
 class TestExtractOuter:
@@ -116,14 +137,69 @@ class TestWaveDecompose:
         grid = Grid(16, 16)
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(grid.shape)
-        _, _, residual = wave_decompose(ScalarField(grid, v))
-        sup_mixed = 0.0
-        for h1 in range(grid.n1):
-            d1 = np.roll(v, -h1, axis=0) - v
-            for h2 in range(grid.n2):
-                mass = float(np.abs(np.roll(d1, -h2, axis=1) - d1).mean())
-                sup_mixed = max(sup_mixed, mass)
-        assert residual <= 4.0 * sup_mixed + 1e-12
+        f = ScalarField(grid, v)
+        _, _, residual = wave_decompose(f)
+        assert residual <= 4.0 * mixed_difference_sup(f) + 1e-12
+
+
+class TestMixedDifferenceSup:
+    """The half-offset search against the full-offset oracle."""
+
+    SHAPES = [(2, 3), (7, 9), (8, 8), (9, 12), (16, 10)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sign_fields_agree_exactly(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(3):
+            v = rng.choice([-1.0, 1.0], size=shape)
+            got = mixed_difference_sup(ScalarField(Grid(*shape), v))
+            assert got == full_offset_mixed_sup(v)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gaussian_fields_agree_to_rounding(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(3):
+            v = rng.standard_normal(shape)
+            got = mixed_difference_sup(ScalarField(Grid(*shape), v))
+            want = full_offset_mixed_sup(v)
+            assert abs(got - want) <= 1e-15 * want
+
+
+class TestTransposeSymmetry:
+    """Swapping the axes together with the slots chi1t, chi2t changes nothing."""
+
+    # seeded random labels on odd, even and non-square grids; none of these
+    # ties the two outer-axis candidates, so the winner must swap
+    CASES = [((9, 9), 0), ((12, 12), 1), ((8, 12), 2), ((15, 10), 3), ((7, 16), 4)]
+
+    @pytest.fixture(params=CASES, ids=lambda c: f"{c[0][0]}x{c[0][1]}")
+    def pair(self, request):
+        shape, seed = request.param
+        labels = np.random.default_rng(seed).integers(1, 5, size=shape)
+        m = to_modified(PhaseField(Grid(*shape), labels))
+        return m, _transposed(m)
+
+    def test_twice_is_the_identity(self, pair):
+        m, t = pair
+        assert t.grid == Grid(m.grid.n2, m.grid.n1)
+        back = _transposed(t)
+        assert back.grid == m.grid
+        for name in ("chi1t", "chi2t", "chi3t"):
+            assert np.array_equal(getattr(back, name), getattr(m, name))
+
+    def test_energies_agree(self, pair):
+        m, t = pair
+        assert relaxed_elastic_energy(t) == pytest.approx(relaxed_elastic_energy(m), rel=1e-12)
+        surface_t = surface_energy(from_modified(t))
+        assert surface_t == pytest.approx(surface_energy(from_modified(m)), rel=1e-12)
+
+    def test_extract_outer_swaps_its_axis(self, pair):
+        m, t = pair
+        outer, outer_t = extract_outer(m), extract_outer(t)
+        assert {outer.axis, outer_t.axis} == {"y1", "y2"}
+        assert np.array_equal(outer_t.f, outer.f)
+        assert outer_t.defect_l1 == outer.defect_l1
+        assert np.array_equal(outer_t.F, outer.F)
 
 
 class TestIncompatibilityDefect:

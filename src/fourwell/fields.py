@@ -265,8 +265,25 @@ def shear_resample(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Both writers build their body as one numpy byte array: PhaseField guarantees
+# labels 1..4, so each cell is one digit in a .field file and one table token
+# in a PGM image.
 
-_HEADER_RE = re.compile(r"^# ([A-Za-z0-9_.\-]+)=(.*)$")
+_HEADER_KEY = r"[A-Za-z0-9_.\-]+"
+_HEADER_RE = re.compile(rf"^# ({_HEADER_KEY})=(.*)$")
+
+# The PGM token "<gray><separator>" of each label 1..4 (column 0 unused),
+# zero-padded to 4 bytes: row 0 ends in a space, row 1 ends an image row.
+_PGM_TOKENS = np.array(
+    [[b""] + [b"%d%s" % (85 * k, sep) for k in range(4)] for sep in (b" ", b"\n")],
+    dtype="S4",
+)
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``str.splitlines``, which the reader splits a file with, splits ``text``."""
+    return len((text + ".").splitlines()) > 1
 
 
 def write_phase_field(
@@ -275,39 +292,66 @@ def write_phase_field(
     """Write labels as text: sorted ``# key=value`` lines, then one row per line.
 
     The keys n1 and n2 are always present; extra header entries must not
-    collide with them.  Output is byte-deterministic for equal inputs.
+    collide with them.  Keys must match the reader's key pattern and values
+    may hold no line break, so every accepted header reads back unchanged.
+    The file is UTF-8, one digit per cell, single spaces and LF line ends;
+    output is byte-deterministic for equal inputs.
     """
     entries = {"n1": str(p.grid.n1), "n2": str(p.grid.n2)}
     for key, value in (header or {}).items():
+        value = str(value)
         if key in entries and value != entries[key]:
             raise ValueError(f"header key {key!r} conflicts with the grid")
-        if "\n" in key or "\n" in str(value):
-            raise ValueError(f"header entry {key!r} contains a newline")
-        entries[key] = str(value)
-    lines = [f"# {k}={entries[k]}" for k in sorted(entries)]
-    for row in p.labels:
-        lines.append(" ".join(str(int(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        if not re.fullmatch(_HEADER_KEY, key):
+            raise ValueError(f"header key {key!r} does not match {_HEADER_KEY}")
+        if _breaks_line(value):
+            raise ValueError(f"header entry {key!r} contains a newline or other line break")
+        entries[key] = value
+    head = "".join(f"# {k}={entries[k]}\n" for k in sorted(entries))
+    n1, n2 = p.grid.shape
+    body = np.full((n1, 2 * n2), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = p.labels + ord("0")
+    body[:, -1] = ord("\n")
+    Path(path).write_bytes(head.encode("utf-8") + body.tobytes())
 
 
 def read_phase_field(path: str | Path) -> tuple[PhaseField, dict[str, str]]:
-    """Inverse of :func:`write_phase_field`; returns field and header dict."""
+    """Inverse of :func:`write_phase_field`; returns field and header dict.
+
+    Blank lines are skipped, header lines may stand anywhere, and labels may
+    be separated by any whitespace; each label is read as ``int()`` reads it.
+    Every error names the file, and the data row (counted from 0) at fault.
+    """
+    try:
+        return _parse_phase_field(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_phase_field(text: str) -> tuple[PhaseField, dict[str, str]]:
     header: dict[str, str] = {}
-    rows: list[list[int]] = []
-    for line in Path(path).read_text().splitlines():
+    rows: list[list[str]] = []
+    for line in text.splitlines():
         if not line.strip():
             continue
         m = _HEADER_RE.match(line)
         if m:
             header[m.group(1)] = m.group(2)
         else:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append(line.split())
     if "n1" not in header or "n2" not in header:
-        raise ValueError(f"{path}: missing n1/n2 in header")
+        raise ValueError("missing n1/n2 in header")
     grid = Grid(int(header["n1"]), int(header["n2"]))
-    labels = np.array(rows, dtype=np.int64)
-    if labels.shape != grid.shape:
-        raise ValueError(f"{path}: data shape {labels.shape} does not match header {grid.shape}")
+    if len(rows) != grid.n1:
+        raise ValueError(f"data has {len(rows)} rows, header shape {grid.shape} needs {grid.n1}")
+    labels = np.empty(grid.shape, dtype=np.int64)
+    for j, row in enumerate(rows):
+        if len(row) != grid.n2:
+            raise ValueError(f"row {j} has {len(row)} labels, expected {grid.n2}")
+        try:
+            labels[j] = row  # numpy casts each str token exactly as int() parses it
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"row {j}: {exc}") from None
     return PhaseField(grid, labels), header
 
 
@@ -318,8 +362,9 @@ def write_pgm(path: str | Path, p: PhaseField) -> None:
     first coordinate and rows the second, with the top row at the largest
     second coordinate so the picture matches the usual orientation.
     """
-    levels = (p.labels.T[::-1, :] - 1) * 85
-    height, width = levels.shape
-    lines = ["P2", f"{width} {height}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in levels)
-    Path(path).write_text("\n".join(lines) + "\n")
+    image = p.labels.T[::-1, :]
+    height, width = image.shape
+    tokens = _PGM_TOKENS[0, image]
+    tokens[:, -1] = _PGM_TOKENS[1, image[:, -1]]
+    body = tokens.tobytes().translate(None, b"\0")  # drop the zero padding
+    Path(path).write_bytes(f"P2\n{width} {height}\n255\n".encode() + body)

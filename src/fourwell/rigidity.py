@@ -257,6 +257,7 @@ class RigidityReport:
                 "f": [int(x) for x in self.outer.f],
             },
             "theta": list(self.theta),
+            "weak_defect": self.weak_defect,
         }
 
     def to_json(self) -> str:

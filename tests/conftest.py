@@ -1,4 +1,10 @@
-"""Shared pytest wiring: one summary line per acceptance criterion."""
+"""Shared pytest wiring: one summary line per acceptance criterion, and one
+hypothesis profile so property tests draw the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("fourwell", derandomize=True, deadline=None)
+settings.load_profile("fourwell")
 
 _verdicts: dict[str, str] = {}
 

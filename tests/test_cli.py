@@ -192,6 +192,19 @@ class TestEnergyAndReport:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "last_row, reason",
+        [("1\n", "row 1 has 1 labels, expected 2"), ("1 x\n", "row 1: invalid literal")],
+        ids=["ragged-row", "bad-token"],
+    )
+    def test_malformed_field_file_returns_two(self, tmp_path, capsys, last_row, reason):
+        path = tmp_path / "bad.field"
+        path.write_text("# n1=2\n# n2=2\n1 2\n" + last_row)
+        code, out, err = run(capsys, "energy", str(path), "--eta", "1.0")
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}: {reason}" in err
+
 
 class TestSweep:
     def test_table_structure_and_fits(self, tmp_path, capsys):

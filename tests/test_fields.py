@@ -1,9 +1,12 @@
 """Tests for grids, fields, the label/indicator bijection and serialization."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fourwell.fields import (
@@ -227,3 +230,122 @@ class TestSerialization:
         assert lines[3] == "170 85"
         assert lines[4] == "85 0"
         assert lines[5] == "0 255"
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_HEADER = {"note": "odd non-square grid"}
+
+
+def golden_field():
+    """The 7x9 field whose files ``data/golden_7x9.*`` pin both byte layouts.
+
+    Its last row and last column each hold every label, so rows of both files
+    end in every token, and PGM rows end in tokens of width 1, 2 and 3.
+    """
+    j, i = np.indices((7, 9))
+    return PhaseField(Grid(7, 9), (i * (j + 1) + j) % 4 + 1)
+
+
+def edit_rows(text, edit):
+    """Apply ``edit`` to each data line (without its line end) of a .field text."""
+    lines = text.splitlines()
+    return "".join((line if line.startswith("#") else edit(line)) + "\n" for line in lines)
+
+
+def edit_row(text, j, edit):
+    """Apply ``edit`` to the token list of data row ``j`` only."""
+    lines = text.splitlines()
+    at = [n for n, line in enumerate(lines) if not line.startswith("#")][j]
+    lines[at] = " ".join(edit(lines[at].split()))
+    return "".join(line + "\n" for line in lines)
+
+
+GOLDEN_TEXT = (DATA / "golden_7x9.field").read_text(encoding="utf-8")
+
+# Inputs the reader accepts besides the writer's own layout; each must read as
+# the golden file does.
+READER_VARIANTS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs and runs of spaces": lambda t: edit_rows(t, lambda line: line.replace(" ", " \t  ")),
+    "blank lines": lambda t: "\n  \t\n" + t.replace("\n", "\n\n"),
+    "header lines after the data": lambda t: "".join(
+        sorted(t.splitlines(keepends=True), key=lambda line: line.startswith("# n"))
+    ),
+    "signs and leading zeros": lambda t: edit_rows(
+        t, lambda line: " ".join(("+" if tok == "1" else "0") + tok for tok in line.split())
+    ),
+}
+
+# Inputs the reader refuses with ValueError: the message names the file, and
+# the data row where there is one, and matches the pattern.
+READER_REJECTS = {
+    "label 5": (lambda t: edit_row(t, 0, lambda r: ["5"] + r[1:]), "out of range"),
+    "label 0": (lambda t: edit_row(t, 6, lambda r: r[:-1] + ["0"]), "out of range"),
+    "float token": (lambda t: edit_row(t, 3, lambda r: ["1.0"] + r[1:]), "row 3: invalid literal"),
+    "word token": (lambda t: edit_row(t, 3, lambda r: r[:4] + ["x"] + r[5:]), "row 3: invalid literal"),
+    "oversized token": (lambda t: edit_row(t, 4, lambda r: r[:2] + ["9" * 20] + r[3:]), "row 4: "),
+    "ragged row": (lambda t: edit_row(t, 2, lambda r: r[:-1]), "row 2 has 8 labels, expected 9$"),
+    "missing n1": (lambda t: t.replace("# n1=7\n", ""), "missing n1/n2"),
+    "missing n2": (lambda t: t.replace("# n2=9\n", ""), "missing n1/n2"),
+    "non-integer n1": (lambda t: t.replace("# n1=7\n", "# n1=7.0\n"), "invalid literal"),
+    "extra row": (lambda t: t + "1 2 3 4 1 2 3 4 1\n", "shape"),
+    "missing row": (lambda t: t.rsplit("\n", 2)[0] + "\n", "shape"),
+}
+
+
+class TestFileFormats:
+    def test_writers_reproduce_the_golden_bytes(self, tmp_path):
+        write_phase_field(tmp_path / "g.field", golden_field(), GOLDEN_HEADER)
+        write_pgm(tmp_path / "g.pgm", golden_field())
+        assert (tmp_path / "g.field").read_bytes() == (DATA / "golden_7x9.field").read_bytes()
+        assert (tmp_path / "g.pgm").read_bytes() == (DATA / "golden_7x9.pgm").read_bytes()
+
+    def test_golden_image_rows_end_in_every_token_width(self):
+        rows = (DATA / "golden_7x9.pgm").read_text().splitlines()[3:]
+        assert {len(row.split()[-1]) for row in rows} == {1, 2, 3}
+
+    @pytest.mark.parametrize("variant", sorted(READER_VARIANTS))
+    def test_reader_accepts_the_same_grammar(self, tmp_path, variant):
+        text = READER_VARIANTS[variant](GOLDEN_TEXT)
+        assert text != GOLDEN_TEXT
+        path = tmp_path / "v.field"
+        path.write_bytes(text.encode("utf-8"))
+        field, header = read_phase_field(path)
+        assert np.array_equal(field.labels, golden_field().labels)
+        assert header == {"n1": "7", "n2": "9", **GOLDEN_HEADER}
+
+    @pytest.mark.parametrize("case", sorted(READER_REJECTS))
+    def test_reader_rejects_malformed_input_naming_the_file(self, tmp_path, case):
+        mutate, match = READER_REJECTS[case]
+        path = tmp_path / "bad.field"
+        path.write_text(mutate(GOLDEN_TEXT), encoding="utf-8")
+        with pytest.raises(ValueError, match=match) as info:
+            read_phase_field(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"note": "a\rb"}, {"note": "a\x85b"}, {"note": "v\u2028w"}, {"my key": "1"}, {"k=": "1"}],
+        ids=["cr", "nel", "line-separator", "space-in-key", "equals-in-key"],
+    )
+    def test_headers_the_reader_cannot_read_are_refused(self, tmp_path, header):
+        with pytest.raises(ValueError, match="line break|does not match"):
+            write_phase_field(tmp_path / "x.field", golden_field(), header)
+        assert not (tmp_path / "x.field").exists()
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.from_regex(r"[A-Za-z0-9_.\-]+", fullmatch=True), st.text(max_size=4)),
+            st.text(max_size=12),
+            max_size=4,
+        )
+    )
+    def test_every_accepted_header_reads_back(self, tmp_path_factory, header):
+        path = tmp_path_factory.mktemp("header") / "h.field"
+        try:
+            write_phase_field(path, golden_field(), header)
+        except ValueError:
+            return
+        field, back = read_phase_field(path)
+        assert back == {"n1": "7", "n2": "9", **header}
+        assert np.array_equal(field.labels, golden_field().labels)

@@ -1,5 +1,6 @@
 """Tests for the twin-likeness diagnostics."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -316,9 +317,23 @@ class TestRigidityReport:
             "inner",
             "outer",
             "theta",
+            "weak_defect",
         }
         assert payload["outer"]["axis"] == "y1"
         assert len(payload["inner"]["g"]) == 64
+
+    @pytest.mark.parametrize("axis", ["y1", "y2"])
+    def test_json_carries_the_raw_weak_defect(self, axis):
+        grid = Grid(64, 64)
+        p = gen_crossing_twin(axis, stripe_profile(64, 2), stripe_profile(64, 8), grid)
+        report = rigidity_report(p, 1e-2)
+        assert json.loads(report.to_json())["weak_defect"] == report.weak_defect
+        # A zero defect has no logarithm, so only the raw value records it.
+        diagnostics = {**report.diagnostics, "log10_weak_defect": None}
+        zero = dataclasses.replace(report, weak_defect=0.0, diagnostics=diagnostics)
+        payload = json.loads(zero.to_json())
+        assert payload["weak_defect"] == 0.0
+        assert payload["diagnostics"]["log10_weak_defect"] is None
 
     def test_zigzag_defeats_the_inner_profile_only(self):
         """The concentration example passes the outer test yet fails inside."""

@@ -27,10 +27,17 @@ from .fields import (
     ScalarField,
     _jump_mass,
     to_modified,
-    total_variation,
 )
 from .model import MaterialParams, _check_eta
-from .spectral import _coeffs, _deriv_freqs, _freqs, _ksq, inv_gradient, spectral_derivative
+from .spectral import (
+    _coeffs,
+    _deriv_freqs,
+    _fold_sum,
+    _freqs,
+    _ksq,
+    inv_gradient,
+    spectral_derivative,
+)
 
 __all__ = [
     "DEFAULT_DIAG",
@@ -165,7 +172,11 @@ def relaxed_elastic_energy(m: ModifiedIndicators | RawTriple) -> float:
 
         2 |k|^-4 ( |k|^2 |k2 c2 - k1 c1|^2  +  2 k1^2 k2^2 |c3|^2 )
 
-    which is invariant under rescaling k, so integer frequencies suffice.
+    which is invariant under rescaling k, so integer frequencies suffice.  At
+    an unpaired even-grid frequency ``-n/2`` the shear term's sign-sensitive
+    part, ``-2 k1 k2 Re(c2 conj(c1))``, is averaged over both signs, which
+    zeroes it, so reflections with their sign flips leave the energy unchanged
+    on every grid.
     """
     grid, a1, a2, a3 = _triple_arrays(m)
     return _relaxed(_coeffs(a1), _coeffs(a2), _coeffs(a3), grid)
@@ -174,12 +185,23 @@ def relaxed_elastic_energy(m: ModifiedIndicators | RawTriple) -> float:
 def _relaxed(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
     """The relaxed elastic energy's multiplier on the three slots' coefficients."""
     k1, k2 = _freqs(grid)
+    d1, d2 = _deriv_freqs(grid)  # the sign-sensitive term averages to 0 at unpaired modes
     ksq = _ksq(grid)
-    shear = np.abs(k2 * c2 - k1 * c1) ** 2
-    cross = 2.0 * (k1**2) * (k2**2) * np.abs(c3) ** 2
+    shear = k1**2 * _sq(c1) + k2**2 * _sq(c2) - 2.0 * d1 * d2 * _re_dot(c2, c1)
+    cross = 2.0 * (k1**2) * (k2**2) * _sq(c3)
     per_mode = 2.0 * (ksq * shear + cross) / ksq**2
     per_mode[0, 0] = 0.0
-    return float(per_mode.sum())
+    return _fold_sum(per_mode, grid)
+
+
+def _sq(c: np.ndarray) -> np.ndarray:
+    """``|c|^2`` without a square root."""
+    return c.real**2 + c.imag**2
+
+
+def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re(a conj(b))``."""
+    return a.real * b.real + a.imag * b.imag
 
 
 def full_multiplier_energy(u0: SymStrainField) -> float:
@@ -188,44 +210,53 @@ def full_multiplier_energy(u0: SymStrainField) -> float:
     Evaluates, per nonzero mode with in-plane frequency k embedded as
     (k1, k2, 0),
 
-        |U|_F^2 - 2 |U k|^2 / |k|^2 + |k . U k|^2 / |k|^4 .
+        |U|_F^2 - 2 |U k|^2 / |k|^2 + |k . U k|^2 / |k|^4 ,
 
-    Agrees with :func:`relaxed_elastic_energy` when the target carries
-    indicator fields off-diagonal and a constant diagonal.
+    with the terms odd in an unpaired even-grid frequency averaged over both
+    of its signs, that is dropped.  Agrees with :func:`relaxed_elastic_energy`
+    when the target carries indicator fields off-diagonal and a constant
+    diagonal.
     """
     grid = u0.grid
-    comps = {
-        name: _coeffs(getattr(u0, name))
-        for name in ("e11", "e22", "e33", "e12", "e13", "e23")
-    }
-    k1, k2 = _freqs(grid)
-    ksq0 = _ksq(grid)
-
-    frob = (
-        np.abs(comps["e11"]) ** 2
-        + np.abs(comps["e22"]) ** 2
-        + np.abs(comps["e33"]) ** 2
-        + 2.0 * np.abs(comps["e12"]) ** 2
-        + 2.0 * np.abs(comps["e13"]) ** 2
-        + 2.0 * np.abs(comps["e23"]) ** 2
+    e11, e22, e33, e12, e13, e23 = (
+        _coeffs(getattr(u0, name)) for name in ("e11", "e22", "e33", "e12", "e13", "e23")
     )
-    uk1 = comps["e11"] * k1 + comps["e12"] * k2
-    uk2 = comps["e12"] * k1 + comps["e22"] * k2
-    uk3 = comps["e13"] * k1 + comps["e23"] * k2
-    uk_sq = np.abs(uk1) ** 2 + np.abs(uk2) ** 2 + np.abs(uk3) ** 2
-    kuk = k1 * uk1 + k2 * uk2
+    k1, k2 = _freqs(grid)
+    d1, d2 = _deriv_freqs(grid)  # terms odd in k1 k2 average to 0 at unpaired modes
+    ksq = _ksq(grid)
 
-    per_mode = frob - 2.0 * uk_sq / ksq0 + np.abs(kuk) ** 2 / ksq0**2
+    frob = _sq(e11) + _sq(e22) + _sq(e33) + 2.0 * (_sq(e12) + _sq(e13) + _sq(e23))
+    # |U k|^2 over the rows (e11, e12), (e12, e22), (e13, e23) of U's in-plane columns
+    uk_sq = (
+        k1**2 * (_sq(e11) + _sq(e12) + _sq(e13))
+        + k2**2 * (_sq(e12) + _sq(e22) + _sq(e23))
+        + 2.0 * d1 * d2 * (_re_dot(e11, e12) + _re_dot(e12, e22) + _re_dot(e13, e23))
+    )
+    # k . U k = even + 2 k1 k2 e12
+    even = k1**2 * e11 + k2**2 * e22
+    kuk_sq = _sq(even) + 4.0 * k1**2 * k2**2 * _sq(e12) + 4.0 * d1 * d2 * _re_dot(even, e12)
+
+    per_mode = frob - 2.0 * uk_sq / ksq + kuk_sq / ksq**2
     per_mode[0, 0] = 0.0
-    return float(per_mode.sum())
+    return _fold_sum(per_mode, grid)
 
 
 def surface_energy(p: PhaseField) -> float:
-    """Total interfacial perimeter, each interface counted from both sides."""
-    return sum(
-        total_variation(ScalarField(p.grid, (p.labels == phase).astype(float)))
-        for phase in (1, 2, 3, 4)
-    )
+    """Total interfacial perimeter, each interface counted from both sides.
+
+    Equals the sum of :func:`~fourwell.fields.total_variation` over the four
+    phase indicators: a face between two different labels is a jump of
+    exactly two of them.  Faces across axis 0 have length 1/n2 and faces
+    across axis 1 length 1/n1.
+    """
+    n1, n2 = p.grid.shape
+    return float(2.0 * _label_jumps(p.labels) / n2 + 2.0 * _label_jumps(p.labels.T) / n1)
+
+
+def _label_jumps(labels: np.ndarray) -> int:
+    """Number of faces across axis 0, with the periodic wrap, between two labels."""
+    inner = np.count_nonzero(labels[1:] != labels[:-1])
+    return inner + np.count_nonzero(labels[0] != labels[-1])
 
 
 def total_energy(
@@ -313,7 +344,7 @@ def compute_residuals(
     )
     weighted = np.abs(combo) ** 2 / _ksq(grid) ** 2
     weighted[0, 0] = 0.0
-    residual = float(np.sqrt(weighted.sum()))
+    residual = float(np.sqrt(_fold_sum(weighted, grid)))
 
     return ResidualDecomposition(
         grid=grid,

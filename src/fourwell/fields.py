@@ -127,7 +127,7 @@ class PhaseField:
         labels = np.asarray(self.labels)
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        object.__setattr__(self, "labels", labels.astype(np.int64))
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         _check_shape(self.grid, self.labels, "PhaseField.labels")
         bad = (self.labels < 1) | (self.labels > 4)
         if bad.any():
@@ -158,15 +158,16 @@ class ModifiedIndicators:
             _check_shape(self.grid, arr, f"ModifiedIndicators.{name}")
 
 
-_LABEL_TO_TUPLE = np.zeros((5, 3))
+# Row s holds slot s of each label's sign triple (column 0 unused).
+_SLOT_OF_LABEL = np.zeros((3, 5))
 for _phase, _t in enumerate(ADMISSIBLE_TUPLES, start=1):
-    _LABEL_TO_TUPLE[_phase] = _t
+    _SLOT_OF_LABEL[:, _phase] = _t
 
 
 def to_modified(p: PhaseField) -> ModifiedIndicators:
-    """Expand phase labels into their sign triples."""
-    t = _LABEL_TO_TUPLE[p.labels]
-    return ModifiedIndicators(p.grid, t[..., 0], t[..., 1], t[..., 2])
+    """Expand phase labels into their sign triples, one contiguous array per slot."""
+    t = np.take(_SLOT_OF_LABEL, p.labels, axis=1)
+    return ModifiedIndicators(p.grid, t[0], t[1], t[2])
 
 
 def from_modified(m: ModifiedIndicators) -> PhaseField:

@@ -110,13 +110,13 @@ def _canonical(m: ModifiedIndicators, outer: OuterProfile) -> ModifiedIndicators
     return m if outer.axis == "y1" else _transposed(m)
 
 
-def _integer_shifts(outer: OuterProfile) -> np.ndarray:
+def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
     rounded = np.rint(outer.F)
     if not np.allclose(outer.F, rounded, atol=1e-9):
         worst = int(np.argmax(np.abs(outer.F - rounded)))
         raise ValueError(
-            f"shear profile is not grid-aligned: F[{worst}] = {outer.F[worst]!r} "
-            "is not a whole number of cells"
+            f"shear profile is not grid-aligned on the {grid.n1}x{grid.n2} grid: "
+            f"F[{worst}] = {float(outer.F[worst])!r} is not a whole number of cells"
         )
     return rounded.astype(np.int64)
 
@@ -128,7 +128,7 @@ def extract_inner(m: ModifiedIndicators, outer: OuterProfile) -> InnerProfile:
     whole cells), averages the first out-of-plane field over the outer
     direction, and measures both residuals.
     """
-    shifts = _integer_shifts(outer)
+    shifts = _integer_shifts(outer, m.grid)
     c = _canonical(m, outer)
     pulled = shear_resample(c.chi1t, -shifts)
     g = pulled.mean(axis=0)
@@ -276,7 +276,7 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
     shear; both components are compared in the inhomogeneous first-order
     negative norm and combined in quadrature.
     """
-    shifts = _integer_shifts(outer)
+    shifts = _integer_shifts(outer, m.grid)
     c = _canonical(m, outer)
 
     gm = inner.g - inner.g.mean()

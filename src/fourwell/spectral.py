@@ -1,20 +1,32 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
-The private core (``_coeffs``, ``_values``, ``_freqs``, ``_deriv_freqs``,
-``_ksq``, ``_drop``) is the only owner of the package's Fourier conventions:
+The private core (``_coeffs``, ``_values``, ``_half``, ``_freqs``,
+``_deriv_freqs``, ``_ksq``, ``_drop``, ``_fold_sum``) is the only owner of the
+package's Fourier conventions:
 
-* Coefficients are ``fft2(values) / (n1 * n2)``, so Parseval reads
-  ``sum |c_k|^2 = mean |f|^2`` and norms below are mean-square quantities.
+* Every field is real, so only half of its spectrum is stored: coefficients
+  are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
+  the modes with ``k2 >= 0``.  The other half is their complex conjugate.
 * Frequencies are the integer lattice duals from ``fftfreq(n) * n``; on even
-  grids the unpaired mode sits at ``-n/2``.  It has no well-defined sign, so
-  derivatives and sign-sensitive multipliers drop it.
+  grids the unpaired mode sits at ``-n/2``, and on even n2 the last column of
+  the half spectrum keeps that label.
+* Fold weights: a sum over the full spectrum of a quantity that takes equal
+  values at k and -k is the half spectrum's sum with column 0, and the last
+  column on even n2, counted once (each is its own mirror image) and every
+  other column counted twice (for itself and its mirror).  ``_fold_sum``
+  applies them, so Parseval reads ``_fold_sum(|c|^2) = mean |f|^2`` and norms
+  below are mean-square quantities.
+* An unpaired frequency ``-n/2`` has no well-defined sign.  A sign-sensitive
+  term is averaged over both sign representatives, which zeroes a term odd in
+  that frequency.  Derivatives therefore drop the unpaired modes, and so do
+  projections and potentials, whose multipliers hold odd powers of k.
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
   set to 1; derivatives carry the physical factor ``2 pi i k``.
 
 Callers that hold coefficients use the core directly, so a rigidity report
 transforms each indicator once.  :func:`permode_elastic_oracle` keeps its own
-plain ``fft2`` path on purpose: it checks the closed-form multiplier in
-:mod:`fourwell.energy` and must share none of its algebra.
+plain full-spectrum ``fft2`` path on purpose: it checks the closed-form
+multiplier in :mod:`fourwell.energy` and must share none of its algebra.
 """
 
 from __future__ import annotations
@@ -35,18 +47,22 @@ __all__ = [
 
 
 def _coeffs(values: np.ndarray) -> np.ndarray:
-    """Normalized Fourier coefficients of a real 2-D array."""
-    return np.fft.fft2(values) / values.size
+    """Normalized half-spectrum Fourier coefficients of a real 2-D array."""
+    c = np.fft.rfft2(values)
+    c /= values.size
+    return c
 
 
-def _values(c: np.ndarray) -> np.ndarray:
-    """Real values whose normalized coefficients are ``c``.
+def _values(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real values on ``grid`` whose normalized half-spectrum coefficients are ``c``.
 
-    Scaled in place, so no second full-size complex array is allocated.
+    The grid shape is needed because an even n2 and the odd n2 + 1 have the
+    same half-spectrum width.  Scaled in place, so no second full-size array
+    is allocated.
     """
-    v = np.fft.ifft2(c)
-    v *= c.size
-    return v.real
+    v = np.fft.irfft2(c, s=grid.shape)
+    v *= v.size
+    return v
 
 
 def _axis_freqs(n: int) -> np.ndarray:
@@ -60,14 +76,22 @@ def _axis_deriv_freqs(n: int) -> np.ndarray:
     return np.where(2 * k == -n, 0, k)
 
 
+def _half(k: np.ndarray) -> np.ndarray:
+    """The frequencies of one axis that a real transform keeps: 0 .. n // 2.
+
+    On even n the last one keeps its label ``-n/2``.
+    """
+    return k[: k.size // 2 + 1]
+
+
 def _freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Integer frequencies, shaped to broadcast over a coefficient array."""
-    return _axis_freqs(grid.n1)[:, None], _axis_freqs(grid.n2)[None, :]
+    """Integer frequencies, shaped to broadcast over a half-spectrum array."""
+    return _axis_freqs(grid.n1)[:, None], _half(_axis_freqs(grid.n2))[None, :]
 
 
 def _deriv_freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies for differentiation: unpaired even-grid modes zeroed."""
-    return _axis_deriv_freqs(grid.n1)[:, None], _axis_deriv_freqs(grid.n2)[None, :]
+    return _axis_deriv_freqs(grid.n1)[:, None], _half(_axis_deriv_freqs(grid.n2))[None, :]
 
 
 def _ksq(grid: Grid) -> np.ndarray:
@@ -90,15 +114,30 @@ def _drop(c: np.ndarray, grid: Grid) -> np.ndarray:
     return c
 
 
+def _fold_sum(per_mode: np.ndarray, grid: Grid) -> float:
+    """Sum over the full spectrum of a quantity equal at k and -k, from its half.
+
+    Column 0, and the last column on even n2, are their own mirror images and
+    count once; every other column stands for itself and its mirror and
+    counts twice.
+    """
+    weights = np.full(grid.n2 // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if grid.n2 % 2 == 0:
+        weights[-1] = 1.0
+    return float(per_mode.sum(axis=0) @ weights)
+
+
 def _derivative(c: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Values of the derivative along ``axis`` of the field with coefficients ``c``."""
-    return _values(2j * np.pi * _deriv_freqs(grid)[axis] * c)
+    return _values(2j * np.pi * _deriv_freqs(grid)[axis] * c, grid)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:
     """Spectral derivative of a periodic 1-D profile on the unit interval."""
-    k = _axis_deriv_freqs(profile.size)
-    return np.fft.ifft(np.fft.fft(profile) * 2j * np.pi * k).real
+    n = profile.size
+    k = _half(_axis_deriv_freqs(n))
+    return np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * k, n)
 
 
 def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
@@ -133,13 +172,13 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
         c = _coeffs(f.values)
         k1, k2 = _freqs(f.grid)
         w = 1.0 / (1.0 + k1**2 + k2**2)
-        return float(np.sqrt((np.abs(c) ** 2 * w).sum()))
+        return float(np.sqrt(_fold_sum(np.abs(c) ** 2 * w, f.grid)))
     if s not in (1, 2):
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
     c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
     w = _ksq(f.grid) ** (-int(s))
     w[0, 0] = 0.0
-    return float(np.sqrt((np.abs(c) ** 2 * w).sum()))
+    return float(np.sqrt(_fold_sum(np.abs(c) ** 2 * w, f.grid)))
 
 
 def inv_gradient(f: ScalarField) -> ScalarField:
@@ -152,7 +191,7 @@ def inv_gradient(f: ScalarField) -> ScalarField:
     c = _mean_coeff_checked(f, "inv_gradient")
     c /= 2.0 * np.pi * np.sqrt(_ksq(f.grid))
     c[0, 0] = 0.0
-    return ScalarField(f.grid, _values(c))
+    return ScalarField(f.grid, _values(c, f.grid))
 
 
 def leray_project(w: VectorField) -> VectorField:
@@ -168,12 +207,13 @@ def leray_project(w: VectorField) -> VectorField:
     dot = (k1 * c1 + k2 * c2) / _ksq(grid)
     p1 = _drop(c1 - k1 * dot, grid)
     p2 = _drop(c2 - k2 * dot, grid)
-    return VectorField(grid, _values(p1), _values(p2))
+    return VectorField(grid, _values(p1, grid), _values(p2, grid))
 
 
 def helmholtz_potential(w: VectorField) -> ScalarField:
     """Zero-mean scalar u whose gradient is the curl-free part of ``w``."""
-    return ScalarField(w.grid, _values(_potential(_coeffs(w.v1), _coeffs(w.v2), w.grid)))
+    grid = w.grid
+    return ScalarField(grid, _values(_potential(_coeffs(w.v1), _coeffs(w.v2), grid), grid))
 
 
 def curl_neg_sobolev(w: VectorField) -> float:
@@ -187,13 +227,13 @@ def curl_neg_sobolev(w: VectorField) -> float:
     c1, c2 = _coeffs(w.v1), _coeffs(w.v2)
     k1, k2 = _freqs(grid)
     weighted = _drop(np.abs(k1 * c2 - k2 * c1) ** 2 / _ksq(grid), grid)
-    return float(np.sqrt(weighted.sum()))
+    return float(np.sqrt(_fold_sum(weighted, grid)))
 
 
 def _indicator_coeffs(
     m: ModifiedIndicators,
 ) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray]:
-    """The oracle's own transforms, independent of the core's ``_coeffs``."""
+    """The oracle's own full-spectrum transforms, independent of the core's ``_coeffs``."""
     n = m.grid.n1 * m.grid.n2
     return (
         m.grid,
@@ -203,34 +243,18 @@ def _indicator_coeffs(
     )
 
 
-def permode_elastic_oracle(m: ModifiedIndicators) -> float:
-    """Relaxed elastic energy by brute-force least squares, mode by mode.
-
-    For every nonzero frequency the target matrix carries the indicator
-    coefficients on its off-diagonal; the best compatible strain at that
-    frequency is ``sym(2 pi i k (x) u)`` over all complex displacements u,
-    found by solving the 3x3 normal equations directly.  The summed squared
-    misfits equal the relaxed elastic energy; this routine exists as an
-    independent check of the closed-form multiplier and shares none of its
-    algebra.
-    """
-    grid, c1, c2, c3 = _indicator_coeffs(m)
-    k1, k2 = _freqs(grid)
-    k1b, k2b = np.broadcast_arrays(k1, k2)
-    mask = (k1b != 0) | (k2b != 0)
+def _least_squares_misfit(
+    k1: np.ndarray, k2: np.ndarray, coeffs: tuple[np.ndarray, ...], modes: np.ndarray
+) -> float:
+    """Summed squared misfit of the best compatible strain over the selected modes."""
+    c1, c2, c3 = coeffs
     q = np.stack(
-        [
-            2.0 * np.pi * k1b[mask],
-            2.0 * np.pi * k2b[mask],
-            np.zeros(int(mask.sum())),
-        ],
-        axis=1,
+        [2.0 * np.pi * k1[modes], 2.0 * np.pi * k2[modes], np.zeros(int(modes.sum()))], axis=1
     )
-    nmodes = q.shape[0]
-    target = np.zeros((nmodes, 3, 3), dtype=complex)
-    target[:, 0, 1] = target[:, 1, 0] = c3[mask]
-    target[:, 0, 2] = target[:, 2, 0] = c2[mask]
-    target[:, 1, 2] = target[:, 2, 1] = c1[mask]
+    target = np.zeros((q.shape[0], 3, 3), dtype=complex)
+    target[:, 0, 1] = target[:, 1, 0] = c3[modes]
+    target[:, 0, 2] = target[:, 2, 0] = c2[modes]
+    target[:, 1, 2] = target[:, 2, 1] = c1[modes]
 
     qsq = (q**2).sum(axis=1)
     normal = qsq[:, None, None] * np.eye(3)[None] + q[:, :, None] * q[:, None, :]
@@ -238,3 +262,31 @@ def permode_elastic_oracle(m: ModifiedIndicators) -> float:
     disp = np.linalg.solve(normal.astype(complex), rhs[:, :, None])[:, :, 0]
     strain = 0.5 * (q[:, :, None] * disp[:, None, :] + disp[:, :, None] * q[:, None, :])
     return float((np.abs(strain - target) ** 2).sum())
+
+
+def permode_elastic_oracle(m: ModifiedIndicators) -> float:
+    """Relaxed elastic energy by brute-force least squares, mode by mode.
+
+    For every nonzero frequency the target matrix carries the indicator
+    coefficients on its off-diagonal; the best compatible strain at that
+    frequency is ``sym(2 pi i k (x) u)`` over all complex displacements u,
+    found by solving the 3x3 normal equations directly.  An unpaired
+    even-grid frequency ``-n/2`` has no sign, so at such a mode the problem is
+    solved for every sign representative and the misfits are averaged.  The
+    summed squared misfits equal the relaxed elastic energy; this routine
+    exists as an independent check of the closed-form multiplier and shares
+    none of its algebra.
+    """
+    grid, *coeffs = _indicator_coeffs(m)
+    n1, n2 = grid.shape
+    k1, k2 = np.broadcast_arrays(
+        np.rint(np.fft.fftfreq(n1) * n1)[:, None], np.rint(np.fft.fftfreq(n2) * n2)[None, :]
+    )
+    unpaired1, unpaired2 = 2 * k1 == -n1, 2 * k2 == -n2
+    unpaired = unpaired1 | unpaired2
+    paired = ~unpaired & ((k1 != 0) | (k2 != 0))
+    total = _least_squares_misfit(k1, k2, coeffs, paired)
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        q1, q2 = np.where(unpaired1, s1 * k1, k1), np.where(unpaired2, s2 * k2, k2)
+        total += 0.25 * _least_squares_misfit(q1, q2, coeffs, unpaired)
+    return total

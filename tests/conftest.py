@@ -1,10 +1,31 @@
-"""Shared pytest wiring: one summary line per acceptance criterion, and one
-hypothesis profile so property tests draw the same examples on every run."""
+"""Shared pytest wiring: one summary line per acceptance criterion, one
+hypothesis profile so property tests draw the same examples on every run, and
+a counter of numpy's FFT calls."""
 
+import numpy as np
+import pytest
 from hypothesis import settings
 
 settings.register_profile("fourwell", derandomize=True, deadline=None)
 settings.load_profile("fourwell")
+
+FFT_FUNCTIONS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Calls of each ``numpy.fft`` entry point made during the test, by name."""
+    calls = dict.fromkeys(FFT_FUNCTIONS, 0)
+    for name in FFT_FUNCTIONS:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
 
 _verdicts: dict[str, str] = {}
 

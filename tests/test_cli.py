@@ -9,7 +9,8 @@ import pytest
 import fourwell.cli
 from fourwell.cli import load_config, main
 from fourwell.energy import total_energy
-from fourwell.fields import read_phase_field
+from fourwell.fields import Grid, read_phase_field, write_phase_field
+from fourwell.microstructures import gen_random_partition
 from fourwell.rigidity import rigidity_report
 
 
@@ -204,6 +205,36 @@ class TestEnergyAndReport:
         assert code == 2
         assert out == ""
         assert f"error: {path}: {reason}" in err
+
+    def test_report_on_a_grid_without_aligned_shear_returns_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.field"
+        write_phase_field(path, gen_random_partition(2, Grid(64, 96)))
+        code, out, err = run(capsys, "report", str(path), "--eta", "1e-2")
+        assert code == 2
+        assert out == ""
+        assert "not grid-aligned on the 64x96 grid" in err
+        assert "np.float64" not in err
+
+
+class TestHalfSpectrum:
+    """Energy, report and sweep read half spectra: no full complex 2-D transform."""
+
+    FULL = ("fft2", "ifft2", "fftn", "ifftn")
+
+    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("command", ["energy", "report", "sweep"])
+    def test_no_full_complex_transform(self, tmp_path, capsys, fft_calls, command, n):
+        if command == "sweep":
+            argv = ["sweep", "--grid", str(n), "--kinds", "random", "--etas", "0.1,0.01"]
+            argv += ["--out", str(tmp_path)]
+        else:
+            path = tmp_path / "random.field"
+            write_phase_field(path, gen_random_partition(4, Grid(n, n)))
+            argv = [command, str(path), "--eta", "1e-2"]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert fft_calls["rfft2"] > 0
+        assert {name: fft_calls[name] for name in self.FULL} == dict.fromkeys(self.FULL, 0)
 
 
 class TestSweep:

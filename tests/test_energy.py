@@ -18,7 +18,14 @@ from fourwell.energy import (
     surface_energy,
     total_energy,
 )
-from fourwell.fields import Grid, ModifiedIndicators, PhaseField, ScalarField, to_modified
+from fourwell.fields import (
+    Grid,
+    ModifiedIndicators,
+    PhaseField,
+    ScalarField,
+    to_modified,
+    total_variation,
+)
 from fourwell.microstructures import gen_constant, gen_laminate
 from fourwell.spectral import permode_elastic_oracle
 
@@ -139,6 +146,21 @@ class TestSurfaceEnergy:
 
     def test_single_phase_has_no_interface(self):
         assert surface_energy(gen_constant(2, Grid(16, 16))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(9, 9), (16, 16), (12, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_four_indicator_perimeters(self, shape, seed):
+        """The one-pass count against the sum of the four phases' total variations.
+
+        The two sum in a different order, so they may differ in the last bits.
+        """
+        labels = np.random.default_rng(seed).integers(1, 5, size=shape)
+        p = PhaseField(Grid(*shape), labels)
+        four = sum(
+            total_variation(ScalarField(p.grid, (labels == phase).astype(float)))
+            for phase in (1, 2, 3, 4)
+        )
+        assert surface_energy(p) == pytest.approx(four, rel=4 * np.finfo(float).eps)
 
 
 class TestTotalEnergy:

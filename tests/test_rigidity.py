@@ -349,32 +349,18 @@ class TestRigidityReport:
 class TestReportSpectralPass:
     """The report transforms each indicator once and shares the coefficients."""
 
-    FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2")
-
-    def count_ffts(self, monkeypatch):
-        calls = dict.fromkeys(self.FFTS, 0)
-        for name in self.FFTS:
-            original = getattr(np.fft, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        return calls
-
-    def test_transform_count(self, monkeypatch):
+    def test_transform_count(self, fft_calls):
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
-        calls = self.count_ffts(monkeypatch)
         rigidity_report(p, 1e-2)
-        assert {k: v for k, v in calls.items() if v} == {"fft2": 5, "ifft2": 2, "fft": 1, "ifft": 1}
+        used = {k: v for k, v in fft_calls.items() if v}
+        assert used == {"rfft2": 5, "irfft2": 2, "rfft": 1, "irfft": 1}
+        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
 
-    def test_bad_eta_fails_before_any_transform(self, monkeypatch):
+    def test_bad_eta_fails_before_any_transform(self, fft_calls):
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
-        calls = self.count_ffts(monkeypatch)
         with pytest.raises(ValueError, match="eta"):
             rigidity_report(p, float("inf"))
-        assert sum(calls.values()) == 0
+        assert sum(fft_calls.values()) == 0
 
     @pytest.mark.parametrize("n", [15, 16])
     @pytest.mark.parametrize("transpose", [False, True])

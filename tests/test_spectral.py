@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from fourwell.fields import Grid, ScalarField, VectorField
 from fourwell.spectral import (
     _coeffs,
+    _fold_sum,
     _values,
     curl_neg_sobolev,
     helmholtz_potential,
@@ -31,19 +32,20 @@ def bandlimited(grid, seed, kmax=5):
     """A zero-mean field with no content beyond |k_i| <= kmax."""
     rng = np.random.default_rng(seed)
     k1 = np.rint(np.fft.fftfreq(grid.n1) * grid.n1)[:, None]
-    k2 = np.rint(np.fft.fftfreq(grid.n2) * grid.n2)[None, :]
-    c = np.fft.fft2(rng.standard_normal(grid.shape)) / (grid.n1 * grid.n2)
+    k2 = np.rint(np.fft.rfftfreq(grid.n2) * grid.n2)[None, :]
+    c = np.fft.rfft2(rng.standard_normal(grid.shape)) / (grid.n1 * grid.n2)
     c[(np.abs(k1) > kmax) | (np.abs(k2) > kmax)] = 0.0
     c[0, 0] = 0.0
-    return ScalarField(grid, _values(c))
+    return ScalarField(grid, _values(c, grid))
 
 
 class TestTransforms:
-    """The core's normalization: coefficients are fft2 / (n1 n2)."""
+    """The core's normalization: coefficients are rfft2 / (n1 n2), a half spectrum."""
 
     def test_constant_field_has_single_coefficient(self):
         grid = Grid(4, 6)
         c = _coeffs(np.full(grid.shape, 2.5))
+        assert c.shape == (4, 4)
         assert c[0, 0] == pytest.approx(2.5, rel=1e-14)
         c[0, 0] = 0.0
         assert np.abs(c).max() < 1e-14
@@ -51,12 +53,18 @@ class TestTransforms:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_roundtrip(self, seed):
         f = random_field(Grid(16, 12), seed)
-        assert_allclose(_values(_coeffs(f.values)), f.values, atol=1e-12)
+        assert_allclose(_values(_coeffs(f.values), f.grid), f.values, atol=1e-12)
+
+    def test_roundtrip_odd_width(self):
+        """n2 = 7 and n2 = 6 share a half-spectrum width; the grid tells them apart."""
+        f = random_field(Grid(9, 7), 4)
+        assert _coeffs(f.values).shape == (9, 4)
+        assert_allclose(_values(_coeffs(f.values), f.grid), f.values, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 12), (9, 7)])
     def test_parseval(self, shape):
         f = random_field(Grid(*shape), 3)
-        energy = (np.abs(_coeffs(f.values)) ** 2).sum()
+        energy = _fold_sum(np.abs(_coeffs(f.values)) ** 2, f.grid)
         assert energy == pytest.approx(np.mean(f.values**2), rel=1e-12)
 
 

@@ -259,9 +259,12 @@ def shear_resample(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         if not np.equal(np.mod(shifts, 1), 0).all():
             raise ValueError("row shifts must be integers (whole grid cells)")
         shifts = shifts.astype(np.int64)
-    n1, n2 = values.shape
-    cols = (np.arange(n2)[None, :] + shifts[:, None]) % n2
-    return values[np.arange(n1)[:, None], cols]
+    n2 = values.shape[1]
+    out = np.empty(values.shape, dtype=values.dtype)
+    for j, s in enumerate((shifts % n2).tolist()):
+        out[j, : n2 - s] = values[j, s:]
+        out[j, n2 - s :] = values[j, :s]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +325,57 @@ def read_phase_field(path: str | Path) -> tuple[PhaseField, dict[str, str]]:
     Blank lines are skipped, header lines may stand anywhere, and labels may
     be separated by any whitespace; each label is read as ``int()`` reads it.
     Every error names the file, and the data row (counted from 0) at fault.
+
+    The writer's exact layout is decoded by a byte-level fast path; every
+    other accepted layout, and every error, goes through the general grammar.
+    Both give identical results.
     """
+    data = Path(path).read_bytes()
     try:
-        return _parse_phase_field(Path(path).read_text(encoding="utf-8"))
+        return _read_canonical(data) or _parse_phase_field(data.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# The grid sizes the writer puts in its header: str(n) of a positive int, kept
+# below int()'s digit limit so converting one cannot raise.
+_CANONICAL_SIZE = re.compile(r"[1-9][0-9]{0,17}")
+
+
+def _read_canonical(data: bytes) -> tuple[PhaseField, dict[str, str]] | None:
+    """Decode a file laid out exactly as :func:`write_phase_field` writes it.
+
+    That is header lines only up front, each a ``# key=value`` line ending in
+    LF with no other line break, then n1 rows of 2·n2 bytes: a digit 1..4 at
+    each even offset, a space at each odd one and LF at the row end.  Returns
+    None for any other input, so that :func:`_parse_phase_field` decides it.
+    Whatever this returns or raises, that parser would return or raise too.
+    """
+    pos = 0
+    while data.startswith(b"#", pos):
+        pos = data.find(b"\n", pos) + 1
+        if not pos:
+            return None
+    # A decode error here is the file's first one, and reads as the general parser's would.
+    head = data[:pos].decode("utf-8")
+    lines = head.split("\n")[:-1]
+    matches = [_HEADER_RE.match(line) for line in lines]
+    if head.splitlines() != lines or not all(matches):
+        return None
+    header = {m.group(1): m.group(2) for m in matches}
+    sizes = (header.get("n1", ""), header.get("n2", ""))
+    if not all(_CANONICAL_SIZE.fullmatch(s) for s in sizes):
+        return None
+    n1, n2 = map(int, sizes)
+    if len(data) - pos != n1 * 2 * n2:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(n1, 2 * n2)
+    seps = np.full(n2, ord(" "), dtype=np.uint8)
+    seps[-1] = ord("\n")
+    labels = rows[:, 0::2] - np.uint8(ord("0"))
+    if not ((rows[:, 1::2] == seps).all() and (labels - np.uint8(1) < 4).all()):
+        return None
+    return PhaseField(Grid(n1, n2), labels), header
 
 
 def _parse_phase_field(text: str) -> tuple[PhaseField, dict[str, str]]:

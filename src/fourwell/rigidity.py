@@ -49,7 +49,6 @@ __all__ = [
     "wave_decompose",
     "mixed_difference_sup",
     "incompatibility_defect",
-    "uncorrelatedness_gap",
     "characteristic_residual",
     "rigidity_report",
 ]
@@ -194,13 +193,6 @@ def incompatibility_defect(theta: Sequence) -> tuple:
     if abs(float(total) - 1.0) > 1e-9:
         raise ValueError(f"phase fractions sum to {float(total)!r}, not 1")
     return (abs(t1 * t2 - t3 * t4), abs(t1 * t4 - t2 * t3))
-
-
-def uncorrelatedness_gap(f: ScalarField, g: ScalarField) -> float:
-    """Covariance ``<fg> - <f><g>``; zero when the two factors decouple."""
-    if f.grid != g.grid:
-        raise ValueError(f"grids differ: {f.grid.shape} vs {g.grid.shape}")
-    return float((f.values * g.values).mean() - f.values.mean() * g.values.mean())
 
 
 def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:

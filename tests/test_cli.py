@@ -194,13 +194,21 @@ class TestEnergyAndReport:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "last_row, reason",
-        [("1\n", "row 1 has 1 labels, expected 2"), ("1 x\n", "row 1: invalid literal")],
-        ids=["ragged-row", "bad-token"],
+        "text, reason",
+        [
+            ("# n1=2\n# n2=2\n1 2\n1\n", "row 1 has 1 labels, expected 2"),
+            ("# n1=2\n# n2=2\n1 2\n1 x\n", "row 1: invalid literal"),
+            # a header far larger than its file fails before any array is allocated
+            (
+                "# n1=1000000000\n# n2=1000000000\n1 2\n",
+                "data has 1 rows, header shape (1000000000, 1000000000) needs 1000000000",
+            ),
+        ],
+        ids=["ragged-row", "bad-token", "header-larger-than-file"],
     )
-    def test_malformed_field_file_returns_two(self, tmp_path, capsys, last_row, reason):
+    def test_malformed_field_file_returns_two(self, tmp_path, capsys, text, reason):
         path = tmp_path / "bad.field"
-        path.write_text("# n1=2\n# n2=2\n1 2\n" + last_row)
+        path.write_text(text)
         code, out, err = run(capsys, "energy", str(path), "--eta", "1.0")
         assert code == 2
         assert out == ""

@@ -1,20 +1,23 @@
 """Tests for grids, fields, the label/indicator bijection and serialization."""
 
+import re
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fourwell import fields
 from fourwell.fields import (
     Grid,
     ModifiedIndicators,
     PhaseField,
     ScalarField,
     VectorField,
+    _parse_phase_field,
     finite_difference,
     from_modified,
     read_phase_field,
@@ -181,6 +184,38 @@ class TestShearResample:
         with pytest.raises(ValueError, match="one shift per row"):
             shear_resample(np.zeros((2, 4)), np.array([1, 2, 3]))
 
+    @staticmethod
+    def gather(values, shifts):
+        """Reference: the whole shear as one fancy-index gather."""
+        n1, n2 = values.shape
+        cols = (np.arange(n2)[None, :] + np.asarray(shifts).astype(np.int64)[:, None]) % n2
+        return values[np.arange(n1)[:, None], cols]
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (3, 10), (4, 1)])
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float64])
+    def test_matches_the_gather(self, shape, dtype):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        n1, n2 = shape
+        values = (rng.integers(0, 2 if dtype is np.bool_ else 100, size=shape)).astype(dtype)
+        shifts = rng.integers(-50 * n2, 50 * n2, size=n1)
+        shifts[0] = n2
+        shifts[-1] = -3 * n2 - 1
+        for s in (shifts, shifts.astype(np.float64)):
+            out = shear_resample(values, s)
+            assert out.dtype == values.dtype
+            assert np.array_equal(out, self.gather(values, s))
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (4, 1)])
+    def test_read_only_broadcast_input(self, shape):
+        rng = np.random.default_rng(1)
+        n1, n2 = shape
+        row = rng.standard_normal(n2)
+        values = np.broadcast_to(row[None, :], shape)
+        shifts = rng.integers(-10 * n2, 10 * n2, size=n1)
+        out = shear_resample(values, shifts)
+        assert out.flags.writeable and out.dtype == values.dtype
+        assert np.array_equal(out, self.gather(values, shifts))
+
 
 class TestSerialization:
     def test_roundtrip_with_header(self, tmp_path):
@@ -290,6 +325,50 @@ READER_REJECTS = {
     "non-integer n1": (lambda t: t.replace("# n1=7\n", "# n1=7.0\n"), "invalid literal"),
     "extra row": (lambda t: t + "1 2 3 4 1 2 3 4 1\n", "shape"),
     "missing row": (lambda t: t.rsplit("\n", 2)[0] + "\n", "shape"),
+    "header larger than its file": (
+        lambda t: "# n1=1000000000\n# n2=1000000000\n" + t.splitlines(keepends=True)[-1],
+        r"data has 1 rows, header shape \(1000000000, 1000000000\) needs 1000000000$",
+    ),
+}
+
+
+def outcome(read, prefix=""):
+    """What a read gives: labels with their dtype and the ordered header, or the error text."""
+    try:
+        field, header = read()
+    except ValueError as exc:
+        return prefix + str(exc)
+    return field.labels.tolist(), field.labels.dtype, list(header.items())
+
+
+def edit_nth(text, pattern, repl, at):
+    """Replace match number ``at`` (cyclically) of ``pattern`` in ``text``, if there is one."""
+    found = list(re.finditer(pattern, text))
+    if not found:
+        return text
+    m = found[at % len(found)]
+    return text[: m.start()] + m.expand(repl) + text[m.end() :]
+
+
+# One-edit departures from the writer's layout, as (head, body, at) -> text;
+# ``at`` picks the place or form of the edit where there is a choice.  A line
+# break goes into the last header line, the one that holds an extra entry.
+LAYOUT_MUTATIONS = {
+    "tab": lambda h, b, at: h + edit_nth(b, " ", "\t", at),
+    "crlf": lambda h, b, at: h + edit_nth(b, "\n", "\r\n", at),
+    "plus sign": lambda h, b, at: h + edit_nth(b, "[1-4]", r"+\g<0>", at),
+    "label 5": lambda h, b, at: h + edit_nth(b, "[1-4]", "5", at),
+    "label 0": lambda h, b, at: h + edit_nth(b, "[1-4]", "0", at),
+    "missing row": lambda h, b, at: h + "".join(b.splitlines(keepends=True)[:-1]),
+    "extra row": lambda h, b, at: h + b + b.splitlines(keepends=True)[at % b.count("\n")],
+    "missing final LF": lambda h, b, at: h + b[:-1],
+    "header line after the data": lambda h, b, at: (
+        edit_nth(h, ".*\n", "", at) + b + h.splitlines(keepends=True)[at % h.count("\n")]
+    ),
+    "trailing blank line": lambda h, b, at: h + b + "\n",
+    "form feed in a header value": lambda h, b, at: h[:-1] + "\x0c" + "x" * (at % 2) + "\n" + b,
+    "carriage return in a header value": lambda h, b, at: h[:-1] + "\r" + "x" * (at % 2) + "\n" + b,
+    "byte order mark": lambda h, b, at: "\ufeff" + h + b,
 }
 
 
@@ -349,3 +428,63 @@ class TestFileFormats:
         field, back = read_phase_field(path)
         assert back == {"n1": "7", "n2": "9", **header}
         assert np.array_equal(field.labels, golden_field().labels)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (3, 10), (2, 2)])
+    def test_writer_output_never_reaches_the_general_parser(self, tmp_path, monkeypatch, shape):
+        def refuse(text):
+            raise AssertionError("the writer's layout reached the general parser")
+
+        written = tmp_path / "w.field"
+        field = PhaseField(Grid(*shape), np.random.default_rng(shape[1]).integers(1, 5, size=shape))
+        write_phase_field(written, field, {"note": "a = ü b"})
+        monkeypatch.setattr(fields, "_parse_phase_field", refuse)
+        back, header = read_phase_field(written)
+        assert np.array_equal(back.labels, field.labels) and back.labels.dtype == np.int64
+        assert header == {"n1": str(shape[0]), "n2": str(shape[1]), "note": "a = ü b"}
+        golden, header = read_phase_field(DATA / "golden_7x9.field")
+        assert np.array_equal(golden.labels, golden_field().labels)
+        assert header == {"n1": "7", "n2": "9", **GOLDEN_HEADER}
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"# n1=2\n# k=\xff\n# n2=2\n1 2\n3 4\n", "byte 0xff in position 11: invalid start byte"),
+            (b"# n1=2\n# n2=2\n1 2\n3 \xe2\x82\n", "bytes in position 20-21: invalid continuation byte"),
+        ],
+        ids=["in-header", "in-body"],
+    )
+    def test_invalid_utf8_is_refused_at_its_first_bad_byte(self, tmp_path, data, reason):
+        path = tmp_path / "bad.field"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_phase_field(path)
+        assert str(info.value) == f"{path}: 'utf-8' codec can't decode {reason}"
+
+    @settings(max_examples=300)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        extra=st.dictionaries(
+            st.from_regex(r"[A-Za-z0-9_.\-]+", fullmatch=True).filter(
+                lambda k: k not in ("n1", "n2")
+            ),
+            st.text(alphabet=" =üx0", max_size=5),
+            max_size=3,
+        ),
+        mutation=st.sampled_from([None, *sorted(LAYOUT_MUTATIONS)]),
+        at=st.integers(0, 40),
+        data=st.data(),
+    )
+    def test_fast_path_reads_what_the_general_parser_reads(
+        self, tmp_path_factory, shape, extra, mutation, at, data
+    ):
+        n1, n2 = shape
+        digits = data.draw(st.lists(st.sampled_from("1234"), min_size=n1 * n2, max_size=n1 * n2))
+        head = "".join(f"# {k}={v}\n" for k, v in {"n1": n1, "n2": n2, **extra}.items())
+        body = "".join(" ".join(digits[j * n2 : (j + 1) * n2]) + "\n" for j in range(n1))
+        text = head + body if mutation is None else LAYOUT_MUTATIONS[mutation](head, body, at)
+        path = tmp_path_factory.mktemp("layout") / "f.field"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: read_phase_field(path)) == outcome(
+            lambda: _parse_phase_field(text), prefix=f"{path}: "
+        )
+

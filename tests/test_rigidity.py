@@ -32,7 +32,6 @@ from fourwell.rigidity import (
     incompatibility_defect,
     mixed_difference_sup,
     rigidity_report,
-    uncorrelatedness_gap,
     wave_decompose,
 )
 from fourwell.spectral import helmholtz_potential
@@ -233,26 +232,6 @@ class TestIncompatibilityDefect:
     def test_validation(self, theta, match):
         with pytest.raises(ValueError, match=match):
             incompatibility_defect(theta)
-
-
-class TestUncorrelatedness:
-    def test_perfectly_correlated_square_wave(self):
-        grid = Grid(8, 8)
-        s = stripe_profile(8, 2)
-        f = ScalarField(grid, np.broadcast_to(s[:, None], grid.shape).copy())
-        assert uncorrelatedness_gap(f, f) == 1.0
-
-    def test_independent_directions_decouple(self):
-        grid = Grid(8, 8)
-        f = ScalarField(grid, np.broadcast_to(stripe_profile(8, 2)[:, None], grid.shape).copy())
-        g = ScalarField(grid, np.broadcast_to(stripe_profile(8, 4)[None, :], grid.shape).copy())
-        assert uncorrelatedness_gap(f, g) == 0.0
-
-    def test_grid_mismatch_rejected(self):
-        f = ScalarField(Grid(4, 4), np.zeros((4, 4)))
-        g = ScalarField(Grid(8, 8), np.zeros((8, 8)))
-        with pytest.raises(ValueError, match="grids differ"):
-            uncorrelatedness_gap(f, g)
 
 
 class TestCharacteristicResidual:

@@ -150,25 +150,13 @@ def elastic_energy_pointwise(
     return float(sq.mean())
 
 
-RawTriple = tuple[ScalarField, ScalarField, ScalarField]
-
-
-def _triple_arrays(m: ModifiedIndicators | RawTriple) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(m, ModifiedIndicators):
-        return m.grid, m.chi1t, m.chi2t, m.chi3t
-    f1, f2, f3 = m
-    if not (f1.grid == f2.grid == f3.grid):
-        raise ValueError("the three fields live on different grids")
-    return f1.grid, f1.values, f2.values, f3.values
-
-
-def relaxed_elastic_energy(m: ModifiedIndicators | RawTriple) -> float:
+def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
     """Minimal elastic energy over all compatible strains.
 
-    Works on admissible indicators or any raw triple of fields occupying the
-    off-diagonal slots.  The common well diagonal is constant in space, hence
-    invisible to every nonzero frequency and dropped.  The closed form per
-    mode k /= 0 is
+    Takes any :class:`~fourwell.fields.ModifiedIndicators`, which holds a raw
+    triple of fields in the off-diagonal slots, admissible or not.  The
+    common well diagonal is constant in space, hence invisible to every
+    nonzero frequency and dropped.  The closed form per mode k /= 0 is
 
         2 |k|^-4 ( |k|^2 |k2 c2 - k1 c1|^2  +  2 k1^2 k2^2 |c3|^2 )
 
@@ -178,8 +166,7 @@ def relaxed_elastic_energy(m: ModifiedIndicators | RawTriple) -> float:
     zeroes it, so reflections with their sign flips leave the energy unchanged
     on every grid.
     """
-    grid, a1, a2, a3 = _triple_arrays(m)
-    return _relaxed(_coeffs(a1), _coeffs(a2), _coeffs(a3), grid)
+    return _relaxed(_coeffs(m.chi1t), _coeffs(m.chi2t), _coeffs(m.chi3t), m.grid)
 
 
 def _relaxed(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, grid: Grid) -> float:

@@ -380,7 +380,7 @@ def _read_canonical(data: bytes) -> tuple[PhaseField, dict[str, str]] | None:
 
 def _parse_phase_field(text: str) -> tuple[PhaseField, dict[str, str]]:
     header: dict[str, str] = {}
-    rows: list[list[str]] = []
+    rows: list[list[str] | np.ndarray] = []
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -394,15 +394,16 @@ def _parse_phase_field(text: str) -> tuple[PhaseField, dict[str, str]]:
     grid = Grid(int(header["n1"]), int(header["n2"]))
     if len(rows) != grid.n1:
         raise ValueError(f"data has {len(rows)} rows, header shape {grid.shape} needs {grid.n1}")
-    labels = np.empty(grid.shape, dtype=np.int64)
+    # Each row's tokens are replaced by its labels, so no array outgrows what was
+    # read: the header may claim any width.
     for j, row in enumerate(rows):
         if len(row) != grid.n2:
             raise ValueError(f"row {j} has {len(row)} labels, expected {grid.n2}")
         try:
-            labels[j] = row  # numpy casts each str token exactly as int() parses it
+            rows[j] = np.array(row, dtype=np.int64)  # each str token cast as int() parses it
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"row {j}: {exc}") from None
-    return PhaseField(grid, labels), header
+    return PhaseField(grid, np.stack(rows)), header
 
 
 def write_pgm(path: str | Path, p: PhaseField) -> None:

@@ -1,9 +1,10 @@
 """Generators for the microstructures the energy scaling is tested on.
 
-All generators return exact lattice fields: every construction below is
-rasterized by integer cell counts, so phase fractions and defects computed
-from the output are rational numbers with known closed forms whenever the
-grid divides the geometry (each generator documents what it needs).
+Every generator returns a :class:`~fourwell.fields.PhaseField` of exact
+lattice labels: every construction below is rasterized by integer cell
+counts, so phase fractions and defects computed from the output are rational
+numbers with known closed forms whenever the grid divides the geometry (each
+generator documents what it needs).
 
 The zoo, roughly in order of sophistication:
 
@@ -17,7 +18,7 @@ The zoo, roughly in order of sophistication:
   bands,
 * a zigzag concentration: an explicit sequence with gradients bounded in
   mean square whose one-directional projections stay far from every
-  one-directional profile,
+  one-directional profile; :func:`zigzag_potential` samples its potential,
 * seeded random block partitions, the null model for calibration.
 """
 
@@ -49,6 +50,7 @@ __all__ = [
     "branching_bound",
     "plan_branching",
     "gen_counterexample",
+    "zigzag_potential",
     "gen_random_partition",
 ]
 
@@ -392,13 +394,11 @@ def _slope_sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def gen_counterexample(k: int, grid: Grid) -> tuple[ModifiedIndicators, ZigzagPotential]:
-    """The k-th member of the zigzag sequence together with its potential.
+def _zigzag_phase(k: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped ``k s`` (one column) and the k-th zigzag's wrapped phase
+    ``k^2 t + |wrapped k s|``.
 
-    The second indicator-slot field equals the t-slope of the potential, the
-    in-plane one is a symmetric two-stripe profile in s, and the third slot
-    their product, so the triple is admissible.  Requires n2 >= 8 k^2 to
-    resolve the fast oscillation.
+    Requires n2 >= 8 k^2 to resolve the fast oscillation.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
@@ -406,28 +406,36 @@ def gen_counterexample(k: int, grid: Grid) -> tuple[ModifiedIndicators, ZigzagPo
         raise ValueError(
             f"n2 = {grid.n2} cannot resolve the fast direction; need n2 >= 8 k^2 = {8 * k * k}"
         )
-    s = grid.axis_coords(0)[:, None]
-    t = grid.axis_coords(1)[None, :]
-    ks_wrapped = _wrap(k * s)
-    arg = k * k * t + np.abs(ks_wrapped)
-    slope = -_slope_sign(_wrap(arg))
+    ks_wrapped = _wrap(k * grid.axis_coords(0)[:, None])
+    return ks_wrapped, _wrap(k * k * grid.axis_coords(1)[None, :] + np.abs(ks_wrapped))
 
-    values = -np.abs(_wrap(arg)) / k**2
-    grad_t = np.broadcast_to(slope, grid.shape).copy()
-    grad_s = _slope_sign(ks_wrapped) * slope / k
 
-    chi1 = grad_t.copy()
-    chi3 = np.broadcast_to(_slope_sign(s), grid.shape).copy()
-    chi2 = chi3 * chi1
-    m = ModifiedIndicators(grid, chi1, chi2, chi3)
-    pot = ZigzagPotential(
+def zigzag_potential(k: int, grid: Grid) -> ZigzagPotential:
+    """Samples of the k-th zigzag potential and its exact gradient.
+
+    Its t-slope is the first indicator slot of :func:`gen_counterexample`.
+    """
+    ks_wrapped, phase = _zigzag_phase(k, grid)
+    slope = -_slope_sign(phase)
+    return ZigzagPotential(
         grid=grid,
         k=int(k),
-        values=np.broadcast_to(values, grid.shape).copy(),
-        grad_s=np.broadcast_to(grad_s, grid.shape).copy(),
-        grad_t=grad_t,
+        values=-np.abs(phase) / k**2,
+        grad_s=_slope_sign(ks_wrapped) * slope / k,
+        grad_t=slope,
     )
-    return m, pot
+
+
+def gen_counterexample(k: int, grid: Grid) -> PhaseField:
+    """The k-th member of the zigzag sequence.
+
+    The first indicator slot is the t-slope of :func:`zigzag_potential`, the
+    in-plane one a symmetric two-stripe profile in s, and the second slot
+    their product, so the triple is admissible.  Requires n2 >= 8 k^2.
+    """
+    chi1 = -_slope_sign(_zigzag_phase(k, grid)[1])
+    chi3 = np.broadcast_to(_slope_sign(grid.axis_coords(0))[:, None], grid.shape)
+    return from_modified(ModifiedIndicators(grid, chi1, chi3 * chi1, chi3))
 
 
 def gen_random_partition(seed: int, grid: Grid, feature_scale: float = 0.125) -> PhaseField:

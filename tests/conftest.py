@@ -1,6 +1,8 @@
 """Shared pytest wiring: one summary line per acceptance criterion, one
-hypothesis profile so property tests draw the same examples on every run, and
-a counter of numpy's FFT calls."""
+hypothesis profile so property tests draw the same examples on every run, a
+counter of numpy's FFT calls and a gauge of peak memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,23 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def float_fields_peak():
+    """``measure(build, grid)``: the peak memory traced while ``build()`` runs,
+    in units of one float64 array of ``grid``'s shape."""
+
+    def measure(build, grid):
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (grid.n1 * grid.n2 * np.dtype(np.float64).itemsize)
+
+    return measure
 
 
 _verdicts: dict[str, str] = {}

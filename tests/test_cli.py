@@ -55,6 +55,15 @@ class TestGenerate:
             tmp_path / "b/laminate.pgm"
         ).read_bytes()
 
+    def test_counterexample_reproduces_the_golden_bytes(self, tmp_path, capsys):
+        """The golden files were written before the generator stopped sampling its potential."""
+        argv = ("generate", "counterexample", "--k", "2", "--grid", "32", "--out", str(tmp_path))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        for suffix in ("field", "pgm"):
+            golden = Path(__file__).parent / "data" / f"counterexample_k2_32.{suffix}"
+            assert (tmp_path / f"counterexample.{suffix}").read_bytes() == golden.read_bytes()
+
     def test_branching_header_records_the_planned_grid(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "generate", "branching", "--eta", "0.01", "--out", str(tmp_path)
@@ -203,8 +212,23 @@ class TestEnergyAndReport:
                 "# n1=1000000000\n# n2=1000000000\n1 2\n",
                 "data has 1 rows, header shape (1000000000, 1000000000) needs 1000000000",
             ),
+            # and so does a header far wider than its rows
+            (
+                "# n1=2\n# n2=1000000000000\n1 2\n3 4\n",
+                "row 0 has 2 labels, expected 1000000000000",
+            ),
+            # rows are checked in order, each for its length and then its tokens
+            ("# n1=2\n# n2=2\n1 x\n3\n", "row 0: invalid literal"),
+            ("# n1=2\n# n2=2\n1 2 3\n3 x\n", "row 0 has 3 labels, expected 2"),
         ],
-        ids=["ragged-row", "bad-token", "header-larger-than-file"],
+        ids=[
+            "ragged-row",
+            "bad-token",
+            "header-larger-than-file",
+            "header-wider-than-rows",
+            "bad-token-before-short-row",
+            "long-row-before-bad-token",
+        ],
     )
     def test_malformed_field_file_returns_two(self, tmp_path, capsys, text, reason):
         path = tmp_path / "bad.field"
@@ -213,6 +237,7 @@ class TestEnergyAndReport:
         assert code == 2
         assert out == ""
         assert f"error: {path}: {reason}" in err
+        assert "out of memory" not in err
 
     def test_report_on_a_grid_without_aligned_shear_returns_two(self, tmp_path, capsys):
         path = tmp_path / "wide.field"

@@ -329,6 +329,10 @@ READER_REJECTS = {
         lambda t: "# n1=1000000000\n# n2=1000000000\n" + t.splitlines(keepends=True)[-1],
         r"data has 1 rows, header shape \(1000000000, 1000000000\) needs 1000000000$",
     ),
+    "header wider than its rows": (
+        lambda t: "# n1=2\n# n2=1000000000000\n1 2\n3 4\n",
+        "row 0 has 2 labels, expected 1000000000000$",
+    ),
 }
 
 

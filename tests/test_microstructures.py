@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fourwell.microstructures
+from fourwell.cli import main
 from fourwell.energy import relaxed_elastic_energy, surface_energy
 from fourwell.fields import Grid, to_modified, volume_fractions
 from fourwell.microstructures import (
@@ -19,6 +21,7 @@ from fourwell.microstructures import (
     gen_random_partition,
     plan_branching,
     staircase_shifts,
+    zigzag_potential,
 )
 
 
@@ -270,13 +273,14 @@ class TestCounterexample:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_slopes(self, k):
         n = max(8 * k * k, 16)
-        m, pot = gen_counterexample(k, Grid(n, n))
+        pot = zigzag_potential(k, Grid(n, n))
         assert (np.abs(pot.grad_t) == 1.0).all()
         assert (np.abs(pot.grad_s) == 1.0 / k).all()
         assert (pot.values <= 0.0).all()
 
     def test_indicators_are_admissible_and_slaved(self):
-        m, pot = gen_counterexample(2, Grid(32, 32))
+        m = to_modified(gen_counterexample(2, Grid(32, 32)))
+        pot = zigzag_potential(2, Grid(32, 32))
         assert np.array_equal(m.chi1t, pot.grad_t)
         assert np.array_equal(m.chi2t, m.chi1t * m.chi3t)
         assert set(np.unique(m.chi3t)) == {-1.0, 1.0}
@@ -286,15 +290,29 @@ class TestCounterexample:
     @pytest.mark.parametrize("k", [2, 4])
     def test_potential_size_matches_the_triangle_wave(self, k):
         n = 8 * k * k
-        _, pot = gen_counterexample(k, Grid(n, n))
+        pot = zigzag_potential(k, Grid(n, n))
         norm = float(np.sqrt(np.mean(pot.values**2)))
         assert norm == pytest.approx(1.0 / (k * k * np.sqrt(12.0)), rel=5e-3)
 
     def test_resolution_guard(self):
-        with pytest.raises(ValueError, match="n2"):
-            gen_counterexample(2, Grid(64, 16))
-        with pytest.raises(ValueError, match="k"):
-            gen_counterexample(0, Grid(16, 16))
+        for build in (gen_counterexample, zigzag_potential):
+            with pytest.raises(ValueError, match="n2"):
+                build(2, Grid(64, 16))
+            with pytest.raises(ValueError, match="k"):
+                build(0, Grid(16, 16))
+
+    def test_field_is_built_in_few_full_size_arrays(self, float_fields_peak):
+        """The field alone is built; the potential's arrays are never sampled."""
+        grid = Grid(512, 512)
+        assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 6.0
+
+    def test_generate_never_samples_the_potential(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate sampled the zigzag potential")
+
+        monkeypatch.setattr(fourwell.microstructures, "ZigzagPotential", refuse)
+        argv = ["generate", "counterexample", "--k", "2", "--grid", "32", "--out", str(tmp_path)]
+        assert main(argv) == 0
 
 
 class TestRandomPartition:

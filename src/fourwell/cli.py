@@ -175,20 +175,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_energy(args: argparse.Namespace) -> int:
+def _cmd_price(args: argparse.Namespace) -> int:
+    """``energy`` and ``report``: price a stored field with ``args.price``."""
     field, _ = read_phase_field(args.field)
-    breakdown = total_energy(field, args.eta)
-    text = breakdown.to_json()
-    if args.json_out:
-        Path(args.json_out).write_text(text + "\n")
-    print(text)
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    field, _ = read_phase_field(args.field)
-    report = rigidity_report(field, args.eta)
-    text = report.to_json()
+    text = args.price(field, args.eta).to_json()
     if args.json_out:
         Path(args.json_out).write_text(text + "\n")
     print(text)
@@ -403,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("field", help="path to a .field file")
     en.add_argument("--eta", type=float, required=True)
     en.add_argument("--json-out", help="also write the JSON here")
-    en.set_defaults(func=_cmd_energy)
+    en.set_defaults(func=_cmd_price, price=total_energy)
 
     rep = sub.add_parser("report", help="full rigidity diagnostics of a stored field")
     rep.add_argument("field", help="path to a .field file")
     rep.add_argument("--eta", type=float, required=True)
     rep.add_argument("--json-out", help="also write the JSON here")
-    rep.set_defaults(func=_cmd_report)
+    rep.set_defaults(func=_cmd_price, price=rigidity_report)
 
     sw = sub.add_parser("sweep", help="tabulate energies and defects over eta")
     sw.add_argument("--config", help="flat key=value config file")

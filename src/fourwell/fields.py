@@ -8,9 +8,9 @@ the first coordinate and axis 1 along the second; cell centers sit at
 A microstructure is stored either as a :class:`PhaseField` of labels 1..4 or
 as the equivalent :class:`ModifiedIndicators`, three fields with values in
 {-1, +1} whose sign triple at each cell identifies the phase.  The two forms
-are interconvertible through :func:`to_modified` / :func:`from_modified`;
-only four of the eight sign triples are admissible, since the third is always
-the product of the other two.
+are interconvertible through :func:`to_modified` / :func:`from_modified`.
+Only four of the eight sign triples are admissible, since chi2t is always
+chi1t * chi3t, so the two signs (chi1t, chi3t) fix the phase.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def from_modified(m: ModifiedIndicators) -> PhaseField:
     """Collapse sign triples back to phase labels.
 
     Raises ValueError naming the first offending cell (row-major order) if any
-    triple is not one of the four admissible ones.
+    triple is not one of the four admissible ones; an admissible triple's
+    phase is then fixed by its two signs chi1t and chi3t.
     """
     c1, c2, c3 = m.chi1t, m.chi2t, m.chi3t
     bad = (np.abs(c1) != 1.0) | (np.abs(c2) != 1.0) | (np.abs(c3) != 1.0) | (c2 != c1 * c3)
@@ -184,13 +185,25 @@ def from_modified(m: ModifiedIndicators) -> PhaseField:
             "inadmissible indicator triple at cell "
             f"({j}, {i}): ({c1[j, i]}, {c2[j, i]}, {c3[j, i]})"
         )
-    neg1 = c1 < 0
-    neg3 = c3 < 0
-    labels = np.ones(m.grid.shape, dtype=np.int64)
-    labels[neg1 & neg3] = 2
-    labels[neg1 & ~neg3] = 3
-    labels[~neg1 & neg3] = 4
-    return PhaseField(m.grid, labels)
+    return _from_signs(m.grid, c1, c3)
+
+
+# Label of the admissible triple with signs chi1t, chi3t, indexed by
+# 2 * (chi1t < 0) + (chi3t < 0).
+_LABEL_OF_SIGNS = np.zeros(4, dtype=np.int64)
+for _phase, (_c1, _, _c3) in enumerate(ADMISSIBLE_TUPLES, start=1):
+    _LABEL_OF_SIGNS[2 * (_c1 < 0) + (_c3 < 0)] = _phase
+
+
+def _from_signs(grid: Grid, chi1t, chi3t) -> PhaseField:
+    """Labels of the admissible triples (chi1t, chi1t * chi3t, chi3t).
+
+    Only the signs of the two inputs are read, and each may be anything that
+    broadcasts to ``grid.shape``: a scalar, a column, a row or a full array
+    of any real dtype.
+    """
+    index = np.add(np.less(chi1t, 0) * np.uint8(2), np.less(chi3t, 0), order="C", dtype=np.uint8)
+    return PhaseField(grid, _LABEL_OF_SIGNS[np.broadcast_to(index, grid.shape)])
 
 
 def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:

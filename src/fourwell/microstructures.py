@@ -4,7 +4,10 @@ Every generator returns a :class:`~fourwell.fields.PhaseField` of exact
 lattice labels: every construction below is rasterized by integer cell
 counts, so phase fractions and defects computed from the output are rational
 numbers with known closed forms whenever the grid divides the geometry (each
-generator documents what it needs).
+generator documents what it needs).  An admissible triple has chi2t =
+chi1t * chi3t, so a generator builds only the two signs chi1t and chi3t,
+each as small as its structure allows (a scalar, a row, a column or an int8
+array), and ``fields._from_signs`` turns them into labels.
 
 The zoo, roughly in order of sophistication:
 
@@ -29,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    Grid,
-    ModifiedIndicators,
-    PhaseField,
-    _transposed,
-    from_modified,
-    shear_resample,
-)
+from .fields import Grid, PhaseField, _from_signs, shear_resample
 from .model import _check_eta
 
 __all__ = [
@@ -93,9 +89,16 @@ def _along(axis: str, grid: Grid) -> Grid:
     return grid if axis == "y1" else Grid(grid.n2, grid.n1)
 
 
-def _placed(axis: str, m: ModifiedIndicators) -> PhaseField:
-    """Labels of a structure built normal to y1, turned to be normal to ``axis``."""
-    return from_modified(m if axis == "y1" else _transposed(m))
+def _placed(axis: str, along: Grid, chi1t: np.ndarray | int, chi3t: np.ndarray) -> PhaseField:
+    """Labels of a structure built normal to y1 on ``along`` from its two signs,
+    turned to be normal to ``axis``.
+
+    The turn is the model's transpose (see ``fields._transposed``): it swaps
+    the axes and the slots chi1t and chi2t = chi1t * chi3t.
+    """
+    if axis == "y1":
+        return _from_signs(along, chi1t, chi3t)
+    return _from_signs(Grid(along.n2, along.n1), (chi1t * chi3t).T, chi3t.T)
 
 
 def gen_laminate(axis: str, profile: np.ndarray, grid: Grid) -> PhaseField:
@@ -103,30 +106,7 @@ def gen_laminate(axis: str, profile: np.ndarray, grid: Grid) -> PhaseField:
     and the two out-of-plane ones are slaved so the triple stays admissible
     with zero relaxed elastic energy."""
     along = _along(axis, grid)
-    f = _check_pm1(profile, "profile", along.n1)[:, None]
-    chi3 = np.broadcast_to(f, along.shape)
-    return _placed(axis, ModifiedIndicators(along, np.ones(along.shape), chi3, chi3))
-
-
-def _crossing_arrays(
-    f: np.ndarray, g: np.ndarray, n_along: int, n_trans: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical crossing twin with the coarse direction on axis 0.
-
-    Returns (coarse, sheared, product): the coarse profile broadcast along
-    axis 1, the transverse profile sheared by the staircase primitive of the
-    coarse one, and their product.
-    """
-    if n_trans % n_along != 0:
-        raise ValueError(
-            f"transverse resolution {n_trans} must be a multiple of {n_along} "
-            "so the staircase shear lands on whole cells"
-        )
-    step = n_trans // n_along
-    shifts = staircase_shifts(f, float(step)).astype(np.int64)
-    coarse = np.broadcast_to(f[:, None], (n_along, n_trans)).copy()
-    sheared = shear_resample(np.broadcast_to(g[None, :], (n_along, n_trans)), shifts)
-    return coarse, sheared, coarse * sheared
+    return _placed(axis, along, 1, _check_pm1(profile, "profile", along.n1)[:, None])
 
 
 def gen_crossing_twin(
@@ -142,9 +122,15 @@ def gen_crossing_twin(
     """
     along = _along(axis, grid)
     f = _check_pm1(f_profile, "f_profile", along.n1)
-    g = _check_pm1(g_profile, "g_profile", along.n2)
-    coarse, sheared, product = _crossing_arrays(f, g, along.n1, along.n2)
-    return _placed(axis, ModifiedIndicators(along, sheared, product, coarse))
+    g = _check_pm1(g_profile, "g_profile", along.n2).astype(np.int8)
+    if along.n2 % along.n1 != 0:
+        raise ValueError(
+            f"transverse resolution {along.n2} must be a multiple of {along.n1} "
+            "so the staircase shear lands on whole cells"
+        )
+    shifts = staircase_shifts(f, float(along.n2 // along.n1)).astype(np.int64)
+    sheared = shear_resample(np.broadcast_to(g, along.shape), shifts)
+    return _placed(axis, along, sheared, f.astype(np.int8)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +309,7 @@ def gen_branching(p: BranchingParams, grid: Grid) -> PhaseField:
     }
 
     heights = p.heights()
-    sigma = np.ones(grid.shape)
+    sigma = np.ones(grid.shape, dtype=np.int8)
 
     for band, rows_half in half_rows.items():
         if band == "lower":
@@ -351,16 +337,9 @@ def gen_branching(p: BranchingParams, grid: Grid) -> PhaseField:
                 sigma[:, mid + bounds[n] + r] = pattern
                 sigma[:, mid - 1 - bounds[n] - r] = pattern
 
-    rows_lower = 2 * half_rows["lower"]
-    lower = slice(0, rows_lower)
-    upper = slice(rows_lower, n2)
-    chi1 = np.ones(grid.shape)
-    chi1[:, lower] = -1.0
-    chi2 = -sigma
-    chi3 = np.ones(grid.shape)
-    chi3[:, lower] = sigma[:, lower]
-    chi3[:, upper] = -sigma[:, upper]
-    return from_modified(ModifiedIndicators(grid, chi1, chi2, chi3))
+    # chi1t is -1 on the lower band and +1 on the upper one, and chi2t = -sigma.
+    band = np.where(np.arange(n2) < 2 * half_rows["lower"], np.int8(-1), np.int8(1))
+    return _from_signs(grid, band, -band * sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +413,7 @@ def gen_counterexample(k: int, grid: Grid) -> PhaseField:
     their product, so the triple is admissible.  Requires n2 >= 8 k^2.
     """
     chi1 = -_slope_sign(_zigzag_phase(k, grid)[1])
-    chi3 = np.broadcast_to(_slope_sign(grid.axis_coords(0))[:, None], grid.shape)
-    return from_modified(ModifiedIndicators(grid, chi1, chi3 * chi1, chi3))
+    return _from_signs(grid, chi1, _slope_sign(grid.axis_coords(0))[:, None])
 
 
 def gen_random_partition(seed: int, grid: Grid, feature_scale: float = 0.125) -> PhaseField:
@@ -457,4 +435,4 @@ def gen_random_partition(seed: int, grid: Grid, feature_scale: float = 0.125) ->
     rng = np.random.default_rng(seed)
     coarse = rng.integers(1, 5, size=(grid.n1 // b1, grid.n2 // b2))
     labels = np.repeat(np.repeat(coarse, b1, axis=0), b2, axis=1)
-    return PhaseField(grid, labels.astype(np.int64))
+    return PhaseField(grid, labels)

@@ -20,6 +20,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Golden files in tests/data, by basename, and the generate flags that wrote them.
+GOLDEN_GENERATE = {
+    "counterexample_k2_32": ("counterexample", "--k", "2", "--grid", "32"),
+    "laminate_y2_32": ("laminate", "--axis", "y2", "--stripes", "4", "--grid", "32"),
+    "crossing_twin_y2_32": (
+        "crossing-twin", "--axis", "y2", "--stripes", "2", "--g-stripes", "8", "--grid", "32"
+    ),
+    "branching_112": ("branching", "--eta", "0.01", "--grid", "128"),
+}
+
+
 class TestGenerate:
     @pytest.mark.parametrize(
         "argv",
@@ -55,14 +66,17 @@ class TestGenerate:
             tmp_path / "b/laminate.pgm"
         ).read_bytes()
 
-    def test_counterexample_reproduces_the_golden_bytes(self, tmp_path, capsys):
-        """The golden files were written before the generator stopped sampling its potential."""
-        argv = ("generate", "counterexample", "--k", "2", "--grid", "32", "--out", str(tmp_path))
-        code, _, _ = run(capsys, *argv)
+    @pytest.mark.parametrize("name", list(GOLDEN_GENERATE))
+    def test_reproduces_the_golden_bytes(self, tmp_path, capsys, name):
+        """The golden files were written before the generators built their labels
+        from two signs (and, for the counterexample, before it stopped sampling
+        its potential)."""
+        argv = GOLDEN_GENERATE[name]
+        code, _, _ = run(capsys, "generate", *argv, "--out", str(tmp_path), "--name", name)
         assert code == 0
         for suffix in ("field", "pgm"):
-            golden = Path(__file__).parent / "data" / f"counterexample_k2_32.{suffix}"
-            assert (tmp_path / f"counterexample.{suffix}").read_bytes() == golden.read_bytes()
+            golden = Path(__file__).parent / "data" / f"{name}.{suffix}"
+            assert (tmp_path / f"{name}.{suffix}").read_bytes() == golden.read_bytes()
 
     def test_branching_header_records_the_planned_grid(self, tmp_path, capsys):
         code, _, _ = run(

@@ -17,6 +17,7 @@ from fourwell.fields import (
     PhaseField,
     ScalarField,
     VectorField,
+    _from_signs,
     _parse_phase_field,
     finite_difference,
     from_modified,
@@ -122,6 +123,44 @@ class TestBijection:
         broken = ModifiedIndicators(grid, m.chi1t, chi2, m.chi3t)
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             from_modified(broken)
+
+
+class TestFromSigns:
+    """``_from_signs`` gives the labels ``from_modified`` gives for the slaved triple."""
+
+    @staticmethod
+    def through_triple(grid, c1, c3):
+        c1, c3 = (np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in (c1, c3))
+        return from_modified(ModifiedIndicators(grid, c1, c1 * c3, c3)).labels
+
+    @pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9), (9, 4)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    def test_full_sign_fields(self, shape, dtype):
+        grid = Grid(*shape)
+        rng = np.random.default_rng(sum(shape))
+        c1, c3 = rng.choice(np.array([-1, 1], dtype=dtype), size=(2, *shape))
+        labels = _from_signs(grid, c1, c3).labels
+        assert labels.dtype == np.int64 and labels.flags.c_contiguous
+        assert np.array_equal(labels, self.through_triple(grid, c1, c3))
+        assert set(np.unique(labels)) == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9)])
+    def test_broadcast_signs(self, shape):
+        grid = Grid(*shape)
+        rng = np.random.default_rng(len(shape) + shape[1])
+        full = rng.choice([-1.0, 1.0], size=shape)
+        column = rng.choice(np.array([-1, 1], dtype=np.int8), size=(shape[0], 1))
+        row = rng.choice([-1.0, 1.0], size=(1, shape[1]))
+        for c1, c3 in [(1, column), (-1.0, row), (column, row), (row, full), (full, -1), (-1, 1)]:
+            expected = self.through_triple(grid, c1, c3)
+            assert np.array_equal(_from_signs(grid, c1, c3).labels, expected)
+
+    def test_transposed_signs_give_c_ordered_labels(self):
+        grid = Grid(6, 9)
+        c1 = np.random.default_rng(2).choice([-1.0, 1.0], size=(9, 6)).T
+        labels = _from_signs(grid, c1, np.ones((6, 1))).labels
+        assert labels.flags.c_contiguous
+        assert np.array_equal(labels, self.through_triple(grid, c1, 1))
 
 
 def test_volume_fractions_counts_labels():

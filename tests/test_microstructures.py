@@ -315,6 +315,41 @@ class TestCounterexample:
         assert main(argv) == 0
 
 
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        pytest.param(
+            lambda g: gen_laminate("y1", stripe_profile(g.n1, 4), g), 2.0, id="laminate-y1"
+        ),
+        pytest.param(
+            lambda g: gen_laminate("y2", stripe_profile(g.n2, 4), g), 2.0, id="laminate-y2"
+        ),
+        pytest.param(
+            lambda g: gen_crossing_twin("y1", stripe_profile(g.n1, 2), stripe_profile(g.n2, 8), g),
+            2.0,
+            id="crossing-twin-y1",
+        ),
+        pytest.param(
+            lambda g: gen_crossing_twin("y2", stripe_profile(g.n2, 2), stripe_profile(g.n1, 8), g),
+            2.0,
+            id="crossing-twin-y2",
+        ),
+        pytest.param(lambda g: gen_random_partition(1, g), 1.5, id="random"),
+    ],
+)
+def test_labels_are_built_in_few_full_size_arrays(float_fields_peak, build, bound):
+    """Labels come from two signs (random: from its blocks), with no float
+    indicator fields and no copy of the labels."""
+    build(Grid(16, 16))  # first-call allocations (numpy's random state) are not the field's
+    grid = Grid(512, 512)
+    assert float_fields_peak(lambda: build(grid), grid) <= bound
+
+
+def test_branching_is_built_in_few_full_size_arrays(float_fields_peak):
+    params, grid = plan_branching(1e-2, max_grid=512)
+    assert float_fields_peak(lambda: gen_branching(params, grid), grid) <= 2.5
+
+
 class TestRandomPartition:
     def test_deterministic_per_seed(self):
         a = gen_random_partition(3, Grid(32, 32))

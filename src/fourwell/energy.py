@@ -105,7 +105,12 @@ def strain_from_displacement(
     u1: ScalarField, u2: ScalarField, u3: ScalarField
 ) -> SymStrainField:
     """Symmetrized gradient of a periodic displacement constant in the third
-    direction."""
+    direction.
+
+    Such a strain is compatible, so its :func:`elastic_energy_pointwise`
+    bounds :func:`relaxed_elastic_energy` from above without the multiplier's
+    algebra; ``tests/test_energy.py`` uses it for that independent bound.
+    """
     if not (u1.grid == u2.grid == u3.grid):
         raise ValueError("displacement components live on different grids")
     d1u1 = spectral_derivative(u1, 0).values
@@ -134,7 +139,11 @@ def elastic_energy_pointwise(
     """Mean squared distance of the strain from the local well.
 
     Off-diagonal misfits count twice, matching the Frobenius norm of the
-    full symmetric matrix.
+    full symmetric matrix.  For the strain of any displacement (see
+    :func:`strain_from_displacement`) this is an upper bound on
+    :func:`relaxed_elastic_energy` that shares none of its algebra, which is
+    its role in ``tests/test_energy.py``; :func:`total_energy` prices a given
+    strain with it.
     """
     if e.grid != m.grid:
         raise ValueError(f"strain grid {e.grid.shape} != indicator grid {m.grid.shape}")
@@ -165,30 +174,67 @@ def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
     part, ``-2 k1 k2 Re(c2 conj(c1))``, is averaged over both signs, which
     zeroes it, so reflections with their sign flips leave the energy unchanged
     on every grid.
+
+    The shear term is formed and c1, c2 freed before chi3t is transformed, so
+    at most two half spectra are alive at once.
     """
-    return _relaxed(_coeffs(m.chi1t), _coeffs(m.chi2t), _coeffs(m.chi3t), m.grid)
+    c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
+    shear = _shear(c1, c2, m.grid)
+    del c1, c2
+    return _finish(shear, _coeffs(m.chi3t), m.grid)
 
 
-def _relaxed(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
-    """The relaxed elastic energy's multiplier on the three slots' coefficients."""
+def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
+    """First step of the multiplier: ``k1^2 |c1|^2 + k2^2 |c2|^2 - 2 d1 d2 Re(c2 conj(c1))``.
+
+    ``d1, d2`` are the derivative frequencies, zero at unpaired modes.  The
+    inputs are left as they are; the result is a new half-size float array
+    for :func:`_finish`.
+    """
     k1, k2 = _freqs(grid)
     d1, d2 = _deriv_freqs(grid)  # the sign-sensitive term averages to 0 at unpaired modes
+    shear = _sq(c1)
+    np.multiply(k1**2, shear, out=shear)
+    term = _sq(c2)
+    np.multiply(k2**2, term, out=term)
+    shear += term
+    np.multiply(2.0 * d1, d2, out=term)
+    term *= _re_dot(c2, c1)
+    shear -= term
+    return shear
+
+
+def _finish(shear: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
+    """Second step of the multiplier: sum ``2 (|k|^2 shear + 2 k1^2 k2^2 |c3|^2) / |k|^4``.
+
+    Consumes ``shear``, which is overwritten with the per-mode energy; ``c3``
+    is left as it is.
+    """
+    k1, k2 = _freqs(grid)
     ksq = _ksq(grid)
-    shear = k1**2 * _sq(c1) + k2**2 * _sq(c2) - 2.0 * d1 * d2 * _re_dot(c2, c1)
-    cross = 2.0 * (k1**2) * (k2**2) * _sq(c3)
-    per_mode = 2.0 * (ksq * shear + cross) / ksq**2
+    cross = _sq(c3)
+    np.multiply(2.0 * (k1**2) * (k2**2), cross, out=cross)
+    per_mode = shear
+    per_mode *= ksq
+    per_mode += cross
+    per_mode *= 2.0
+    per_mode /= ksq**2
     per_mode[0, 0] = 0.0
     return _fold_sum(per_mode, grid)
 
 
 def _sq(c: np.ndarray) -> np.ndarray:
-    """``|c|^2`` without a square root."""
-    return c.real**2 + c.imag**2
+    """``|c|^2`` without a square root, as a new array."""
+    out = np.square(c.real)
+    out += np.square(c.imag)
+    return out
 
 
 def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Re(a conj(b))``."""
-    return a.real * b.real + a.imag * b.imag
+    """``Re(a conj(b))``, as a new array."""
+    out = a.real * b.real
+    out += a.imag * b.imag
+    return out
 
 
 def full_multiplier_energy(u0: SymStrainField) -> float:
@@ -308,7 +354,14 @@ def compute_residuals(
     diag: tuple[float, float, float] = DEFAULT_DIAG,
 ) -> ResidualDecomposition:
     """Split the pointwise misfit into the fields entering the compatibility
-    identity."""
+    identity.
+
+    Part of the multiplier-free side of ``tests/test_energy.py``: with
+    :func:`strain_from_displacement` and :func:`elastic_energy_pointwise` it
+    checks that the identity vanishes on symmetrized gradients and that the
+    residual fields stay under the pointwise energy, the independent upper
+    bound on :func:`relaxed_elastic_energy`.
+    """
     if e.grid != m.grid:
         raise ValueError(f"strain grid {e.grid.shape} != indicator grid {m.grid.shape}")
     grid = e.grid

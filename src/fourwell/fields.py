@@ -7,8 +7,9 @@ the first coordinate and axis 1 along the second; cell centers sit at
 
 A microstructure is stored either as a :class:`PhaseField` of labels 1..4 or
 as the equivalent :class:`ModifiedIndicators`, three fields with values in
-{-1, +1} whose sign triple at each cell identifies the phase.  The two forms
-are interconvertible through :func:`to_modified` / :func:`from_modified`.
+{-1, +1} (int8 from :func:`to_modified`) whose sign triple at each cell
+identifies the phase.  The two forms are interconvertible through
+:func:`to_modified` / :func:`from_modified`.
 Only four of the eight sign triples are admissible, since chi2t is always
 chi1t * chi3t, so the two signs (chi1t, chi3t) fix the phase.
 """
@@ -143,7 +144,9 @@ class ModifiedIndicators:
 
     No admissibility is enforced here; raw triples are allowed so that
     intermediate constructions can be inspected.  :func:`from_modified`
-    performs the strict check.
+    performs the strict check.  An int8 slot, as :func:`to_modified` gives,
+    is kept as it is; any other input is cast to float64.  Both dtypes price
+    alike, since every ±1 value and every sum of them is exact in float64.
     """
 
     grid: Grid
@@ -153,21 +156,27 @@ class ModifiedIndicators:
 
     def __post_init__(self) -> None:
         for name in ("chi1t", "chi2t", "chi3t"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype != np.int8:
+                arr = arr.astype(float, copy=False)
             object.__setattr__(self, name, arr)
             _check_shape(self.grid, arr, f"ModifiedIndicators.{name}")
 
 
 # Row s holds slot s of each label's sign triple (column 0 unused).
-_SLOT_OF_LABEL = np.zeros((3, 5))
+_SLOT_OF_LABEL = np.zeros((3, 5), dtype=np.int8)
 for _phase, _t in enumerate(ADMISSIBLE_TUPLES, start=1):
     _SLOT_OF_LABEL[:, _phase] = _t
 
 
 def to_modified(p: PhaseField) -> ModifiedIndicators:
-    """Expand phase labels into their sign triples, one contiguous array per slot."""
-    t = np.take(_SLOT_OF_LABEL, p.labels, axis=1)
-    return ModifiedIndicators(p.grid, t[0], t[1], t[2])
+    """Expand phase labels into their sign triples.
+
+    Each slot is its own contiguous int8 array of ±1, built one at a time:
+    an eighth of the memory of a float64 field.
+    """
+    slots = [np.take(row, p.labels) for row in _SLOT_OF_LABEL]
+    return ModifiedIndicators(p.grid, *slots)
 
 
 def from_modified(m: ModifiedIndicators) -> PhaseField:

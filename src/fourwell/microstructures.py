@@ -364,8 +364,10 @@ class ZigzagPotential:
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
-    """Reduce to [-1/2, 1/2); exact-half inputs follow round-half-to-even."""
-    return x - np.round(x)
+    """Reduce ``x`` to [-1/2, 1/2) in place and return it; exact-half inputs
+    follow round-half-to-even."""
+    x -= np.round(x)
+    return x
 
 
 def _slope_sign(x: np.ndarray) -> np.ndarray:
@@ -412,7 +414,7 @@ def gen_counterexample(k: int, grid: Grid) -> PhaseField:
     in-plane one a symmetric two-stripe profile in s, and the second slot
     their product, so the triple is admissible.  Requires n2 >= 8 k^2.
     """
-    chi1 = -_slope_sign(_zigzag_phase(k, grid)[1])
+    chi1 = np.where(_zigzag_phase(k, grid)[1] >= 0.0, np.int8(-1), np.int8(1))
     return _from_signs(grid, chi1, _slope_sign(grid.axis_coords(0))[:, None])
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _relaxed, _weighted, surface_energy
+from .energy import EnergyBreakdown, _finish, _shear, _weighted, surface_energy
 from .fields import (
     Grid,
     ModifiedIndicators,
@@ -98,7 +98,8 @@ def extract_outer(m: ModifiedIndicators) -> OuterProfile:
 def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
     """Sign profile along axis 0 of ``chi3t``, recorded as the outer ``axis``."""
     f = np.where(chi3t.mean(axis=1) >= 0.0, 1.0, -1.0)
-    defect = float(np.abs(chi3t - f[:, None]).mean())
+    deviation = np.subtract(chi3t, f[:, None])
+    defect = float(np.abs(deviation, out=deviation).mean())
     n_along, n_trans = chi3t.shape
     return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
 
@@ -131,10 +132,11 @@ def extract_inner(m: ModifiedIndicators, outer: OuterProfile) -> InnerProfile:
     c = _canonical(m, outer)
     pulled = shear_resample(c.chi1t, -shifts)
     g = pulled.mean(axis=0)
-    defect_l2 = float(np.mean((pulled - g[None, :]) ** 2))
-    pulled_product = shear_resample(c.chi2t, -shifts)
-    misfit = pulled_product - outer.f[:, None] * g[None, :]
-    defect_chi2 = float(np.sqrt(np.mean(misfit**2)))
+    misfit = np.subtract(pulled, g[None, :])  # the one full-size float buffer
+    defect_l2 = float(np.mean(np.square(misfit, out=misfit)))
+    np.multiply(outer.f[:, None], g[None, :], out=misfit)
+    np.subtract(shear_resample(c.chi2t, -shifts), misfit, out=misfit)
+    defect_chi2 = float(np.sqrt(np.mean(np.square(misfit, out=misfit))))
     return InnerProfile(g=g, defect_l2=defect_l2, defect_chi2=defect_chi2)
 
 
@@ -206,12 +208,16 @@ def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:
 
 
 def _transport_residual(c: np.ndarray, grid: Grid, outer: OuterProfile) -> float:
-    """:func:`characteristic_residual` of the field with coefficients ``c``."""
-    along, across = _derivative(c, grid, 0), _derivative(c, grid, 1)
+    """:func:`characteristic_residual` of the field with coefficients ``c``.
+
+    Consumes ``c``: the second derivative is formed in its buffer.
+    """
+    along, across = _derivative(c, grid, 0), _derivative(c, grid, 1, out=c)
     if outer.axis == "y2":  # the transposed view puts the outer axis on axis 0
         along, across = across.T, along.T
-    resid = along - outer.f[:, None] * across
-    return float(np.sqrt(np.mean(resid**2)))
+    np.multiply(outer.f[:, None], across, out=across)
+    resid = np.subtract(along, across, out=along)
+    return float(np.sqrt(np.mean(np.square(resid, out=resid))))
 
 
 @dataclass(frozen=True)
@@ -277,19 +283,25 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
 
     template = shear_resample(np.broadcast_to(deriv[None, :], c.grid.shape), shifts)
     gap_primary = neg_sobolev_norm(ScalarField(c.grid, c.chi1t - template), "full1")
-    gap_product = neg_sobolev_norm(
-        ScalarField(c.grid, c.chi2t - outer.f[:, None] * template), "full1"
-    )
+    template *= outer.f[:, None]
+    np.subtract(c.chi2t, template, out=template)
+    gap_product = neg_sobolev_norm(ScalarField(c.grid, template), "full1")
     return float(math.hypot(gap_primary, gap_product))
 
 
 def _spectral_pass(m: ModifiedIndicators, outer: OuterProfile) -> tuple[float, float]:
     """Relaxed elastic energy and the characteristic residual of the Helmholtz
-    potential of (chi2t, chi1t), from one transform of each indicator."""
+    potential of (chi2t, chi1t), from one transform of each indicator.
+
+    The order keeps at most two half spectra alive: the shear term, then the
+    potential in c2's buffer, and only then the transform of chi3t.
+    """
     c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
-    elastic = _relaxed(c1, c2, _coeffs(m.chi3t), m.grid)
+    shear = _shear(c1, c2, m.grid)
     potential = _potential(c2, c1, m.grid)
-    del c1, c2  # freed before differentiating, where a report's memory peaks
+    del c1, c2
+    elastic = _finish(shear, _coeffs(m.chi3t), m.grid)
+    del shear  # freed before differentiating, where the pass would peak
     return elastic, _transport_residual(potential, m.grid, outer)
 
 

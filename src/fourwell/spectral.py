@@ -128,9 +128,15 @@ def _fold_sum(per_mode: np.ndarray, grid: Grid) -> float:
     return float(per_mode.sum(axis=0) @ weights)
 
 
-def _derivative(c: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Values of the derivative along ``axis`` of the field with coefficients ``c``."""
-    return _values(2j * np.pi * _deriv_freqs(grid)[axis] * c, grid)
+def _derivative(
+    c: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Values of the derivative along ``axis`` of the field with coefficients ``c``.
+
+    The multiplied coefficients go to ``out``; pass ``out=c`` to consume ``c``
+    rather than allocate another half spectrum.
+    """
+    return _values(np.multiply(2j * np.pi * _deriv_freqs(grid)[axis], c, out=out), grid)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:
@@ -141,9 +147,17 @@ def _profile_derivative(profile: np.ndarray) -> np.ndarray:
 
 
 def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of the zero-mean potential of the curl-free part of (c1, c2)."""
+    """Coefficients of the zero-mean potential of the curl-free part of (c1, c2).
+
+    Consumes both inputs: the result is built in ``c1``'s buffer and returned,
+    and ``c2`` is overwritten with ``k2 c2``.
+    """
     k1, k2 = _freqs(grid)
-    return _drop((k1 * c1 + k2 * c2) / (2j * np.pi * _ksq(grid)), grid)
+    np.multiply(k1, c1, out=c1)
+    np.multiply(k2, c2, out=c2)
+    c1 += c2
+    c1 /= 2j * np.pi * _ksq(grid)
+    return _drop(c1, grid)
 
 
 def spectral_derivative(f: ScalarField, axis: int) -> ScalarField:
@@ -172,7 +186,10 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
         c = _coeffs(f.values)
         k1, k2 = _freqs(f.grid)
         w = 1.0 / (1.0 + k1**2 + k2**2)
-        return float(np.sqrt(_fold_sum(np.abs(c) ** 2 * w, f.grid)))
+        weighted = np.abs(c)
+        np.square(weighted, out=weighted)
+        weighted *= w
+        return float(np.sqrt(_fold_sum(weighted, f.grid)))
     if s not in (1, 2):
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
     c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")

@@ -26,7 +26,7 @@ from fourwell.fields import (
     to_modified,
     total_variation,
 )
-from fourwell.microstructures import gen_constant, gen_laminate
+from fourwell.microstructures import gen_constant, gen_laminate, gen_random_partition
 from fourwell.spectral import permode_elastic_oracle
 
 
@@ -189,6 +189,16 @@ class TestTotalEnergy:
         with pytest.raises(ValueError, match="eta"):
             total_energy(p, 0.0)
 
+    def test_transforms_each_slot_once(self, fft_calls):
+        total_energy(gen_random_partition(1, Grid(16, 16), feature_scale=0.125), 1e-2)
+        assert {name: n for name, n in fft_calls.items() if n} == {"rfft2": 3}
+
+    def test_prices_in_few_full_size_arrays(self, float_fields_peak):
+        """int8 slots, and at most two half spectra alive at once."""
+        grid = Grid(512, 512)
+        p = gen_random_partition(1, grid, feature_scale=0.01)
+        assert float_fields_peak(lambda: total_energy(p, 1e-2), grid) <= 5.0
+
     def test_json_is_sorted_and_stable(self):
         p = gen_constant(1, Grid(4, 4))
         text = total_energy(p, 0.5).to_json()
@@ -292,3 +302,16 @@ def test_strain_from_displacement_single_modes():
     assert np.abs(e.e12).max() < 1e-12
     assert np.abs(e.e13).max() < 1e-12
     assert_allclose(e.e23, np.pi * np.cos(2 * np.pi * y2) + np.zeros(shape), atol=1e-12)
+
+
+def test_pointwise_energy_of_a_displacement_bounds_the_relaxed_energy():
+    """A displacement's strain is compatible, so its pointwise misfit bounds the
+    relaxed minimum from above with none of the multiplier's algebra."""
+    grid = Grid(16, 16)
+    rng = np.random.default_rng(5)
+    m = random_indicators(grid, 6)
+    relaxed = relaxed_elastic_energy(m)
+    for scale in (0.0, 0.01, 0.1, 1.0):
+        u = [ScalarField(grid, scale * rng.standard_normal(grid.shape)) for _ in range(3)]
+        e = strain_from_displacement(*u)
+        assert relaxed <= elastic_energy_pointwise(e, m, diag=(0.0, 0.0, 0.0))

@@ -115,6 +115,34 @@ class TestBijection:
             rejected += 1
         assert rejected == 23
 
+    def test_slots_are_contiguous_int8_signs(self):
+        grid = Grid(7, 9)
+        p = PhaseField(grid, np.random.default_rng(0).integers(1, 5, size=grid.shape))
+        m = to_modified(p)
+        for slot in (m.chi1t, m.chi2t, m.chi3t):
+            assert slot.dtype == np.int8 and slot.flags.c_contiguous
+            assert set(np.unique(slot)) == {-1, 1}
+
+    def test_int8_slots_are_kept_and_other_inputs_cast(self):
+        grid = Grid(3, 4)
+        signs = np.ones(grid.shape, dtype=np.int8)
+        m = ModifiedIndicators(grid, signs, signs.astype(np.int64), signs.astype(np.float32))
+        assert m.chi1t is signs
+        assert m.chi2t.dtype == m.chi3t.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_int8_slots_off_the_signs_are_rejected(self, dtype):
+        """(16, 0, 16) has c1 * c3 == c2 in int8, where 16 * 16 wraps to 0."""
+        grid = Grid(3, 4)
+        m = to_modified(PhaseField(grid, np.ones(grid.shape, dtype=np.int64)))
+        slots = [m.chi1t.copy(), m.chi2t.copy(), m.chi3t.copy()]
+        for slot, value in zip(slots, (16, 0, 16)):
+            slot[1, 2] = value
+        assert (slots[0] * slots[2])[1, 2] == slots[1][1, 2]
+        broken = ModifiedIndicators(grid, *(slot.astype(dtype) for slot in slots))
+        with pytest.raises(ValueError, match=r"inadmissible indicator triple at cell \(1, 2\)"):
+            from_modified(broken)
+
     def test_rejection_names_first_bad_cell(self):
         grid = Grid(3, 4)
         m = to_modified(PhaseField(grid, np.full(grid.shape, 2, dtype=np.int64)))

@@ -306,6 +306,12 @@ class TestCounterexample:
         grid = Grid(512, 512)
         assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 6.0
 
+    def test_signs_are_int8_beside_one_float_phase(self, float_fields_peak):
+        """Only the wrapped phase and its rounding are float64; the sign field
+        handed to the label rule is int8."""
+        grid = Grid(512, 512)
+        assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 2.5
+
     def test_generate_never_samples_the_potential(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("generate sampled the zigzag potential")

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fourwell.rigidity
 from fourwell.energy import relaxed_elastic_energy, surface_energy
 from fourwell.fields import (
     Grid,
+    ModifiedIndicators,
     PhaseField,
     ScalarField,
     VectorField,
+    _from_signs,
     _transposed,
     from_modified,
     to_modified,
@@ -34,7 +37,7 @@ from fourwell.rigidity import (
     rigidity_report,
     wave_decompose,
 )
-from fourwell.spectral import helmholtz_potential
+from fourwell.spectral import helmholtz_potential, permode_elastic_oracle
 
 
 def stripe_profile(n, stripes):
@@ -334,6 +337,12 @@ class TestReportSpectralPass:
         assert used == {"rfft2": 5, "irfft2": 2, "rfft": 1, "irfft": 1}
         assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
 
+    def test_report_is_built_in_few_full_size_arrays(self, float_fields_peak):
+        """int8 slots, at most two half spectra alive, and defects in reused buffers."""
+        grid = Grid(512, 512)
+        p = gen_random_partition(1, grid, feature_scale=0.01)
+        assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 5.0
+
     def test_bad_eta_fails_before_any_transform(self, fft_calls):
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
         with pytest.raises(ValueError, match="eta"):
@@ -351,3 +360,55 @@ class TestReportSpectralPass:
         potential = helmholtz_potential(VectorField(p.grid, m.chi2t, m.chi1t))
         expected = characteristic_residual(potential, report.outer)
         assert report.char_residual == pytest.approx(expected, rel=1e-12)
+
+
+def float_slots(m):
+    return ModifiedIndicators(m.grid, *(s.astype(np.float64) for s in (m.chi1t, m.chi2t, m.chi3t)))
+
+
+def plain(profile):
+    """A profile's fields as plain Python values, so that ``==`` compares every one."""
+    return {name: np.asarray(value).tolist() for name, value in vars(profile).items()}
+
+
+class TestInt8Slots:
+    """int8 slots price exactly as their float64 copies: every ±1 value and
+    every sum of them is exact in float64."""
+
+    @staticmethod
+    def noisy_stripes(shape, transpose):
+        """Random chi1t and row-striped chi3t with 15% of its signs flipped: the
+        outer axis is y1, or y2 once transposed, and its staircase is grid-aligned."""
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        chi1 = rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
+        rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(shape[0], 1))
+        chi3 = np.where(rng.random(shape) < 0.15, -rows, rows)
+        if transpose:
+            return _from_signs(Grid(shape[1], shape[0]), chi1.T, chi3.T)
+        return _from_signs(Grid(*shape), chi1, chi3)
+
+    CASES = pytest.mark.parametrize(
+        "shape, transpose",
+        [(shape, t) for shape in [(9, 9), (8, 8), (6, 12), (7, 14)] for t in (False, True)],
+    )
+
+    @CASES
+    def test_energies_are_equal(self, shape, transpose):
+        m = to_modified(self.noisy_stripes(shape, transpose))
+        for price in (relaxed_elastic_energy, permode_elastic_oracle):
+            assert price(m) == price(float_slots(m))
+
+    @CASES
+    def test_profiles_are_equal(self, shape, transpose):
+        m = to_modified(self.noisy_stripes(shape, transpose))
+        outer = extract_outer(m)
+        assert outer.axis == ("y2" if transpose else "y1")
+        assert plain(outer) == plain(extract_outer(float_slots(m)))
+        assert plain(extract_inner(m, outer)) == plain(extract_inner(float_slots(m), outer))
+
+    @CASES
+    def test_reports_are_equal(self, shape, transpose, monkeypatch):
+        p = self.noisy_stripes(shape, transpose)
+        expected = rigidity_report(p, 1e-2).to_json()
+        monkeypatch.setattr(fourwell.rigidity, "to_modified", lambda q: float_slots(to_modified(q)))
+        assert rigidity_report(p, 1e-2).to_json() == expected

@@ -7,134 +7,19 @@ branching) alongside adversarial ones, and extracts the twin profiles any
 low-energy state must approximately follow.
 """
 
-from .energy import (
-    DEFAULT_DIAG,
-    EnergyBreakdown,
-    ResidualDecomposition,
-    SymStrainField,
-    compute_residuals,
-    elastic_energy_pointwise,
-    full_multiplier_energy,
-    interpolation_gap,
-    relaxed_elastic_energy,
-    strain_from_displacement,
-    surface_energy,
-    total_energy,
-)
-from .fields import (
-    Grid,
-    ModifiedIndicators,
-    PhaseField,
-    ScalarField,
-    VectorField,
-    finite_difference,
-    from_modified,
-    read_phase_field,
-    shear_resample,
-    to_modified,
-    total_variation,
-    volume_fractions,
-    write_pgm,
-    write_phase_field,
-)
-from .microstructures import (
-    BranchingParams,
-    ZigzagPotential,
-    branching_bound,
-    gen_branching,
-    gen_constant,
-    gen_counterexample,
-    gen_crossing_twin,
-    gen_laminate,
-    gen_random_partition,
-    plan_branching,
-    staircase_shifts,
-    zigzag_potential,
-)
-from .model import ADMISSIBLE_TUPLES, MaterialParams, WellSet, eta, make_wells
-from .rigidity import (
-    InnerProfile,
-    OuterProfile,
-    RigidityReport,
-    characteristic_residual,
-    extract_inner,
-    extract_outer,
-    incompatibility_defect,
-    mixed_difference_sup,
-    rigidity_report,
-    wave_decompose,
-)
-from .spectral import (
-    curl_neg_sobolev,
-    helmholtz_potential,
-    inv_gradient,
-    leray_project,
-    neg_sobolev_norm,
-    permode_elastic_oracle,
-    spectral_derivative,
-)
+from . import energy, fields, microstructures, model, rigidity, spectral
+from .energy import *  # noqa: F403
+from .fields import *  # noqa: F403
+from .microstructures import *  # noqa: F403
+from .model import *  # noqa: F403
+from .rigidity import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADMISSIBLE_TUPLES",
-    "BranchingParams",
-    "DEFAULT_DIAG",
-    "EnergyBreakdown",
-    "Grid",
-    "InnerProfile",
-    "MaterialParams",
-    "ModifiedIndicators",
-    "OuterProfile",
-    "PhaseField",
-    "ResidualDecomposition",
-    "RigidityReport",
-    "ScalarField",
-    "SymStrainField",
-    "VectorField",
-    "WellSet",
-    "ZigzagPotential",
-    "branching_bound",
-    "characteristic_residual",
-    "compute_residuals",
-    "curl_neg_sobolev",
-    "elastic_energy_pointwise",
-    "eta",
-    "extract_inner",
-    "extract_outer",
-    "finite_difference",
-    "from_modified",
-    "full_multiplier_energy",
-    "gen_branching",
-    "gen_constant",
-    "gen_counterexample",
-    "gen_crossing_twin",
-    "gen_laminate",
-    "gen_random_partition",
-    "helmholtz_potential",
-    "incompatibility_defect",
-    "interpolation_gap",
-    "inv_gradient",
-    "leray_project",
-    "make_wells",
-    "mixed_difference_sup",
-    "neg_sobolev_norm",
-    "permode_elastic_oracle",
-    "plan_branching",
-    "read_phase_field",
-    "relaxed_elastic_energy",
-    "rigidity_report",
-    "shear_resample",
-    "spectral_derivative",
-    "staircase_shifts",
-    "strain_from_displacement",
-    "surface_energy",
-    "to_modified",
-    "total_energy",
-    "total_variation",
-    "volume_fractions",
-    "wave_decompose",
-    "write_pgm",
-    "write_phase_field",
-    "zigzag_potential",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = sorted(
+    name
+    for module in (energy, fields, microstructures, model, rigidity, spectral)
+    for name in module.__all__
+)

@@ -119,7 +119,12 @@ class VectorField:
 
 @dataclass(frozen=True)
 class PhaseField:
-    """Integer phase labels 1..4 on a grid."""
+    """Integer phase labels 1..4 on a grid, stored as uint8.
+
+    Any integer dtype is accepted; labels are checked as given, so an error
+    names the offending value itself, and only then narrowed (without a copy
+    when they are uint8 already).
+    """
 
     grid: Grid
     labels: np.ndarray
@@ -128,14 +133,12 @@ class PhaseField:
         labels = np.asarray(self.labels)
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
-        _check_shape(self.grid, self.labels, "PhaseField.labels")
-        bad = (self.labels < 1) | (self.labels > 4)
+        _check_shape(self.grid, labels, "PhaseField.labels")
+        bad = (labels < 1) | (labels > 4)
         if bad.any():
             j, i = np.argwhere(bad)[0]
-            raise ValueError(
-                f"phase label out of range 1..4 at cell ({j}, {i}): {self.labels[j, i]}"
-            )
+            raise ValueError(f"phase label out of range 1..4 at cell ({j}, {i}): {labels[j, i]}")
+        object.__setattr__(self, "labels", labels.astype(np.uint8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ def from_modified(m: ModifiedIndicators) -> PhaseField:
 
 # Label of the admissible triple with signs chi1t, chi3t, indexed by
 # 2 * (chi1t < 0) + (chi3t < 0).
-_LABEL_OF_SIGNS = np.zeros(4, dtype=np.int64)
+_LABEL_OF_SIGNS = np.zeros(4, dtype=np.uint8)
 for _phase, (_c1, _, _c3) in enumerate(ADMISSIBLE_TUPLES, start=1):
     _LABEL_OF_SIGNS[2 * (_c1 < 0) + (_c3 < 0)] = _phase
 

@@ -79,7 +79,7 @@ def gen_constant(phase: int, grid: Grid) -> PhaseField:
     """A single phase everywhere."""
     if phase not in (1, 2, 3, 4):
         raise ValueError(f"phase must be 1..4, got {phase!r}")
-    return PhaseField(grid, np.full(grid.shape, phase, dtype=np.int64))
+    return PhaseField(grid, np.full(grid.shape, phase, dtype=np.uint8))
 
 
 def _along(axis: str, grid: Grid) -> Grid:
@@ -435,6 +435,6 @@ def gen_random_partition(seed: int, grid: Grid, feature_scale: float = 0.125) ->
 
     b1, b2 = block(grid.n1), block(grid.n2)
     rng = np.random.default_rng(seed)
-    coarse = rng.integers(1, 5, size=(grid.n1 // b1, grid.n2 // b2))
+    coarse = rng.integers(1, 5, size=(grid.n1 // b1, grid.n2 // b2)).astype(np.uint8)
     labels = np.repeat(np.repeat(coarse, b1, axis=0), b2, axis=1)
     return PhaseField(grid, labels)

@@ -76,10 +76,12 @@ class TestFieldContainers:
         assert w.l2_norm() == pytest.approx(5.0, rel=1e-15)
 
     def test_phase_field_rejects_bad_label_naming_cell(self):
-        labels = np.ones((4, 4), dtype=np.int64)
-        labels[2, 3] = 7
-        with pytest.raises(ValueError, match=r"\(2, 3\)"):
-            PhaseField(Grid(4, 4), labels)
+        # labels are checked before they are narrowed, so 260 is not read as 4
+        for dtype, bad in product([np.int64, np.int16], [7, 260, -1]):
+            labels = np.ones((4, 4), dtype=dtype)
+            labels[2, 3] = bad
+            with pytest.raises(ValueError, match=rf"\(2, 3\): {bad}$"):
+                PhaseField(Grid(4, 4), labels)
 
     def test_phase_field_rejects_float_labels(self):
         with pytest.raises(ValueError, match="integer"):
@@ -168,7 +170,7 @@ class TestFromSigns:
         rng = np.random.default_rng(sum(shape))
         c1, c3 = rng.choice(np.array([-1, 1], dtype=dtype), size=(2, *shape))
         labels = _from_signs(grid, c1, c3).labels
-        assert labels.dtype == np.int64 and labels.flags.c_contiguous
+        assert labels.dtype == np.uint8 and labels.flags.c_contiguous
         assert np.array_equal(labels, self.through_triple(grid, c1, c3))
         assert set(np.unique(labels)) == {1, 2, 3, 4}
 
@@ -510,11 +512,23 @@ class TestFileFormats:
         write_phase_field(written, field, {"note": "a = ü b"})
         monkeypatch.setattr(fields, "_parse_phase_field", refuse)
         back, header = read_phase_field(written)
-        assert np.array_equal(back.labels, field.labels) and back.labels.dtype == np.int64
+        assert np.array_equal(back.labels, field.labels) and back.labels.dtype == np.uint8
         assert header == {"n1": str(shape[0]), "n2": str(shape[1]), "note": "a = ü b"}
         golden, header = read_phase_field(DATA / "golden_7x9.field")
         assert np.array_equal(golden.labels, golden_field().labels)
         assert header == {"n1": "7", "n2": "9", **GOLDEN_HEADER}
+
+    def test_writer_layout_reads_uint8_labels_without_a_copy(self, monkeypatch):
+        decoded = []
+
+        class Spy(PhaseField):
+            def __post_init__(self):
+                decoded.append(self.labels)
+                super().__post_init__()
+
+        monkeypatch.setattr(fields, "PhaseField", Spy)
+        field, _ = read_phase_field(DATA / "golden_7x9.field")
+        assert field.labels.dtype == np.uint8 and field.labels is decoded[0]
 
     @pytest.mark.parametrize(
         "data, reason",

@@ -18,6 +18,7 @@ from fourwell.fields import (
     VectorField,
     _from_signs,
     _transposed,
+    finite_difference,
     from_modified,
     to_modified,
 )
@@ -166,6 +167,24 @@ class TestMixedDifferenceSup:
             got = mixed_difference_sup(ScalarField(Grid(*shape), v))
             want = full_offset_mixed_sup(v)
             assert abs(got - want) <= 1e-15 * want
+
+    @staticmethod
+    def finite_difference_loop(f):
+        """Reference: the search as ``finite_difference`` round trips, offset by offset."""
+        n1, n2 = f.grid.shape
+        sup = 0.0
+        for h1 in range(1, n1 // 2 + 1):
+            d1 = finite_difference(f, 0, h1)
+            for h2 in range(1, n2 // 2 + 1):
+                sup = max(sup, float(np.abs(finite_difference(d1, 1, h2).values).mean()))
+        return sup
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_the_finite_difference_loop(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + 1)
+        for v in (rng.standard_normal(shape), rng.choice([-1.0, 1.0], size=shape)):
+            f = ScalarField(Grid(*shape), v)
+            assert mixed_difference_sup(f) == self.finite_difference_loop(f)
 
 
 class TestTransposeSymmetry:

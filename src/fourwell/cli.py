@@ -28,6 +28,7 @@ from .fields import (
     PhaseField,
     ScalarField,
     VectorField,
+    _header_lines,
     read_phase_field,
     to_modified,
     volume_fractions,
@@ -107,34 +108,39 @@ def _stripe_profile(n: int, stripes: int) -> np.ndarray:
 
 
 class _Resolver:
-    """Merge CLI flags, config-file entries and defaults, recording the result."""
+    """Merge CLI flags, config-file entries and defaults, recording each input
+    read in ``resolved`` and each value a generator derives in ``derived``."""
 
     def __init__(self, args: argparse.Namespace, config: Mapping[str, str]):
         self.args = args
         self.config = config
         self.resolved: dict[str, str] = {}
+        self.derived: dict[str, str] = {}
 
     def get(self, key: str, default, convert: Callable = str):
         value = getattr(self.args, key.replace("-", "_"), None)
         if value is None:
             raw = self.config.get(key)
-            value = default if raw is None else convert(raw)
+            try:
+                value = default if raw is None else convert(raw)
+            except ValueError as exc:
+                raise ValueError(f"{key}={raw!r}: {exc}") from None
         if value is not None:
             self.resolved[key] = repr(value) if isinstance(value, float) else str(value)
         return value
 
 
-def _generate_field(kind: str, res: _Resolver) -> PhaseField:
+def _generate_field(kind: str, res: _Resolver, eta: float | None = None) -> PhaseField:
+    """The field of ``kind``; a given ``eta``, a sweep row's, replaces the branching input."""
     grid_n = res.get("grid", 128, int)
     if kind == "branching":
-        eta = res.get("eta", 1e-2, float)
+        if eta is None:
+            eta = res.get("eta", 1e-2, float)
         mu = res.get("mu", 0.25, float)
         lam = res.get("lam", 0.25, float)
         beta = res.get("beta", 1.5, float)
         params, grid = plan_branching(eta, mu=mu, lam=lam, beta=beta, max_grid=grid_n)
-        res.resolved["n-gen"] = str(params.N)
-        res.resolved["w1"] = repr(params.w1)
-        res.resolved["grid"] = str(grid.n1)
+        res.derived.update({"n-gen": str(params.N), "w1": repr(params.w1), "grid": str(grid.n1)})
         return gen_branching(params, grid)
     grid = Grid(grid_n, grid_n)
     if kind == "constant":
@@ -163,13 +169,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else {}
     res = _Resolver(args, config)
     field = _generate_field(args.kind, res)
-    res.resolved["kind"] = args.kind
-    res.resolved["n1"] = str(field.grid.n1)
-    res.resolved["n2"] = str(field.grid.n2)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name or args.kind
-    write_phase_field(out_dir / f"{name}.field", field, res.resolved)
+    header = {**res.resolved, **res.derived, "kind": args.kind}
+    write_phase_field(out_dir / f"{name}.field", field, header)
     write_pgm(out_dir / f"{name}.pgm", field)
     print(out_dir / f"{name}.field")
     return 0
@@ -243,19 +247,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not kinds:
         raise ValueError(f"no generator kinds in {kinds_text!r}")
 
+    # One resolver records every generator input read; a branching row's eta
+    # and what the planner derives from it are per row, and left out.
     rows = []
     for kind in kinds:
         if kind == "branching":
             for eta in etas:
-                inner_res = _Resolver(args, dict(config, eta=repr(eta)))
-                rows += _sweep_rows(_generate_field(kind, inner_res), [eta])
+                rows += _sweep_rows(_generate_field(kind, res, eta), [eta])
         else:
-            rows += _sweep_rows(_generate_field(kind, _Resolver(args, config)), etas)
+            rows += _sweep_rows(_generate_field(kind, res), etas)
 
     res.resolved["kinds"] = ",".join(kinds)
     res.resolved["etas"] = ",".join(repr(e) for e in etas)
-    lines = [f"# {k}={res.resolved[k]}" for k in sorted(res.resolved)]
-    lines.append("# columns: " + ",".join(SWEEP_COLUMNS))
+    lines = ["# columns: " + ",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(repr(float(row[c])) for c in SWEEP_COLUMNS))
     for column in ("outer_defect", "d14", "d12"):
@@ -264,7 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_header_lines(res.resolved) + "\n".join(lines) + "\n")
     print(path)
     return 0
 

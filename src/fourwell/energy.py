@@ -16,7 +16,7 @@ scaling ``eta`` by 8 shifts the two weights by exact binary factors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,15 +90,15 @@ class EnergyBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "elastic": self.elastic,
-            "eta": self.eta,
-            "surface": self.surface,
-            "total": self.total,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return _to_json(self)
+
+
+def _to_json(record) -> str:
+    """A results dataclass as JSON: its fields by name, sorted, arrays as lists."""
+    return json.dumps(asdict(record), sort_keys=True, default=np.ndarray.tolist)
 
 
 def strain_from_displacement(

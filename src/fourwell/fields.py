@@ -295,12 +295,13 @@ def shear_resample(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Both writers build their body as one numpy byte array: PhaseField guarantees
-# labels 1..4, so each cell is one digit in a .field file and one table token
-# in a PGM image.
+# Each format is written down once, by its writer.  Both writers build their
+# body as one numpy byte array: PhaseField guarantees labels 1..4, so each cell
+# is one digit in a .field file and one table token in a PGM image.
 
 _HEADER_KEY = r"[A-Za-z0-9_.\-]+"
 _HEADER_RE = re.compile(rf"^# ({_HEADER_KEY})=(.*)$")
+_HEAD_LINES = re.compile(rb"(?:#[^\n]*\n)*")  # the '#' lines a file opens with
 
 # The PGM token "<gray><separator>" of each label 1..4 (column 0 unused),
 # zero-padded to 4 bytes: row 0 ends in a space, row 1 ends an image row.
@@ -315,6 +316,39 @@ def _breaks_line(text: str) -> bool:
     return len((text + ".").splitlines()) > 1
 
 
+def _header_lines(entries: Mapping[str, object]) -> str:
+    """``# key=value`` lines sorted by key, each ending in LF.
+
+    Keys must match the reader's key pattern and values, as ``str`` gives
+    them, may hold no line break, so every line reads back unchanged.
+    """
+    entries = {key: str(value) for key, value in entries.items()}
+    for key, value in entries.items():
+        if not re.fullmatch(_HEADER_KEY, key):
+            raise ValueError(f"header key {key!r} does not match {_HEADER_KEY}")
+        if _breaks_line(value):
+            raise ValueError(f"header entry {key!r} contains a newline or other line break")
+    return "".join(f"# {key}={entries[key]}\n" for key in sorted(entries))
+
+
+def _field_head(grid: Grid, header: Mapping[str, object]) -> bytes:
+    """The header lines of a .field file: ``header`` and the grid's n1 and n2."""
+    sizes = {"n1": str(grid.n1), "n2": str(grid.n2)}
+    for key, size in sizes.items():
+        if key in header and str(header[key]) != size:
+            raise ValueError(f"header key {key!r} conflicts with the grid")
+    return _header_lines({**header, **sizes}).encode("utf-8")
+
+
+def _field_rows(labels: np.ndarray) -> np.ndarray:
+    """The (n1, 2·n2) bytes of a .field file's rows: digits, single spaces, LF row ends."""
+    n1, n2 = labels.shape
+    rows = np.full((n1, 2 * n2), ord(" "), dtype=np.uint8)
+    rows[:, 0::2] = labels + ord("0")
+    rows[:, -1] = ord("\n")
+    return rows
+
+
 def write_phase_field(
     path: str | Path, p: PhaseField, header: Mapping[str, str] | None = None
 ) -> None:
@@ -326,22 +360,7 @@ def write_phase_field(
     The file is UTF-8, one digit per cell, single spaces and LF line ends;
     output is byte-deterministic for equal inputs.
     """
-    entries = {"n1": str(p.grid.n1), "n2": str(p.grid.n2)}
-    for key, value in (header or {}).items():
-        value = str(value)
-        if key in entries and value != entries[key]:
-            raise ValueError(f"header key {key!r} conflicts with the grid")
-        if not re.fullmatch(_HEADER_KEY, key):
-            raise ValueError(f"header key {key!r} does not match {_HEADER_KEY}")
-        if _breaks_line(value):
-            raise ValueError(f"header entry {key!r} contains a newline or other line break")
-        entries[key] = value
-    head = "".join(f"# {k}={entries[k]}\n" for k in sorted(entries))
-    n1, n2 = p.grid.shape
-    body = np.full((n1, 2 * n2), ord(" "), dtype=np.uint8)
-    body[:, 0::2] = p.labels + ord("0")
-    body[:, -1] = ord("\n")
-    Path(path).write_bytes(head.encode("utf-8") + body.tobytes())
+    Path(path).write_bytes(_field_head(p.grid, header or {}) + _field_rows(p.labels).tobytes())
 
 
 def read_phase_field(path: str | Path) -> tuple[PhaseField, dict[str, str]]:
@@ -351,9 +370,9 @@ def read_phase_field(path: str | Path) -> tuple[PhaseField, dict[str, str]]:
     be separated by any whitespace; each label is read as ``int()`` reads it.
     Every error names the file, and the data row (counted from 0) at fault.
 
-    The writer's exact layout is decoded by a byte-level fast path; every
-    other accepted layout, and every error, goes through the general grammar.
-    Both give identical results.
+    Exactly the bytes the writer would write are decoded by a byte-level fast
+    path; every other input, and every error, goes through the general
+    grammar.  Both give identical results.
     """
     data = Path(path).read_bytes()
     try:
@@ -362,45 +381,25 @@ def read_phase_field(path: str | Path) -> tuple[PhaseField, dict[str, str]]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-# The grid sizes the writer puts in its header: str(n) of a positive int, kept
-# below int()'s digit limit so converting one cannot raise.
-_CANONICAL_SIZE = re.compile(r"[1-9][0-9]{0,17}")
-
-
 def _read_canonical(data: bytes) -> tuple[PhaseField, dict[str, str]] | None:
-    """Decode a file laid out exactly as :func:`write_phase_field` writes it.
+    """Decode ``data`` as if :func:`write_phase_field` had written it.
 
-    That is header lines only up front, each a ``# key=value`` line ending in
-    LF with no other line break, then n1 rows of 2·n2 bytes: a digit 1..4 at
-    each even offset, a space at each odd one and LF at the row end.  Returns
-    None for any other input, so that :func:`_parse_phase_field` decides it.
-    Whatever this returns or raises, that parser would return or raise too.
+    The decoded field and header are kept only if the writer's own encoders
+    give ``data`` back byte for byte, so whatever this returns,
+    :func:`_parse_phase_field` would return too.  Any other input gives None,
+    and that parser decides it.
     """
-    pos = 0
-    while data.startswith(b"#", pos):
-        pos = data.find(b"\n", pos) + 1
-        if not pos:
-            return None
-    # A decode error here is the file's first one, and reads as the general parser's would.
-    head = data[:pos].decode("utf-8")
-    lines = head.split("\n")[:-1]
-    matches = [_HEADER_RE.match(line) for line in lines]
-    if head.splitlines() != lines or not all(matches):
-        return None
-    header = {m.group(1): m.group(2) for m in matches}
-    sizes = (header.get("n1", ""), header.get("n2", ""))
-    if not all(_CANONICAL_SIZE.fullmatch(s) for s in sizes):
-        return None
-    n1, n2 = map(int, sizes)
-    if len(data) - pos != n1 * 2 * n2:
-        return None
-    rows = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(n1, 2 * n2)
-    seps = np.full(n2, ord(" "), dtype=np.uint8)
-    seps[-1] = ord("\n")
-    labels = rows[:, 0::2] - np.uint8(ord("0"))
-    if not ((rows[:, 1::2] == seps).all() and (labels - np.uint8(1) < 4).all()):
-        return None
-    return PhaseField(Grid(n1, n2), labels), header
+    pos = _HEAD_LINES.match(data).end()
+    try:
+        header = dict(line[2:].split("=", 1) for line in data[:pos].decode("utf-8").splitlines())
+        grid = Grid(int(header.get("n1", "")), int(header.get("n2", "")))
+        rows = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(grid.n1, 2 * grid.n2)
+        field = PhaseField(grid, rows[:, 0::2] - np.uint8(ord("0")))
+        if _field_head(grid, header) == data[:pos] and (_field_rows(field.labels) == rows).all():
+            return field, header
+    except ValueError:  # not bytes the writer could have written
+        pass
+    return None
 
 
 def _parse_phase_field(text: str) -> tuple[PhaseField, dict[str, str]]:

@@ -10,7 +10,6 @@ diagnostics: no generator imports this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _finish, _shear, _weighted, surface_energy
+from .energy import EnergyBreakdown, _finish, _shear, _to_json, _weighted, surface_energy
 from .fields import (
     Grid,
     ModifiedIndicators,
@@ -57,10 +56,10 @@ __all__ = [
 class OuterProfile:
     """Best one-directional +-1 approximation of the in-plane indicator.
 
-    f holds the sign profile along ``axis``, defect_l1 the mean absolute
-    deviation from it, and F the staircase primitive of f in transverse
-    grid cells (zero at the central row, no wrap), which is the shear the
-    inner structure is expected to follow.
+    f holds the sign profile along ``axis`` as ints +1 and -1, defect_l1 the
+    mean absolute deviation from it, and F the staircase primitive of f in
+    transverse grid cells (zero at the central row, no wrap), which is the
+    shear the inner structure is expected to follow.
     """
 
     axis: str
@@ -96,7 +95,7 @@ def extract_outer(m: ModifiedIndicators) -> OuterProfile:
 
 def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
     """Sign profile along axis 0 of ``chi3t``, recorded as the outer ``axis``."""
-    f = np.where(chi3t.mean(axis=1) >= 0.0, 1.0, -1.0)
+    f = np.where(chi3t.mean(axis=1) >= 0.0, 1, -1)
     deviation = np.subtract(chi3t, f[:, None])
     defect = float(np.abs(deviation, out=deviation).mean())
     n_along, n_trans = chi3t.shape
@@ -242,31 +241,8 @@ class RigidityReport:
     weak_defect: float
     diagnostics: dict[str, float | None]
 
-    def as_dict(self) -> dict:
-        return {
-            "char_residual": self.char_residual,
-            "d12": self.d12,
-            "d14": self.d14,
-            "diagnostics": self.diagnostics,
-            "energy": self.energy.as_dict(),
-            "eta": self.eta,
-            "inner": {
-                "defect_chi2": self.inner.defect_chi2,
-                "defect_l2": self.inner.defect_l2,
-                "g": [float(x) for x in self.inner.g],
-            },
-            "outer": {
-                "F": [float(x) for x in self.outer.F],
-                "axis": self.outer.axis,
-                "defect_l1": self.outer.defect_l1,
-                "f": [int(x) for x in self.outer.f],
-            },
-            "theta": list(self.theta),
-            "weak_defect": self.weak_defect,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return _to_json(self)
 
 
 def _log10_or_none(value: float) -> float | None:

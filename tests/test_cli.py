@@ -170,6 +170,14 @@ class TestGenerate:
         assert code == 2
         assert "raise the grid cap" in err
 
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("grid=abc\n")
+        code, out, err = run(capsys, "generate", "random", "--config", str(cfg), "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid='abc': invalid literal for int()")
+        assert not (tmp_path / "random.field").exists()
+
 
 class TestEnergyAndReport:
     @pytest.fixture()
@@ -360,7 +368,8 @@ class TestSweep:
     ):
         """Three fixed kinds plus one branching field per eta: six pricings.
 
-        The golden file was written before the sweep reused per-field work.
+        The golden data rows were written before the sweep reused per-field
+        work; its header records every generator input the sweep read.
         """
         priced = []
         original = fourwell.cli.relaxed_elastic_energy
@@ -387,6 +396,49 @@ class TestSweep:
         golden = Path(__file__).parent / "data" / "sweep_grid32.csv"
         assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
         assert len(priced) == 6
+
+    def test_rerun_from_the_header_gives_the_same_bytes(self, tmp_path, capsys):
+        argv = ["sweep", "--grid", "32", "--kinds", "laminate,crossing-twin,branching,random"]
+        argv += ["--etas", "0.3,0.1,0.05", "--seed", "5", "--set", "stripes=4"]
+        assert run(capsys, *argv, "--out", str(tmp_path / "a"))[0] == 0
+        first = (tmp_path / "a" / "sweep.csv").read_text()
+        header = first[: first.index("# columns:")].splitlines()
+        keys = [line[2:].split("=", 1)[0] for line in header]
+        # Per-row and planned values (a branching row's eta, n-gen, w1) stay out.
+        assert keys == [
+            "axis", "beta", "etas", "feature-scale", "g-stripes", "grid",
+            "kinds", "lam", "mu", "seed", "stripes",
+        ]  # fmt: skip
+        assert "# grid=32" in header and "# stripes=4" in header
+        cfg = tmp_path / "header.cfg"
+        cfg.write_text("".join(line[2:] + "\n" for line in header))
+        assert run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "b"))[0] == 0
+        assert (tmp_path / "b" / "sweep.csv").read_text() == first
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--etas", ","], "no eta values in ','"),
+            (["--etas", "0.1", "--kinds", ","], "no generator kinds in ','"),
+            (["--etas", "0.1", "--kinds", "foo"], "unknown kind 'foo'; choose from constant,"),
+            (["--etas", "0.1", "--set", "stripes"], "--set expects key=value, got 'stripes'"),
+            (["--etas", "0.1", "--set", "stripes=x"], "stripes='x': invalid literal for int()"),
+            (["--etas", "0.1", "--set", "stripes=3", "--grid", "16"], "stripe count 3 must divide"),
+        ],
+        ids=["empty-etas", "empty-kinds", "unknown-kind", "set-without-equals", "set-bad-int", "stripes"],
+    )
+    def test_refusals_name_their_reason(self, tmp_path, capsys, argv, reason):
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {reason}")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_config_line_without_equals_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("grid 32\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert err == f"error: {cfg}: expected key=value, got 'grid 32'\n"
 
     def test_missing_etas_is_an_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--kinds", "laminate", "--out", str(tmp_path))
@@ -418,6 +470,21 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "positive multiple of 8" in err
+
+    def test_a_failing_check_exits_one(self, capsys, monkeypatch):
+        real = fourwell.cli.zigzag_potential
+
+        def flattened(k, grid):
+            pot = real(k, grid)
+            pot.grad_s[...] = 0.0
+            return pot
+
+        monkeypatch.setattr(fourwell.cli, "zigzag_potential", flattened)
+        code, out, _ = run(capsys, "verify", "--grid", "16")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "zigzag-gradient: FAIL (max |grad_s| deviation 5.00e-01)"
+        assert all(": PASS (" in line for line in lines[:-1])
 
     def test_help_states_the_grid_rule(self, capsys):
         code, out, _ = run(capsys, "verify", "--help")

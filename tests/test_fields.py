@@ -442,6 +442,9 @@ LAYOUT_MUTATIONS = {
     "form feed in a header value": lambda h, b, at: h[:-1] + "\x0c" + "x" * (at % 2) + "\n" + b,
     "carriage return in a header value": lambda h, b, at: h[:-1] + "\r" + "x" * (at % 2) + "\n" + b,
     "byte order mark": lambda h, b, at: "\ufeff" + h + b,
+    "unsorted keys": lambda h, b, at: "".join(reversed(h.splitlines(keepends=True))) + b,
+    "duplicate key": lambda h, b, at: edit_nth(h, ".*\n", r"\g<0>\g<0>", at) + b,
+    "leading zero in a size": lambda h, b, at: h.replace(f"# n{1 + at % 2}=", f"# n{1 + at % 2}=0") + b,
 }
 
 
@@ -529,6 +532,16 @@ class TestFileFormats:
         monkeypatch.setattr(fields, "PhaseField", Spy)
         field, _ = read_phase_field(DATA / "golden_7x9.field")
         assert field.labels.dtype == np.uint8 and field.labels is decoded[0]
+
+    @pytest.mark.parametrize("mutation", sorted(LAYOUT_MUTATIONS))
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_fast_path_takes_only_the_bytes_the_writer_writes(self, mutation, at):
+        head_end = GOLDEN_TEXT.index("\n1 ") + 1
+        head, body = GOLDEN_TEXT[:head_end], GOLDEN_TEXT[head_end:]
+        text = LAYOUT_MUTATIONS[mutation](head, body, at)
+        assert text != GOLDEN_TEXT
+        assert fields._read_canonical(text.encode("utf-8")) is None
+        assert fields._read_canonical(GOLDEN_TEXT.encode("utf-8")) is not None
 
     @pytest.mark.parametrize(
         "data, reason",

@@ -323,6 +323,16 @@ class TestRigidityReport:
         assert payload["outer"]["axis"] == "y1"
         assert len(payload["inner"]["g"]) == 64
 
+    def test_json_prints_signs_as_ints_and_profiles_as_floats(self):
+        grid = Grid(16, 16)
+        p = gen_crossing_twin("y2", stripe_profile(16, 2), stripe_profile(16, 8), grid)
+        report = rigidity_report(p, 1e-2)
+        payload = json.loads(report.to_json())
+        assert payload["outer"]["f"] == report.outer.f.tolist()
+        assert {type(x) for x in payload["outer"]["f"]} == {int}
+        assert {type(x) for x in payload["outer"]["F"] + payload["inner"]["g"]} == {float}
+        assert payload["energy"] == json.loads(report.energy.to_json())
+
     @pytest.mark.parametrize("axis", ["y1", "y2"])
     def test_json_carries_the_raw_weak_defect(self, axis):
         grid = Grid(64, 64)

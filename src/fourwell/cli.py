@@ -109,9 +109,19 @@ def _stripe_profile(n: int, stripes: int) -> np.ndarray:
 
 class _Resolver:
     """Merge CLI flags, config-file entries and defaults, recording each input
-    read in ``resolved`` and each value a generator derives in ``derived``."""
+    read in ``resolved`` and each value a generator derives in ``derived``.
+
+    A config key outside ``args.inputs``, the keys the command reads, is
+    refused by name; a key only another kind reads is accepted, so one config
+    can serve several kinds.
+    """
 
     def __init__(self, args: argparse.Namespace, config: Mapping[str, str]):
+        for key in sorted(config):
+            if key not in args.inputs:
+                raise ValueError(
+                    f"unknown config key {key!r}; choose from {', '.join(sorted(args.inputs))}"
+                )
         self.args = args
         self.config = config
         self.resolved: dict[str, str] = {}
@@ -130,8 +140,14 @@ class _Resolver:
         return value
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
+
+
 def _generate_field(kind: str, res: _Resolver, eta: float | None = None) -> PhaseField:
-    """The field of ``kind``; a given ``eta``, a sweep row's, replaces the branching input."""
+    """The field of ``kind``, one of ``KINDS``; a given ``eta``, a sweep row's,
+    replaces the branching input."""
     grid_n = res.get("grid", 128, int)
     if kind == "branching":
         if eta is None:
@@ -158,11 +174,10 @@ def _generate_field(kind: str, res: _Resolver, eta: float | None = None) -> Phas
         )
     if kind == "counterexample":
         return gen_counterexample(res.get("k", 2, int), grid)
-    if kind == "random":
-        seed = res.get("seed", 0, int)
-        scale = res.get("feature-scale", 0.125, float)
-        return gen_random_partition(seed, grid, feature_scale=scale)
-    raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
+    _check_kind(kind)  # random is the one kind left
+    seed = res.get("seed", 0, int)
+    scale = res.get("feature-scale", 0.125, float)
+    return gen_random_partition(seed, grid, feature_scale=scale)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -246,6 +261,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     kinds = [k.strip() for k in str(kinds_text).split(",") if k.strip()]
     if not kinds:
         raise ValueError(f"no generator kinds in {kinds_text!r}")
+    for kind in kinds:
+        _check_kind(kind)
 
     # One resolver records every generator input read; a branching row's eta
     # and what the planner derives from it are per row, and left out.
@@ -376,22 +393,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="rasterize a microstructure to disk")
     gen.add_argument("kind", choices=KINDS)
-    gen.add_argument("--grid", type=int, help="cells per side (branching: grid cap)")
     gen.add_argument("--out", default=".", help="output directory")
     gen.add_argument("--name", help="output basename (default: the kind)")
     gen.add_argument("--config", help="flat key=value config file")
-    gen.add_argument("--seed", type=int, help="seed for the random kind")
-    gen.add_argument("--phase", type=int, help="constant: phase label 1..4")
-    gen.add_argument("--axis", choices=("y1", "y2"), help="laminate axis")
-    gen.add_argument("--stripes", type=int, help="coarse stripe count")
-    gen.add_argument("--g-stripes", type=int, help="crossing-twin: fine stripe count")
-    gen.add_argument("--eta", type=float, help="branching: energy ratio to plan for")
-    gen.add_argument("--mu", type=float, help="branching: minority fraction")
-    gen.add_argument("--lam", type=float, help="branching: lower band height")
-    gen.add_argument("--beta", type=float, help="branching: height decay exponent")
-    gen.add_argument("--k", type=int, help="counterexample: oscillation index")
-    gen.add_argument("--feature-scale", type=float, help="random: block size")
-    gen.set_defaults(func=_cmd_generate)
+    # Generator inputs: each may also be given as a config key.
+    inputs = [
+        gen.add_argument("--grid", type=int, help="cells per side (branching: grid cap)"),
+        gen.add_argument("--seed", type=int, help="seed for the random kind"),
+        gen.add_argument("--phase", type=int, help="constant: phase label 1..4"),
+        gen.add_argument("--axis", choices=("y1", "y2"), help="laminate axis"),
+        gen.add_argument("--stripes", type=int, help="coarse stripe count"),
+        gen.add_argument("--g-stripes", type=int, help="crossing-twin: fine stripe count"),
+        gen.add_argument("--eta", type=float, help="branching: energy ratio to plan for"),
+        gen.add_argument("--mu", type=float, help="branching: minority fraction"),
+        gen.add_argument("--lam", type=float, help="branching: lower band height"),
+        gen.add_argument("--beta", type=float, help="branching: height decay exponent"),
+        gen.add_argument("--k", type=int, help="counterexample: oscillation index"),
+        gen.add_argument("--feature-scale", type=float, help="random: block size"),
+    ]
+    input_keys = frozenset(action.option_strings[0][2:] for action in inputs)
+    gen.set_defaults(func=_cmd_generate, inputs=input_keys)
 
     en = sub.add_parser("energy", help="energy breakdown of a stored field")
     en.add_argument("field", help="path to a .field file")
@@ -413,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--grid", type=int, help="cells per side (branching: grid cap)")
     sw.add_argument("--seed", type=int, help="seed for the random kind")
     sw.add_argument("--out", default=".", help="output directory")
-    sw.set_defaults(func=_cmd_sweep)
+    sw.set_defaults(func=_cmd_sweep, inputs=input_keys | {"kinds", "etas"})
 
     ver = sub.add_parser("verify", help="run built-in self-checks")
     ver.add_argument(

@@ -74,6 +74,16 @@ class Grid:
         return (np.arange(n) + 0.5) / n - 0.5
 
 
+# Rows per block wherever labels are made, written or read a block at a time:
+# a block's temporaries stay small beside the labels.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int):
+    """Slices of at most ``_BLOCK_ROWS`` consecutive indices covering ``range(n)``."""
+    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
+
+
 def _check_shape(grid: Grid, values: np.ndarray, what: str) -> None:
     if values.shape != grid.shape:
         raise ValueError(
@@ -134,9 +144,8 @@ class PhaseField:
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         _check_shape(self.grid, labels, "PhaseField.labels")
-        bad = (labels < 1) | (labels > 4)
-        if bad.any():
-            j, i = np.argwhere(bad)[0]
+        if labels.min() < 1 or labels.max() > 4:  # the mask is built only to name the cell
+            j, i = np.argwhere((labels < 1) | (labels > 4))[0]
             raise ValueError(f"phase label out of range 1..4 at cell ({j}, {i}): {labels[j, i]}")
         object.__setattr__(self, "labels", labels.astype(np.uint8, copy=False))
 
@@ -212,10 +221,17 @@ def _from_signs(grid: Grid, chi1t, chi3t) -> PhaseField:
 
     Only the signs of the two inputs are read, and each may be anything that
     broadcasts to ``grid.shape``: a scalar, a column, a row or a full array
-    of any real dtype.
+    of any real dtype.  The labels are the one full-size array made: they are
+    filled a row block at a time.
     """
-    index = np.add(np.less(chi1t, 0) * np.uint8(2), np.less(chi3t, 0), order="C", dtype=np.uint8)
-    return PhaseField(grid, _LABEL_OF_SIGNS[np.broadcast_to(index, grid.shape)])
+    chi1t = np.broadcast_to(chi1t, grid.shape)
+    chi3t = np.broadcast_to(chi3t, grid.shape)
+    labels = np.empty(grid.shape, dtype=np.uint8)
+    for rows in _row_blocks(grid.n1):
+        index = np.less(chi1t[rows], 0) * np.uint8(2)
+        index += np.less(chi3t[rows], 0)
+        np.take(_LABEL_OF_SIGNS, index, out=labels[rows], mode="clip")  # index is 0..3
+    return PhaseField(grid, labels)
 
 
 def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:
@@ -295,9 +311,10 @@ def shear_resample(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Each format is written down once, by its writer.  Both writers build their
-# body as one numpy byte array: PhaseField guarantees labels 1..4, so each cell
-# is one digit in a .field file and one table token in a PGM image.
+# Each format is written down once, by its writer.  Both writers build the
+# header first, so a refused one writes nothing, then write the body a row
+# block at a time: PhaseField guarantees labels 1..4, so each cell is one digit
+# in a .field file and one table token in a PGM image.
 
 _HEADER_KEY = r"[A-Za-z0-9_.\-]+"
 _HEADER_RE = re.compile(rf"^# ({_HEADER_KEY})=(.*)$")
@@ -341,7 +358,8 @@ def _field_head(grid: Grid, header: Mapping[str, object]) -> bytes:
 
 
 def _field_rows(labels: np.ndarray) -> np.ndarray:
-    """The (n1, 2·n2) bytes of a .field file's rows: digits, single spaces, LF row ends."""
+    """The (rows, 2·n2) bytes of a .field file's rows of ``labels``: digits,
+    single spaces, LF row ends."""
     n1, n2 = labels.shape
     rows = np.full((n1, 2 * n2), ord(" "), dtype=np.uint8)
     rows[:, 0::2] = labels + ord("0")
@@ -359,8 +377,16 @@ def write_phase_field(
     may hold no line break, so every accepted header reads back unchanged.
     The file is UTF-8, one digit per cell, single spaces and LF line ends;
     output is byte-deterministic for equal inputs.
+
+    The header is checked before the file is opened, so a refused one leaves
+    ``path`` as it was; the rows are then encoded and written a block at a
+    time.
     """
-    Path(path).write_bytes(_field_head(p.grid, header or {}) + _field_rows(p.labels).tobytes())
+    head = _field_head(p.grid, header or {})
+    with open(path, "wb") as out:
+        out.write(head)
+        for rows in _row_blocks(p.grid.n1):
+            out.write(_field_rows(p.labels[rows]))
 
 
 def read_phase_field(path: str | Path) -> tuple[PhaseField, dict[str, str]]:
@@ -395,7 +421,9 @@ def _read_canonical(data: bytes) -> tuple[PhaseField, dict[str, str]] | None:
         grid = Grid(int(header.get("n1", "")), int(header.get("n2", "")))
         rows = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(grid.n1, 2 * grid.n2)
         field = PhaseField(grid, rows[:, 0::2] - np.uint8(ord("0")))
-        if _field_head(grid, header) == data[:pos] and (_field_rows(field.labels) == rows).all():
+        if _field_head(grid, header) == data[:pos] and all(
+            np.array_equal(_field_rows(field.labels[b]), rows[b]) for b in _row_blocks(grid.n1)
+        ):
             return field, header
     except ValueError:  # not bytes the writer could have written
         pass
@@ -436,10 +464,13 @@ def write_pgm(path: str | Path, p: PhaseField) -> None:
     Labels 1..4 map to gray levels 0, 85, 170, 255.  Image columns follow the
     first coordinate and rows the second, with the top row at the largest
     second coordinate so the picture matches the usual orientation.
+    Image rows are encoded and written a block at a time.
     """
     image = p.labels.T[::-1, :]
     height, width = image.shape
-    tokens = _PGM_TOKENS[0, image]
-    tokens[:, -1] = _PGM_TOKENS[1, image[:, -1]]
-    body = tokens.tobytes().translate(None, b"\0")  # drop the zero padding
-    Path(path).write_bytes(f"P2\n{width} {height}\n255\n".encode() + body)
+    with open(path, "wb") as out:
+        out.write(f"P2\n{width} {height}\n255\n".encode())
+        for rows in _row_blocks(height):
+            tokens = _PGM_TOKENS[0, image[rows]]
+            tokens[:, -1] = _PGM_TOKENS[1, image[rows, -1]]
+            out.write(tokens.tobytes().translate(None, b"\0"))  # drop the zero padding

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, PhaseField, _from_signs, shear_resample
+from .fields import Grid, PhaseField, _from_signs, _row_blocks, shear_resample
 from .model import _check_eta
 
 __all__ = [
@@ -339,7 +339,7 @@ def gen_branching(p: BranchingParams, grid: Grid) -> PhaseField:
 
     # chi1t is -1 on the lower band and +1 on the upper one, and chi2t = -sigma.
     band = np.where(np.arange(n2) < 2 * half_rows["lower"], np.int8(-1), np.int8(1))
-    return _from_signs(grid, band, -band * sigma)
+    return _from_signs(grid, band, np.multiply(sigma, -band, out=sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +375,9 @@ def _slope_sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _zigzag_phase(k: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _zigzag_phase(k: int, grid: Grid, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Wrapped ``k s`` (one column) and the k-th zigzag's wrapped phase
-    ``k^2 t + |wrapped k s|``.
+    ``k^2 t + |wrapped k s|`` on the axis-0 ``rows`` of ``grid``.
 
     Requires n2 >= 8 k^2 to resolve the fast oscillation.
     """
@@ -387,7 +387,7 @@ def _zigzag_phase(k: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"n2 = {grid.n2} cannot resolve the fast direction; need n2 >= 8 k^2 = {8 * k * k}"
         )
-    ks_wrapped = _wrap(k * grid.axis_coords(0)[:, None])
+    ks_wrapped = _wrap(k * grid.axis_coords(0)[rows, None])
     return ks_wrapped, _wrap(k * k * grid.axis_coords(1)[None, :] + np.abs(ks_wrapped))
 
 
@@ -413,8 +413,13 @@ def gen_counterexample(k: int, grid: Grid) -> PhaseField:
     The first indicator slot is the t-slope of :func:`zigzag_potential`, the
     in-plane one a symmetric two-stripe profile in s, and the second slot
     their product, so the triple is admissible.  Requires n2 >= 8 k^2.
+
+    The float phase is computed a row block at a time, so the int8 first
+    slot and the labels are the only full-size arrays.
     """
-    chi1 = np.where(_zigzag_phase(k, grid)[1] >= 0.0, np.int8(-1), np.int8(1))
+    chi1 = np.empty(grid.shape, dtype=np.int8)
+    for rows in _row_blocks(grid.n1):
+        chi1[rows] = np.where(_zigzag_phase(k, grid, rows)[1] >= 0.0, np.int8(-1), np.int8(1))
     return _from_signs(grid, chi1, _slope_sign(grid.axis_coords(0))[:, None])
 
 

@@ -178,6 +178,40 @@ class TestGenerate:
         assert err.startswith("error: grid='abc': invalid literal for int()")
         assert not (tmp_path / "random.field").exists()
 
+    @pytest.mark.parametrize(
+        "key", ["strips", "stripe", "kinds", "out", "kind", "n1", "n2", "n-gen", "w1"]
+    )
+    def test_config_key_no_generator_reads_is_refused_by_name(self, tmp_path, capsys, key):
+        """Misspelt keys, sweep-only keys, output options and the keys a .field
+        header adds (kind, n1, n2, n-gen, w1) are not generator inputs."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"grid=16\n{key}=4\n")
+        argv = ["generate", "laminate", "--config", str(cfg), "--out", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown config key {key!r}; choose from axis, beta, eta,")
+        assert not (tmp_path / "laminate.field").exists()
+
+    def test_config_keys_of_other_kinds_are_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("grid=16\nstripes=4\nk=2\nseed=3\neta=0.5\nfeature-scale=0.25\n")
+        argv = ["generate", "laminate", "--config", str(cfg), "--out", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        _, header = read_phase_field(tmp_path / "laminate.field")
+        assert header == {
+            "axis": "y1", "grid": "16", "kind": "laminate", "n1": "16", "n2": "16", "stripes": "4"
+        }  # fmt: skip
+
+    def test_every_generator_option_is_a_config_key(self):
+        """The accepted keys are the generate options, less --out, --name and --config."""
+        parser = fourwell.cli.build_parser()
+        generate = parser.parse_args(["generate", "constant"])
+        options = {dest.replace("_", "-") for dest in vars(generate)}
+        not_inputs = {"command", "kind", "func", "inputs", "out", "name", "config"}
+        assert generate.inputs == options - not_inputs
+        sweep = parser.parse_args(["sweep"])
+        assert sweep.inputs == generate.inputs | {"kinds", "etas"}
+
 
 class TestEnergyAndReport:
     @pytest.fixture()
@@ -424,14 +458,27 @@ class TestSweep:
             (["--etas", "0.1", "--set", "stripes"], "--set expects key=value, got 'stripes'"),
             (["--etas", "0.1", "--set", "stripes=x"], "stripes='x': invalid literal for int()"),
             (["--etas", "0.1", "--set", "stripes=3", "--grid", "16"], "stripe count 3 must divide"),
+            (["--etas", "0.1", "--set", "stripe=4"], "unknown config key 'stripe'; choose from"),
         ],
-        ids=["empty-etas", "empty-kinds", "unknown-kind", "set-without-equals", "set-bad-int", "stripes"],
+        ids=[
+            "empty-etas", "empty-kinds", "unknown-kind", "set-without-equals", "set-bad-int",
+            "stripes", "set-unknown-key",
+        ],  # fmt: skip
     )
     def test_refusals_name_their_reason(self, tmp_path, capsys, argv, reason):
         code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {reason}")
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unknown_kind_is_refused_before_any_field_is_built(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("_generate_field", "relaxed_elastic_energy"):
+            monkeypatch.setattr(fourwell.cli, name, lambda *args, _name=name: calls.append(_name))
+        argv = ["--kinds", "laminate,crossing-twin,random,foo", "--etas", "0.1", "--grid", "16"]
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path))
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: unknown kind 'foo'; choose from constant,")
 
     def test_config_line_without_equals_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

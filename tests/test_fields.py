@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fourwell import fields
+from fourwell.fields import _BLOCK_ROWS as BLOCK_ROWS
 from fourwell.fields import (
     Grid,
     ModifiedIndicators,
@@ -163,7 +164,9 @@ class TestFromSigns:
         c1, c3 = (np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in (c1, c3))
         return from_modified(ModifiedIndicators(grid, c1, c1 * c3, c3)).labels
 
-    @pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9), (9, 4)])
+    @pytest.mark.parametrize(
+        "shape", [(7, 7), (8, 8), (6, 9), (9, 4), (BLOCK_ROWS + 1, 3), (2 * BLOCK_ROWS + 3, 5)]
+    )
     @pytest.mark.parametrize("dtype", [np.float64, np.int8])
     def test_full_sign_fields(self, shape, dtype):
         grid = Grid(*shape)
@@ -448,6 +451,71 @@ LAYOUT_MUTATIONS = {
 }
 
 
+def one_shot_field(p, header):
+    """The .field bytes of ``p`` built in one piece: the oracle of the blocked writer."""
+    n1, n2 = p.grid.shape
+    head = "".join(f"# {k}={v}\n" for k, v in sorted({**header, "n1": n1, "n2": n2}.items()))
+    body = "".join(" ".join(map(str, row)) + "\n" for row in p.labels.tolist())
+    return (head + body).encode("utf-8")
+
+
+def one_shot_pgm(p):
+    """The PGM bytes of ``p`` built in one piece: the oracle of the blocked writer."""
+    n1, n2 = p.grid.shape
+    image = p.labels.T[::-1].tolist()
+    body = "".join(" ".join(str(85 * (label - 1)) for label in row) + "\n" for row in image)
+    return f"P2\n{n1} {n2}\n255\n{body}".encode("ascii")
+
+
+# Shapes whose rows (.field) or columns (PGM image rows) end a block early,
+# on, just after and two blocks after a block edge.
+BLOCK_EDGES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+BLOCK_SHAPES = [(2, 2), (7, 9), (3, 10), (10, 3)]
+BLOCK_SHAPES += [(n, 5) for n in BLOCK_EDGES] + [(5, n) for n in BLOCK_EDGES]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_blocked_writers_equal_the_one_shot_encoding(self, tmp_path, shape):
+        labels = np.random.default_rng(sum(shape)).integers(1, 5, shape)
+        field = PhaseField(Grid(*shape), labels)
+        write_phase_field(tmp_path / "w.field", field, GOLDEN_HEADER)
+        write_pgm(tmp_path / "w.pgm", field)
+        assert (tmp_path / "w.field").read_bytes() == one_shot_field(field, GOLDEN_HEADER)
+        assert (tmp_path / "w.pgm").read_bytes() == one_shot_pgm(field)
+
+    @pytest.mark.parametrize("n1", BLOCK_EDGES)
+    def test_fast_path_compares_every_block(self, n1):
+        """A same-length edit in the last row of any block sends the file to the
+        general parser."""
+        field = PhaseField(Grid(n1, 3), np.random.default_rng(n1).integers(1, 5, (n1, 3)))
+        data = one_shot_field(field, {})
+        assert fields._read_canonical(data) is not None
+        body = data.index(b"\n", data.index(b"# n2=")) + 1
+        for j in sorted({*range(BLOCK_ROWS - 1, n1, BLOCK_ROWS), n1 - 1}):
+            at = body + 6 * j + 1  # the space after row j's first label
+            assert fields._read_canonical(data[:at] + b"\t" + data[at + 1 :]) is None
+
+    def test_a_refused_header_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "x.field"
+        path.write_bytes(b"# n1=2\n# n2=2\n1 2\n3 4\n")
+        for header in ({"n1": "99"}, {"note": "a\nb"}, {"my key": "1"}):
+            with pytest.raises(ValueError):
+                write_phase_field(path, golden_field(), header)
+            assert path.read_bytes() == b"# n1=2\n# n2=2\n1 2\n3 4\n"
+
+    def test_writers_and_reader_hold_little_beside_the_labels(self, tmp_path, float_fields_peak):
+        """Writing holds one block; reading holds the file's bytes (2 bytes a
+        cell), the uint8 labels (1 byte) and one block."""
+        grid = Grid(512, 512)
+        labels = np.random.default_rng(0).integers(1, 5, grid.shape, dtype=np.uint8)
+        field = PhaseField(grid, labels)
+        path = tmp_path / "p.field"
+        assert float_fields_peak(lambda: write_phase_field(path, field, {"k": "v"}), grid) <= 0.1
+        assert float_fields_peak(lambda: write_pgm(tmp_path / "p.pgm", field), grid) <= 0.25
+        assert float_fields_peak(lambda: read_phase_field(path), grid) <= 0.5
+
+
 class TestFileFormats:
     def test_writers_reproduce_the_golden_bytes(self, tmp_path):
         write_phase_field(tmp_path / "g.field", golden_field(), GOLDEN_HEADER)
@@ -505,7 +573,9 @@ class TestFileFormats:
         assert back == {"n1": "7", "n2": "9", **header}
         assert np.array_equal(field.labels, golden_field().labels)
 
-    @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (3, 10), (2, 2)])
+    @pytest.mark.parametrize(
+        "shape", [(5, 7), (6, 8), (3, 10), (2, 2), (BLOCK_ROWS + 1, 3), (2 * BLOCK_ROWS + 3, 2)]
+    )
     def test_writer_output_never_reaches_the_general_parser(self, tmp_path, monkeypatch, shape):
         def refuse(text):
             raise AssertionError("the writer's layout reached the general parser")

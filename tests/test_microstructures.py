@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import fourwell.microstructures
 from fourwell.cli import main
 from fourwell.energy import relaxed_elastic_energy, surface_energy
+from fourwell.fields import _BLOCK_ROWS as BLOCK_ROWS
 from fourwell.fields import Grid, to_modified, volume_fractions
 from fourwell.microstructures import (
     BranchingParams,
@@ -302,15 +303,23 @@ class TestCounterexample:
                 build(0, Grid(16, 16))
 
     def test_field_is_built_in_few_full_size_arrays(self, float_fields_peak):
-        """The field alone is built; the potential's arrays are never sampled."""
+        """The field alone is built; the potential's arrays are never sampled,
+        and no full-size float array is made."""
         grid = Grid(512, 512)
-        assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 6.0
+        assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 1.0
 
     def test_signs_are_int8_beside_one_float_phase(self, float_fields_peak):
-        """Only the wrapped phase and its rounding are float64; the sign field
-        handed to the label rule is int8."""
+        """The float phase lives one row block at a time; the int8 first slot
+        and the uint8 labels are the full-size arrays."""
         grid = Grid(512, 512)
-        assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 2.5
+        assert float_fields_peak(lambda: gen_counterexample(4, grid), grid) <= 0.5
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, BLOCK_ROWS + 3])
+    def test_row_blocks_give_the_potential_slope(self, offset):
+        """Across row blocks, the first slot is still the potential's t-slope."""
+        grid = Grid(BLOCK_ROWS + offset, 32)
+        m = to_modified(gen_counterexample(2, grid))
+        assert np.array_equal(m.chi1t, zigzag_potential(2, grid).grad_t)
 
     def test_generate_never_samples_the_potential(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -325,35 +334,38 @@ class TestCounterexample:
     "build, bound",
     [
         pytest.param(
-            lambda g: gen_laminate("y1", stripe_profile(g.n1, 4), g), 2.0, id="laminate-y1"
+            lambda g: gen_laminate("y1", stripe_profile(g.n1, 4), g), 0.35, id="laminate-y1"
         ),
         pytest.param(
-            lambda g: gen_laminate("y2", stripe_profile(g.n2, 4), g), 2.0, id="laminate-y2"
+            lambda g: gen_laminate("y2", stripe_profile(g.n2, 4), g), 0.35, id="laminate-y2"
         ),
         pytest.param(
             lambda g: gen_crossing_twin("y1", stripe_profile(g.n1, 2), stripe_profile(g.n2, 8), g),
-            2.0,
+            0.5,
             id="crossing-twin-y1",
         ),
         pytest.param(
             lambda g: gen_crossing_twin("y2", stripe_profile(g.n2, 2), stripe_profile(g.n1, 8), g),
-            2.0,
+            0.65,
             id="crossing-twin-y2",
         ),
-        pytest.param(lambda g: gen_random_partition(1, g), 1.5, id="random"),
+        pytest.param(lambda g: gen_random_partition(1, g), 0.25, id="random"),
     ],
 )
 def test_labels_are_built_in_few_full_size_arrays(float_fields_peak, build, bound):
     """Labels come from two signs (random: from its blocks), with no float
-    indicator fields and no copy of the labels."""
+    indicator fields and no copy of the labels.  Besides the uint8 labels
+    (1/8 of the unit) only a twin's int8 signs are full size, and the label
+    rule's temporaries live one row block at a time."""
     build(Grid(16, 16))  # first-call allocations (numpy's random state) are not the field's
     grid = Grid(512, 512)
     assert float_fields_peak(lambda: build(grid), grid) <= bound
 
 
 def test_branching_is_built_in_few_full_size_arrays(float_fields_peak):
+    """The int8 stripe signs are turned into the second slot in place."""
     params, grid = plan_branching(1e-2, max_grid=512)
-    assert float_fields_peak(lambda: gen_branching(params, grid), grid) <= 2.5
+    assert float_fields_peak(lambda: gen_branching(params, grid), grid) <= 0.5
 
 
 class TestRandomPartition:

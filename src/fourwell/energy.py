@@ -8,6 +8,13 @@ solution reduces to a two-term multiplier acting on the indicator
 coefficients.  An independent brute-force oracle for the same minimum lives
 in :mod:`fourwell.spectral` so the algebra here never checks itself.
 
+The relaxed energy is priced by a blocked pass: the spectral core's blocked
+transforms give each half spectrum, and the multiplier's two steps,
+``_shear`` and ``_finish``, run a row block at a time with the block's own
+frequencies.  Column sums run in row order, so the energy is the whole-array
+pass's float exactly, with at most two half spectra and one half-size float
+term alive.
+
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
 elastic energy by ``eta^(-2/3)``; cube roots are taken with ``np.cbrt`` so
 scaling ``eta`` by 8 shifts the two weights by exact binary factors.
@@ -26,6 +33,7 @@ from .fields import (
     PhaseField,
     ScalarField,
     _jump_mass,
+    _row_blocks,
     to_modified,
 )
 from .model import MaterialParams, _check_eta
@@ -176,7 +184,8 @@ def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
     on every grid.
 
     The shear term is formed and c1, c2 freed before chi3t is transformed, so
-    at most two half spectra are alive at once.
+    at most two half spectra and one half-size float term are alive at once;
+    the per-mode work runs a row block at a time.
     """
     c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
     shear = _shear(c1, c2, m.grid)
@@ -189,43 +198,52 @@ def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
 
     ``d1, d2`` are the derivative frequencies, zero at unpaired modes.  The
     inputs are left as they are; the result is a new half-size float array
-    for :func:`_finish`.
+    for :func:`_finish`, filled a row block at a time.
     """
-    k1, k2 = _freqs(grid)
-    d1, d2 = _deriv_freqs(grid)  # the sign-sensitive term averages to 0 at unpaired modes
-    shear = _sq(c1)
-    np.multiply(k1**2, shear, out=shear)
-    term = _sq(c2)
-    np.multiply(k2**2, term, out=term)
-    shear += term
-    np.multiply(2.0 * d1, d2, out=term)
-    term *= _re_dot(c2, c1)
-    shear -= term
+    shear = np.empty(c1.shape)
+    for rows in _row_blocks(grid.n1):
+        k1, k2 = _freqs(grid, rows)
+        # The sign-sensitive term averages to 0 at unpaired modes.
+        d1, d2 = _deriv_freqs(grid, rows)
+        a, b, out = c1[rows], c2[rows], shear[rows]
+        _sq(a, out=out)
+        np.multiply(k1**2, out, out=out)
+        term = _sq(b)
+        np.multiply(k2**2, term, out=term)
+        out += term
+        np.multiply(2.0 * d1, d2, out=term)
+        term *= _re_dot(b, a)
+        out -= term
     return shear
 
 
 def _finish(shear: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
     """Second step of the multiplier: sum ``2 (|k|^2 shear + 2 k1^2 k2^2 |c3|^2) / |k|^4``.
 
-    Consumes ``shear``, which is overwritten with the per-mode energy; ``c3``
-    is left as it is.
+    Consumes ``shear``, which is overwritten with the per-mode energy a row
+    block at a time; ``c3`` is left as it is.  Every frequency factor is 0 at
+    the mean mode, so it adds exactly 0.
     """
-    k1, k2 = _freqs(grid)
-    ksq = _ksq(grid)
-    cross = _sq(c3)
-    np.multiply(2.0 * (k1**2) * (k2**2), cross, out=cross)
-    per_mode = shear
-    per_mode *= ksq
-    per_mode += cross
-    per_mode *= 2.0
-    per_mode /= ksq**2
-    per_mode[0, 0] = 0.0
-    return _fold_sum(per_mode, grid)
+
+    def per_mode():
+        for rows in _row_blocks(grid.n1):
+            k1, k2 = _freqs(grid, rows)
+            ksq = _ksq(grid, rows)
+            cross = _sq(c3[rows])
+            np.multiply(2.0 * (k1**2) * (k2**2), cross, out=cross)
+            block = shear[rows]
+            block *= ksq
+            block += cross
+            block *= 2.0
+            block /= ksq**2
+            yield block
+
+    return _fold_sum(per_mode(), grid)
 
 
-def _sq(c: np.ndarray) -> np.ndarray:
-    """``|c|^2`` without a square root, as a new array."""
-    out = np.square(c.real)
+def _sq(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``|c|^2`` without a square root, in ``out`` or a new array."""
+    out = np.square(c.real, out=out)
     out += np.square(c.imag)
     return out
 

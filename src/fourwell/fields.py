@@ -74,8 +74,9 @@ class Grid:
         return (np.arange(n) + 0.5) / n - 0.5
 
 
-# Rows per block wherever labels are made, written or read a block at a time:
-# a block's temporaries stay small beside the labels.
+# Rows (or columns) per block wherever labels are made, expanded, written or
+# read, or a transform is taken, a block at a time: a block's temporaries stay
+# small beside the full-size arrays.
 _BLOCK_ROWS = 64
 
 
@@ -184,10 +185,14 @@ for _phase, _t in enumerate(ADMISSIBLE_TUPLES, start=1):
 def to_modified(p: PhaseField) -> ModifiedIndicators:
     """Expand phase labels into their sign triples.
 
-    Each slot is its own contiguous int8 array of ±1, built one at a time:
-    an eighth of the memory of a float64 field.
+    Each slot is its own contiguous int8 array of ±1, an eighth of the memory
+    of a float64 field, filled a row block at a time so the labels are never
+    widened to a full-size index array.
     """
-    slots = [np.take(row, p.labels) for row in _SLOT_OF_LABEL]
+    slots = [np.empty(p.grid.shape, dtype=np.int8) for _ in _SLOT_OF_LABEL]
+    for rows in _row_blocks(p.grid.n1):
+        for table, slot in zip(_SLOT_OF_LABEL, slots):
+            np.take(table, p.labels[rows], out=slot[rows], mode="clip")  # labels are 1..4
     return ModifiedIndicators(p.grid, *slots)
 
 
@@ -209,28 +214,31 @@ def from_modified(m: ModifiedIndicators) -> PhaseField:
     return _from_signs(m.grid, c1, c3)
 
 
-# Label of the admissible triple with signs chi1t, chi3t, indexed by
-# 2 * (chi1t < 0) + (chi3t < 0).
-_LABEL_OF_SIGNS = np.zeros(4, dtype=np.uint8)
-for _phase, (_c1, _, _c3) in enumerate(ADMISSIBLE_TUPLES, start=1):
-    _LABEL_OF_SIGNS[2 * (_c1 < 0) + (_c3 < 0)] = _phase
+# Label of the admissible triple with signs chi1t (row 0) or chi2t (row 1)
+# and chi3t, indexed by 2 * (that slot < 0) + (chi3t < 0).
+_LABEL_OF_SIGNS = np.zeros((2, 4), dtype=np.uint8)
+for _phase, _t in enumerate(ADMISSIBLE_TUPLES, start=1):
+    for _slot in (0, 1):
+        _LABEL_OF_SIGNS[_slot, 2 * (_t[_slot] < 0) + (_t[2] < 0)] = _phase
 
 
-def _from_signs(grid: Grid, chi1t, chi3t) -> PhaseField:
+def _from_signs(grid: Grid, chi1t, chi3t, slot: int = 1) -> PhaseField:
     """Labels of the admissible triples (chi1t, chi1t * chi3t, chi3t).
 
     Only the signs of the two inputs are read, and each may be anything that
     broadcasts to ``grid.shape``: a scalar, a column, a row or a full array
-    of any real dtype.  The labels are the one full-size array made: they are
-    filled a row block at a time.
+    of any real dtype.  With ``slot=2`` the first input holds chi2t instead
+    (an admissible triple is fixed by any two of its signs).  The labels are
+    the one full-size array made: they are filled a row block at a time.
     """
     chi1t = np.broadcast_to(chi1t, grid.shape)
     chi3t = np.broadcast_to(chi3t, grid.shape)
+    table = _LABEL_OF_SIGNS[slot - 1]
     labels = np.empty(grid.shape, dtype=np.uint8)
     for rows in _row_blocks(grid.n1):
         index = np.less(chi1t[rows], 0) * np.uint8(2)
         index += np.less(chi3t[rows], 0)
-        np.take(_LABEL_OF_SIGNS, index, out=labels[rows], mode="clip")  # index is 0..3
+        np.take(table, index, out=labels[rows], mode="clip")  # index is 0..3
     return PhaseField(grid, labels)
 
 

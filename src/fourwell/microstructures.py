@@ -94,11 +94,12 @@ def _placed(axis: str, along: Grid, chi1t: np.ndarray | int, chi3t: np.ndarray) 
     turned to be normal to ``axis``.
 
     The turn is the model's transpose (see ``fields._transposed``): it swaps
-    the axes and the slots chi1t and chi2t = chi1t * chi3t.
+    the axes and the slots chi1t and chi2t, so the turned structure's chi2t
+    is ``chi1t`` turned, and no product field is made.
     """
     if axis == "y1":
         return _from_signs(along, chi1t, chi3t)
-    return _from_signs(Grid(along.n2, along.n1), (chi1t * chi3t).T, chi3t.T)
+    return _from_signs(Grid(along.n2, along.n1), np.transpose(chi1t), chi3t.T, slot=2)
 
 
 def gen_laminate(axis: str, profile: np.ndarray, grid: Grid) -> PhaseField:

@@ -6,6 +6,12 @@ along the sheared characteristics of the outer one.  The extractors below
 recover those profiles from any admissible field and report the defects,
 which the energy controls from below.  Everything here is read-only
 diagnostics: no generator imports this module.
+
+The transform-heavy steps of a report stream through the spectral core's row
+and column blocks: the pricing pass shares :mod:`fourwell.energy`'s blocked
+multiplier, the characteristic residual sums its squares over row blocks of
+the two derivatives, and the weak defect transforms row blocks of its
+differences made on demand, so none of them holds a full-size real array.
 """
 
 from __future__ import annotations
@@ -32,10 +38,11 @@ from .microstructures import staircase_shifts
 from .model import _check_eta
 from .spectral import (
     _coeffs,
-    _derivative,
+    _deriv_coeffs,
+    _full1_norm,
     _potential,
     _profile_derivative,
-    neg_sobolev_norm,
+    _value_rows,
 )
 
 __all__ = [
@@ -96,7 +103,7 @@ def extract_outer(m: ModifiedIndicators) -> OuterProfile:
 def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
     """Sign profile along axis 0 of ``chi3t``, recorded as the outer ``axis``."""
     f = np.where(chi3t.mean(axis=1) >= 0.0, 1, -1)
-    deviation = np.subtract(chi3t, f[:, None])
+    deviation = np.subtract(chi3t, f[:, None], dtype=chi3t.dtype)  # int8 slots stay int8
     defect = float(np.abs(deviation, out=deviation).mean())
     n_along, n_trans = chi3t.shape
     return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
@@ -216,14 +223,22 @@ def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:
 def _transport_residual(c: np.ndarray, grid: Grid, outer: OuterProfile) -> float:
     """:func:`characteristic_residual` of the field with coefficients ``c``.
 
-    Consumes ``c``: the second derivative is formed in its buffer.
+    Consumes ``c``: the second derivative is formed in its buffer.  The two
+    derivatives come back as row blocks and the squares are summed block by
+    block, so no full-size real array is made.
     """
-    along, across = _derivative(c, grid, 0), _derivative(c, grid, 1, out=c)
-    if outer.axis == "y2":  # the transposed view puts the outer axis on axis 0
-        along, across = across.T, along.T
-    np.multiply(outer.f[:, None], across, out=across)
-    resid = np.subtract(along, across, out=along)
-    return float(np.sqrt(np.mean(np.square(resid, out=resid))))
+    first = _value_rows(_deriv_coeffs(c, grid, 0), grid.shape)
+    second = _value_rows(_deriv_coeffs(c, grid, 1, out=c), grid.shape)
+    total = 0.0
+    for (rows, d1), (_, d2) in zip(first, second):
+        if outer.axis == "y1":
+            along, across, f = d1, d2, outer.f[rows, None]
+        else:  # the outer axis is axis 1 of these blocks
+            along, across, f = d2, d1, outer.f[None, :]
+        np.multiply(f, across, out=across)
+        resid = np.subtract(along, across, out=along)
+        total += float(np.square(resid, out=resid).sum())
+    return math.sqrt(total / (grid.n1 * grid.n2))
 
 
 @dataclass(frozen=True)
@@ -255,7 +270,8 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
     The template is the spectral transverse derivative of the periodic
     midpoint primitive of the inner profile, carried along the staircase
     shear; both components are compared in the inhomogeneous first-order
-    negative norm and combined in quadrature.
+    negative norm and combined in quadrature.  Template rows and the
+    differences are made one row block at a time, as the transform reads them.
     """
     shifts = _integer_shifts(outer, m.grid)
     c = _canonical(m, outer)
@@ -264,11 +280,20 @@ def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
     primitive = (np.cumsum(gm) - 0.5 * gm) / c.grid.n2
     deriv = _profile_derivative(primitive)
 
-    template = shear_resample(np.broadcast_to(deriv[None, :], c.grid.shape), shifts)
-    gap_primary = neg_sobolev_norm(ScalarField(c.grid, c.chi1t - template), "full1")
-    template *= outer.f[:, None]
-    np.subtract(c.chi2t, template, out=template)
-    gap_product = neg_sobolev_norm(ScalarField(c.grid, template), "full1")
+    def template(rows: slice) -> np.ndarray:
+        block = shifts[rows]
+        return shear_resample(np.broadcast_to(deriv, (block.size, deriv.size)), block)
+
+    def primary(rows: slice) -> np.ndarray:
+        return c.chi1t[rows] - template(rows)
+
+    def product(rows: slice) -> np.ndarray:
+        t = template(rows)
+        t *= outer.f[rows, None]
+        return np.subtract(c.chi2t[rows], t, out=t)
+
+    gap_primary = _full1_norm(_coeffs(primary, c.grid.shape), c.grid)
+    gap_product = _full1_norm(_coeffs(product, c.grid.shape), c.grid)
     return float(math.hypot(gap_primary, gap_product))
 
 
@@ -276,8 +301,9 @@ def _spectral_pass(m: ModifiedIndicators, outer: OuterProfile) -> tuple[float, f
     """Relaxed elastic energy and the characteristic residual of the Helmholtz
     potential of (chi2t, chi1t), from one transform of each indicator.
 
-    The order keeps at most two half spectra alive: the shear term, then the
-    potential in c2's buffer, and only then the transform of chi3t.
+    The order keeps at most two half spectra and the half-size shear term
+    alive: the shear term, then the potential in c2's buffer, and only then
+    the transform of chi3t.
     """
     c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
     shear = _shear(c1, c2, m.grid)

@@ -1,8 +1,8 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
-The private core (``_coeffs``, ``_values``, ``_half``, ``_freqs``,
-``_deriv_freqs``, ``_ksq``, ``_drop``, ``_fold_sum``) is the only owner of the
-package's Fourier conventions:
+The private core (``_coeffs``, ``_value_rows``, ``_values``, ``_half``,
+``_freqs``, ``_deriv_freqs``, ``_ksq``, ``_drop``, ``_fold_sum``) is the only
+owner of the package's Fourier conventions and of how transforms are blocked:
 
 * Every field is real, so only half of its spectrum is stored: coefficients
   are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
@@ -22,8 +22,17 @@ package's Fourier conventions:
   projections and potentials, whose multipliers hold odd powers of k.
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
   set to 1; derivatives carry the physical factor ``2 pi i k``.
+* Blocks: ``_coeffs`` and ``_value_rows`` take the row and column passes of a
+  2-D transform a block of ``fields._BLOCK_ROWS`` rows or columns at a time,
+  so the only full-size array a transform makes is its half spectrum, and
+  each equals numpy's ``rfft2`` / ``irfft2`` bit for bit.  ``_coeffs`` can
+  read its input as row blocks made on demand, and ``_value_rows`` hands its
+  output over as row blocks, so callers that only reduce a field never hold
+  it whole.  The frequency helpers and ``_drop`` take a row slice, and
+  ``_fold_sum`` takes row blocks, so per-mode work runs a block at a time
+  with the whole array's floats.
 
-Callers that hold coefficients use the core directly, so a rigidity report
+Callers that hold coefficients use the core directly, so the pricing pass
 transforms each indicator once.  :func:`permode_elastic_oracle` keeps its own
 plain full-spectrum ``fft2`` path on purpose: it checks the closed-form
 multiplier in :mod:`fourwell.energy` and must share none of its algebra.
@@ -31,9 +40,11 @@ multiplier in :mod:`fourwell.energy` and must share none of its algebra.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Iterator
+
 import numpy as np
 
-from .fields import Grid, ModifiedIndicators, ScalarField, VectorField
+from .fields import Grid, ModifiedIndicators, ScalarField, VectorField, _row_blocks
 
 __all__ = [
     "spectral_derivative",
@@ -46,22 +57,55 @@ __all__ = [
 ]
 
 
-def _coeffs(values: np.ndarray) -> np.ndarray:
-    """Normalized half-spectrum Fourier coefficients of a real 2-D array."""
-    c = np.fft.rfft2(values)
-    c /= values.size
+def _coeffs(
+    values: np.ndarray | Callable[[slice], np.ndarray], shape: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Normalized half-spectrum Fourier coefficients of a real 2-D array.
+
+    ``values`` is the array, or, with ``shape`` given, a function returning
+    the real rows ``values(rows)`` of a row slice, so the rows can be made a
+    block at a time.  Equal bit for bit to ``rfft2(values) / (n1 * n2)``,
+    which takes the same two passes: the row ``rfft`` of each row block goes
+    into one preallocated half spectrum, then the column ``fft`` runs over it
+    in place a block of columns at a time.
+    """
+    if shape is None:
+        shape, values = values.shape, values.__getitem__
+    n1, n2 = shape
+    c = np.empty((n1, n2 // 2 + 1), dtype=complex)
+    for rows in _row_blocks(n1):
+        c[rows] = np.fft.rfft(values(rows), axis=1)
+    for cols in _row_blocks(c.shape[1]):
+        block = np.fft.fft(c[:, cols], axis=0)
+        block /= n1 * n2
+        c[:, cols] = block
     return c
 
 
-def _values(c: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real values on ``grid`` whose normalized half-spectrum coefficients are ``c``.
+def _value_rows(c: np.ndarray, shape: tuple[int, int]) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row blocks ``(rows, values)``, in order, of the real array of ``shape``
+    whose normalized half-spectrum coefficients are ``c``.
 
-    The grid shape is needed because an even n2 and the odd n2 + 1 have the
-    same half-spectrum width.  Scaled in place, so no second full-size array
-    is allocated.
+    The shape is needed because an even n2 and the odd n2 + 1 have the same
+    half-spectrum width.  Equal bit for bit to ``irfft2(c, s=shape) * n1 *
+    n2``, in :func:`_coeffs`'s two passes reversed.  Consumes ``c``: before
+    the first block, the column inverse runs in its buffer a block of columns
+    at a time; each row block's inverse is then made as it is asked for.
     """
-    v = np.fft.irfft2(c, s=grid.shape)
-    v *= v.size
+    n1, n2 = shape
+    for cols in _row_blocks(c.shape[1]):
+        c[:, cols] = np.fft.ifft(c[:, cols], axis=0)
+    for rows in _row_blocks(n1):
+        block = np.fft.irfft(c[rows], n2, axis=1)
+        block *= n1 * n2
+        yield rows, block
+
+
+def _values(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The real array of :func:`_value_rows`, whole; consumes ``c``."""
+    v = np.empty(shape)
+    for rows, block in _value_rows(c, shape):
+        v[rows] = block
     return v
 
 
@@ -84,59 +128,67 @@ def _half(k: np.ndarray) -> np.ndarray:
     return k[: k.size // 2 + 1]
 
 
-def _freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Integer frequencies, shaped to broadcast over a half-spectrum array."""
-    return _axis_freqs(grid.n1)[:, None], _half(_axis_freqs(grid.n2))[None, :]
+def _freqs(grid: Grid, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Integer frequencies of the half spectrum's rows ``rows``, shaped to broadcast."""
+    return _axis_freqs(grid.n1)[rows, None], _half(_axis_freqs(grid.n2))[None, :]
 
 
-def _deriv_freqs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _deriv_freqs(grid: Grid, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies for differentiation: unpaired even-grid modes zeroed."""
-    return _axis_deriv_freqs(grid.n1)[:, None], _half(_axis_deriv_freqs(grid.n2))[None, :]
+    return (
+        _axis_deriv_freqs(grid.n1)[rows, None],
+        _half(_axis_deriv_freqs(grid.n2))[None, :],
+    )
 
 
-def _ksq(grid: Grid) -> np.ndarray:
-    """Float ``|k|^2`` with the mean mode set to 1, so it can divide."""
-    k1, k2 = _freqs(grid)
-    ksq = (k1**2 + k2**2).astype(float)
-    ksq[0, 0] = 1.0
-    return ksq
+def _ksq(grid: Grid, rows: slice = slice(None)) -> np.ndarray:
+    """Float ``|k|^2`` of the rows ``rows``, the mean mode set to 1 so it can divide."""
+    k1, k2 = _freqs(grid, rows)
+    return np.maximum(k1**2 + k2**2, 1).astype(float)
 
 
-def _drop(c: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero the mean and the unpaired even-grid modes of ``c`` in place; return it.
+def _drop(c: np.ndarray, grid: Grid, rows: slice = slice(None)) -> np.ndarray:
+    """Zero the mean and the unpaired even-grid modes of ``c``, the half
+    spectrum's rows ``rows``, in place; return it.
 
     Unpaired modes are where differentiation zeroes a nonzero frequency.
     """
-    k1, k2 = _freqs(grid)
-    d1, d2 = _deriv_freqs(grid)
-    c[(k1 != d1) | (k2 != d2)] = 0.0
-    c[0, 0] = 0.0
+    k1, k2 = _freqs(grid, rows)
+    d1, d2 = _deriv_freqs(grid, rows)
+    c[(k1 != d1) | (k2 != d2) | ((k1 == 0) & (k2 == 0))] = 0.0
     return c
 
 
-def _fold_sum(per_mode: np.ndarray, grid: Grid) -> float:
+def _fold_sum(per_mode: np.ndarray | Iterable[np.ndarray], grid: Grid) -> float:
     """Sum over the full spectrum of a quantity equal at k and -k, from its half.
 
-    Column 0, and the last column on even n2, are their own mirror images and
-    count once; every other column stands for itself and its mirror and
-    counts twice.
+    ``per_mode`` is the half-spectrum array, or an iterable of its row blocks
+    in order.  Column 0, and the last column on even n2, are their own mirror
+    images and count once; every other column stands for itself and its
+    mirror and counts twice.  Each column is summed in row order either way
+    (the running sums go into the first row of the next block, which is
+    overwritten), so blocks give the whole array's float exactly.
     """
     weights = np.full(grid.n2 // 2 + 1, 2.0)
     weights[0] = 1.0
     if grid.n2 % 2 == 0:
         weights[-1] = 1.0
-    return float(per_mode.sum(axis=0) @ weights)
+    sums = None
+    for block in [per_mode] if isinstance(per_mode, np.ndarray) else per_mode:
+        if sums is not None:
+            block[0] += sums
+        sums = block.sum(axis=0)
+    return float(sums @ weights)
 
 
-def _derivative(
+def _deriv_coeffs(
     c: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Values of the derivative along ``axis`` of the field with coefficients ``c``.
+    """Coefficients of the derivative along ``axis`` of the field with coefficients ``c``.
 
-    The multiplied coefficients go to ``out``; pass ``out=c`` to consume ``c``
-    rather than allocate another half spectrum.
+    Pass ``out=c`` to consume ``c`` rather than allocate another half spectrum.
     """
-    return _values(np.multiply(2j * np.pi * _deriv_freqs(grid)[axis], c, out=out), grid)
+    return np.multiply(2j * np.pi * _deriv_freqs(grid)[axis], c, out=out)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:
@@ -149,22 +201,42 @@ def _profile_derivative(profile: np.ndarray) -> np.ndarray:
 def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
     """Coefficients of the zero-mean potential of the curl-free part of (c1, c2).
 
-    Consumes both inputs: the result is built in ``c1``'s buffer and returned,
-    and ``c2`` is overwritten with ``k2 c2``.
+    Consumes both inputs a row block at a time: the result is built in
+    ``c1``'s buffer and returned, and ``c2`` is overwritten with ``k2 c2``.
     """
-    k1, k2 = _freqs(grid)
-    np.multiply(k1, c1, out=c1)
-    np.multiply(k2, c2, out=c2)
-    c1 += c2
-    c1 /= 2j * np.pi * _ksq(grid)
-    return _drop(c1, grid)
+    for rows in _row_blocks(grid.n1):
+        k1, k2 = _freqs(grid, rows)
+        a, b = c1[rows], c2[rows]
+        np.multiply(k1, a, out=a)
+        np.multiply(k2, b, out=b)
+        a += b
+        a /= 2j * np.pi * _ksq(grid, rows)
+        _drop(a, grid, rows)
+    return c1
+
+
+def _full1_norm(c: np.ndarray, grid: Grid) -> float:
+    """Inhomogeneous first-order negative norm of the field with coefficients
+    ``c``: the root of the folded sum of ``|c|^2 / (1 + |k|^2)``, a row block
+    at a time."""
+
+    def weighted():
+        for rows in _row_blocks(grid.n1):
+            k1, k2 = _freqs(grid, rows)
+            block = np.abs(c[rows])
+            np.square(block, out=block)
+            block *= 1.0 / (1.0 + k1**2 + k2**2)
+            yield block
+
+    return float(np.sqrt(_fold_sum(weighted(), grid)))
 
 
 def spectral_derivative(f: ScalarField, axis: int) -> ScalarField:
     """Partial derivative along one axis via the 2 pi i k multiplier."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    return ScalarField(f.grid, _derivative(_coeffs(f.values), f.grid, axis))
+    c = _deriv_coeffs(_coeffs(f.values), f.grid, axis)
+    return ScalarField(f.grid, _values(c, f.grid.shape))
 
 
 def _mean_coeff_checked(f: ScalarField, what: str) -> np.ndarray:
@@ -183,13 +255,7 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
     inhomogeneous weight ``1/(1+|k|^2)`` and keeps the mean.
     """
     if s == "full1":
-        c = _coeffs(f.values)
-        k1, k2 = _freqs(f.grid)
-        w = 1.0 / (1.0 + k1**2 + k2**2)
-        weighted = np.abs(c)
-        np.square(weighted, out=weighted)
-        weighted *= w
-        return float(np.sqrt(_fold_sum(weighted, f.grid)))
+        return _full1_norm(_coeffs(f.values), f.grid)
     if s not in (1, 2):
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
     c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
@@ -208,7 +274,7 @@ def inv_gradient(f: ScalarField) -> ScalarField:
     c = _mean_coeff_checked(f, "inv_gradient")
     c /= 2.0 * np.pi * np.sqrt(_ksq(f.grid))
     c[0, 0] = 0.0
-    return ScalarField(f.grid, _values(c, f.grid))
+    return ScalarField(f.grid, _values(c, f.grid.shape))
 
 
 def leray_project(w: VectorField) -> VectorField:
@@ -224,13 +290,14 @@ def leray_project(w: VectorField) -> VectorField:
     dot = (k1 * c1 + k2 * c2) / _ksq(grid)
     p1 = _drop(c1 - k1 * dot, grid)
     p2 = _drop(c2 - k2 * dot, grid)
-    return VectorField(grid, _values(p1, grid), _values(p2, grid))
+    return VectorField(grid, _values(p1, grid.shape), _values(p2, grid.shape))
 
 
 def helmholtz_potential(w: VectorField) -> ScalarField:
     """Zero-mean scalar u whose gradient is the curl-free part of ``w``."""
     grid = w.grid
-    return ScalarField(grid, _values(_potential(_coeffs(w.v1), _coeffs(w.v2), grid), grid))
+    potential = _potential(_coeffs(w.v1), _coeffs(w.v2), grid)
+    return ScalarField(grid, _values(potential, grid.shape))
 
 
 def curl_neg_sobolev(w: VectorField) -> float:

@@ -1,31 +1,51 @@
 """Shared pytest wiring: one summary line per acceptance criterion, one
 hypothesis profile so property tests draw the same examples on every run, a
-counter of numpy's FFT calls and a gauge of peak memory."""
+counter of the spectral core's transforms and a gauge of peak memory."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import fourwell.cli  # imports every fourwell module
+
 settings.register_profile("fourwell", derandomize=True, deadline=None)
 settings.load_profile("fourwell")
 
-FFT_FUNCTIONS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2")
+# The spectral core's transforms: a forward 2-D transform passes through
+# ``_coeffs``, an inverse one through ``_value_rows``, and a 1-D profile's
+# forward-and-inverse pair through ``_profile_derivative``.  Each is one call,
+# however many numpy calls its blocks take.
+CORE_TRANSFORMS = ("_coeffs", "_value_rows", "_profile_derivative")
+# numpy's full complex 2-D transforms, which the half-spectrum core never takes.
+FULL_COMPLEX = ("fft2", "ifft2", "fftn", "ifftn")
 
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Calls of each ``numpy.fft`` entry point made during the test, by name."""
-    calls = dict.fromkeys(FFT_FUNCTIONS, 0)
-    for name in FFT_FUNCTIONS:
-        original = getattr(np.fft, name)
+    """Transforms made during the test, by name: calls of each core transform
+    (in every fourwell module that binds it) and of numpy's full complex 2-D
+    entry points."""
+    calls = dict.fromkeys(CORE_TRANSFORMS + FULL_COMPLEX, 0)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        return call
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("fourwell.")]
+    for name in CORE_TRANSFORMS:
+        original = getattr(fourwell.spectral, name)
+        wrapper = counted(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    for name in FULL_COMPLEX:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     return calls
 
 

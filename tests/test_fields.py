@@ -188,6 +188,20 @@ class TestFromSigns:
             expected = self.through_triple(grid, c1, c3)
             assert np.array_equal(_from_signs(grid, c1, c3).labels, expected)
 
+    @pytest.mark.parametrize(
+        "shape", [(7, 7), (6, 9), (BLOCK_ROWS + 1, 3), (2 * BLOCK_ROWS + 3, 5)]
+    )
+    def test_signs_of_the_second_slot(self, shape):
+        """With ``slot=2`` the first input is chi2t: no product field is needed."""
+        grid = Grid(*shape)
+        rng = np.random.default_rng(sum(shape) + 1)
+        c2, c3 = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2, *shape))
+        labels = _from_signs(grid, c2, c3, slot=2).labels
+        assert np.array_equal(labels, self.through_triple(grid, c2 * c3, c3))
+        column = c3[:, :1]
+        labels = _from_signs(grid, 1, column, slot=2).labels
+        assert np.array_equal(labels, self.through_triple(grid, column, column))
+
     def test_transposed_signs_give_c_ordered_labels(self):
         grid = Grid(6, 9)
         c1 = np.random.default_rng(2).choice([-1.0, 1.0], size=(9, 6)).T
@@ -503,6 +517,21 @@ class TestRowBlocks:
             with pytest.raises(ValueError):
                 write_phase_field(path, golden_field(), header)
             assert path.read_bytes() == b"# n1=2\n# n2=2\n1 2\n3 4\n"
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_slots_are_filled_a_block_at_a_time(self, shape):
+        labels = np.random.default_rng(sum(shape)).integers(1, 5, shape)
+        m = to_modified(PhaseField(Grid(*shape), labels))
+        for got, slot in zip((m.chi1t, m.chi2t, m.chi3t), range(3)):
+            expected = np.array([t[slot] for t in ADMISSIBLE_TUPLES], dtype=np.int8)[labels - 1]
+            assert got.dtype == np.int8 and np.array_equal(got, expected)
+
+    def test_slots_hold_little_beside_themselves(self, float_fields_peak):
+        """Three int8 slots (3/8 of the unit) and one block of index temporaries:
+        the labels are never widened to a full-size index array."""
+        grid = Grid(512, 512)
+        field = PhaseField(grid, np.random.default_rng(0).integers(1, 5, grid.shape, dtype=np.uint8))
+        assert float_fields_peak(lambda: to_modified(field), grid) <= 0.7
 
     def test_writers_and_reader_hold_little_beside_the_labels(self, tmp_path, float_fields_peak):
         """Writing holds one block; reading holds the file's bytes (2 bytes a

@@ -346,7 +346,7 @@ class TestCounterexample:
         ),
         pytest.param(
             lambda g: gen_crossing_twin("y2", stripe_profile(g.n2, 2), stripe_profile(g.n1, 8), g),
-            0.65,
+            0.5,
             id="crossing-twin-y2",
         ),
         pytest.param(lambda g: gen_random_partition(1, g), 0.25, id="random"),

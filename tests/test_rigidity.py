@@ -23,6 +23,7 @@ from fourwell.fields import (
     to_modified,
 )
 from fourwell.microstructures import (
+    gen_constant,
     gen_counterexample,
     gen_crossing_twin,
     gen_laminate,
@@ -30,6 +31,7 @@ from fourwell.microstructures import (
 )
 from fourwell.rigidity import (
     OuterProfile,
+    _row_profile,
     characteristic_residual,
     extract_inner,
     extract_outer,
@@ -39,6 +41,8 @@ from fourwell.rigidity import (
     wave_decompose,
 )
 from fourwell.spectral import helmholtz_potential, permode_elastic_oracle
+
+import whole_array
 
 
 def stripe_profile(n, stripes):
@@ -86,6 +90,15 @@ class TestExtractOuter:
         assert outer.defect_l1 == 0.0
         assert np.array_equal(outer.f, f)
         assert np.all(outer.F == np.rint(outer.F))
+
+
+    @pytest.mark.parametrize("axis", ["y1", "y2"])
+    def test_deviation_stays_in_int8(self, axis, float_fields_peak):
+        """The profile's deviation from its slot is one int8 array (1/8 of the unit)."""
+        grid = Grid(512, 512)
+        chi3t = to_modified(gen_random_partition(1, grid, feature_scale=0.01)).chi3t
+        slot = chi3t if axis == "y1" else chi3t.T
+        assert float_fields_peak(lambda: _row_profile(axis, slot), grid) <= 0.35
 
 
 class TestExtractInner:
@@ -363,14 +376,15 @@ class TestReportSpectralPass:
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
         rigidity_report(p, 1e-2)
         used = {k: v for k, v in fft_calls.items() if v}
-        assert used == {"rfft2": 5, "irfft2": 2, "rfft": 1, "irfft": 1}
+        assert used == {"_coeffs": 5, "_value_rows": 2, "_profile_derivative": 1}
         assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
 
     def test_report_is_built_in_few_full_size_arrays(self, float_fields_peak):
-        """int8 slots, at most two half spectra alive, and defects in reused buffers."""
+        """int8 slots, at most two half spectra and one half-size float term
+        alive, and the residual and weak defect reduced a row block at a time."""
         grid = Grid(512, 512)
         p = gen_random_partition(1, grid, feature_scale=0.01)
-        assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 5.0
+        assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 3.6
 
     def test_bad_eta_fails_before_any_transform(self, fft_calls):
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
@@ -389,6 +403,47 @@ class TestReportSpectralPass:
         potential = helmholtz_potential(VectorField(p.grid, m.chi2t, m.chi1t))
         expected = characteristic_residual(potential, report.outer)
         assert report.char_residual == pytest.approx(expected, rel=1e-12)
+
+
+def blocked_report_cases():
+    """Square grids on both sides of a block edge, each outer axis, twins and a
+    constant field, whose characteristic residual is exactly 0."""
+    n_twin = 130
+    f = np.repeat([1.0, -1.0], n_twin // 2)
+    g = np.repeat(np.tile([1.0, -1.0], 5), n_twin // 10)
+    cases = []
+    for n in (9, 16, 63, 64, 65, 129, 130):
+        p = gen_random_partition(n, Grid(n, n), feature_scale=0.1)
+        cases.append(pytest.param(p, id=f"random-{n}"))
+        cases.append(pytest.param(PhaseField(p.grid, p.labels.T), id=f"random-{n}-T"))
+    for axis in ("y1", "y2"):
+        twin = gen_crossing_twin(axis, f, g, Grid(n_twin, n_twin))
+        cases.append(pytest.param(twin, id=f"twin-{axis}"))
+    cases.append(pytest.param(gen_counterexample(2, Grid(64, 64)), id="counterexample"))
+    cases.append(pytest.param(gen_constant(3, Grid(64, 64)), id="constant"))
+    return cases
+
+
+class TestBlockedReport:
+    """The report's blocked pass, residual and weak defect against the whole-array
+    forms they replaced: energies and the weak defect bit for bit, the
+    characteristic residual to 1e-14, and an exact 0 stays 0."""
+
+    @pytest.mark.parametrize("p", blocked_report_cases())
+    def test_matches_the_whole_array_oracles(self, p):
+        report = rigidity_report(p, 1e-2)
+        m = to_modified(p)
+        assert report.energy.elastic == whole_array.elastic(m)
+        assert report.weak_defect == whole_array.weak_defect(m, report.outer, report.inner)
+        expected = whole_array.char_residual(m, report.outer)
+        # abs=0 leaves an expected exact 0 no tolerance at all.
+        assert report.char_residual == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_both_outer_axes_are_covered(self):
+        cases = [case.values[0] for case in blocked_report_cases()]
+        axes = {extract_outer(to_modified(p)).axis for p in cases}
+        assert axes == {"y1", "y2"}
+        assert any(rigidity_report(p, 1e-2).char_residual == 0.0 for p in cases)
 
 
 def float_slots(m):

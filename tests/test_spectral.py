@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourwell.fields import Grid, ScalarField, VectorField
+from fourwell.fields import _BLOCK_ROWS, Grid, ScalarField, VectorField, _row_blocks
 from fourwell.spectral import (
     _coeffs,
     _fold_sum,
+    _value_rows,
     _values,
     curl_neg_sobolev,
     helmholtz_potential,
@@ -36,7 +37,7 @@ def bandlimited(grid, seed, kmax=5):
     c = np.fft.rfft2(rng.standard_normal(grid.shape)) / (grid.n1 * grid.n2)
     c[(np.abs(k1) > kmax) | (np.abs(k2) > kmax)] = 0.0
     c[0, 0] = 0.0
-    return ScalarField(grid, _values(c, grid))
+    return ScalarField(grid, _values(c, grid.shape))
 
 
 class TestTransforms:
@@ -53,19 +54,67 @@ class TestTransforms:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_roundtrip(self, seed):
         f = random_field(Grid(16, 12), seed)
-        assert_allclose(_values(_coeffs(f.values), f.grid), f.values, atol=1e-12)
+        assert_allclose(_values(_coeffs(f.values), f.grid.shape), f.values, atol=1e-12)
 
     def test_roundtrip_odd_width(self):
         """n2 = 7 and n2 = 6 share a half-spectrum width; the grid tells them apart."""
         f = random_field(Grid(9, 7), 4)
         assert _coeffs(f.values).shape == (9, 4)
-        assert_allclose(_values(_coeffs(f.values), f.grid), f.values, atol=1e-12)
+        assert_allclose(_values(_coeffs(f.values), f.grid.shape), f.values, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 12), (9, 7)])
     def test_parseval(self, shape):
         f = random_field(Grid(*shape), 3)
         energy = _fold_sum(np.abs(_coeffs(f.values)) ** 2, f.grid)
         assert energy == pytest.approx(np.mean(f.values**2), rel=1e-12)
+
+
+# Odd, even and non-square shapes, one row or one column, and sizes on both
+# sides of a block edge along each axis.
+BLOCK_SHAPES = [(7, 9), (8, 12), (9, 8), (1, 5), (5, 1), (64, 64), (131, 66), (255, 256)] + [
+    shape for n in (63, 64, 65, 129) for shape in ((n, 5), (5, n))
+]
+
+
+class TestBlockedCore:
+    """The core's blocked transforms equal numpy's whole-array ones bit for bit,
+    so a numpy release that breaks that fails here, not in an energy digit."""
+
+    @staticmethod
+    def real(shape, seed=0):
+        return np.random.default_rng(seed).standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_coeffs_equal_rfft2(self, shape):
+        values = self.real(shape)
+        expected = np.fft.rfft2(values) / values.size
+        assert np.array_equal(_coeffs(values), expected)
+        assert np.array_equal(_coeffs(values.__getitem__, shape), expected)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_int8_rows_transform_as_their_float_copies(self, shape):
+        signs = np.where(self.real(shape) < 0, -1, 1).astype(np.int8)
+        assert np.array_equal(_coeffs(signs), np.fft.rfft2(signs.astype(float)) / signs.size)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_values_equal_irfft2(self, shape):
+        c = np.fft.rfft2(self.real(shape, 1))
+        expected = np.fft.irfft2(c, s=shape) * (shape[0] * shape[1])
+        assert np.array_equal(_values(c.copy(), shape), expected)
+        blocks = list(_value_rows(c.copy(), shape))
+        sizes = [rows.stop - rows.start for rows, _ in blocks]
+        assert sizes[:-1] == [_BLOCK_ROWS] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), expected)
+
+    @pytest.mark.parametrize("shape", [(7, 9), (64, 12), (65, 12), (129, 66), (300, 8)])
+    def test_fold_sum_of_blocks_equals_the_whole(self, shape):
+        """Column sums run in row order either way, so blocks change no bit."""
+        rng = np.random.default_rng(2)
+        per_mode = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        grid = Grid(shape[0], 2 * shape[1] - 2)
+        whole = _fold_sum(per_mode.copy(), grid)
+        blocks = (per_mode[rows].copy() for rows in _row_blocks(shape[0]))
+        assert _fold_sum(blocks, grid) == whole
 
 
 class TestDerivative:

@@ -1,0 +1,76 @@
+"""The pricing pass, characteristic residual and weak defect as they were
+computed before the spectral core was blocked: numpy's whole-array ``rfft2`` /
+``irfft2`` and per-mode work on whole half spectra.  Kept as oracles: the
+blocked code must give the energies and the weak defect bit for bit, and the
+characteristic residual to rounding (its sum of squares runs block by block).
+"""
+
+import math
+
+import numpy as np
+
+from fourwell.energy import _re_dot, _sq
+from fourwell.fields import _transposed, shear_resample
+from fourwell.spectral import _deriv_freqs, _fold_sum, _freqs, _profile_derivative
+
+
+def coeffs(values):
+    return np.fft.rfft2(values) / values.size
+
+
+def ksq(grid):
+    k1, k2 = _freqs(grid)
+    out = (k1**2 + k2**2).astype(float)
+    out[0, 0] = 1.0
+    return out
+
+
+def elastic(m):
+    """The relaxed elastic energy: the two-step multiplier on whole half spectra."""
+    grid = m.grid
+    c1, c2, c3 = coeffs(m.chi1t), coeffs(m.chi2t), coeffs(m.chi3t)
+    k1, k2 = _freqs(grid)
+    d1, d2 = _deriv_freqs(grid)
+    shear = k1**2 * _sq(c1) + k2**2 * _sq(c2) - 2.0 * d1 * d2 * _re_dot(c2, c1)
+    cross = 2.0 * (k1**2) * (k2**2) * _sq(c3)
+    per_mode = 2.0 * (shear * ksq(grid) + cross) / ksq(grid) ** 2
+    per_mode[0, 0] = 0.0
+    return _fold_sum(per_mode, grid)
+
+
+def char_residual(m, outer):
+    """The characteristic residual of the Helmholtz potential of (chi2t, chi1t)."""
+    grid = m.grid
+    k1, k2 = _freqs(grid)
+    d1, d2 = _deriv_freqs(grid)
+    c = (k1 * coeffs(m.chi2t) + k2 * coeffs(m.chi1t)) / (2j * np.pi * ksq(grid))
+    c[(k1 != d1) | (k2 != d2)] = 0.0
+    c[0, 0] = 0.0
+    along = np.fft.irfft2(2j * np.pi * d1 * c, s=grid.shape) * (grid.n1 * grid.n2)
+    across = np.fft.irfft2(2j * np.pi * d2 * c, s=grid.shape) * (grid.n1 * grid.n2)
+    if outer.axis == "y2":
+        along, across = across.T, along.T
+    resid = along - outer.f[:, None] * across
+    return float(np.sqrt(np.mean(np.square(resid))))
+
+
+def full1_norm(values, grid):
+    c = coeffs(values)
+    k1, k2 = _freqs(grid)
+    weighted = np.abs(c)
+    np.square(weighted, out=weighted)
+    weighted *= 1.0 / (1.0 + k1**2 + k2**2)
+    return float(np.sqrt(_fold_sum(weighted, grid)))
+
+
+def weak_defect(m, outer, inner):
+    """The weak defect from a full-size template and full-size differences."""
+    shifts = np.rint(outer.F).astype(np.int64)
+    c = m if outer.axis == "y1" else _transposed(m)
+    gm = inner.g - inner.g.mean()
+    deriv = _profile_derivative((np.cumsum(gm) - 0.5 * gm) / c.grid.n2)
+    template = shear_resample(np.broadcast_to(deriv[None, :], c.grid.shape), shifts)
+    gap_primary = full1_norm(c.chi1t - template, c.grid)
+    template *= outer.f[:, None]
+    gap_product = full1_norm(c.chi2t - template, c.grid)
+    return float(math.hypot(gap_primary, gap_product))

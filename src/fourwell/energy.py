@@ -32,6 +32,7 @@ from .fields import (
     ModifiedIndicators,
     PhaseField,
     ScalarField,
+    _check_shape,
     _jump_mass,
     _row_blocks,
     to_modified,
@@ -82,10 +83,7 @@ class SymStrainField:
         for name in ("e11", "e22", "e33", "e12", "e13", "e23"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape != self.grid.shape:
-                raise ValueError(
-                    f"SymStrainField.{name} has shape {arr.shape}, expected {self.grid.shape}"
-                )
+            _check_shape(self.grid, arr, f"SymStrainField.{name}")
 
 
 @dataclass(frozen=True)

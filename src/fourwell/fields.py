@@ -74,14 +74,14 @@ class Grid:
         return (np.arange(n) + 0.5) / n - 0.5
 
 
-# Rows (or columns) per block wherever labels are made, expanded, written or
-# read, or a transform is taken, a block at a time: a block's temporaries stay
+# Rows per block wherever labels are made, expanded, written or read, or a
+# transform's row pass is taken, a block at a time: a block's temporaries stay
 # small beside the full-size arrays.
 _BLOCK_ROWS = 64
 
 
 def _row_blocks(n: int):
-    """Slices of at most ``_BLOCK_ROWS`` consecutive indices covering ``range(n)``."""
+    """Slices of at most ``_BLOCK_ROWS`` consecutive rows covering ``range(n)``."""
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
@@ -253,7 +253,8 @@ def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:
 
 def volume_fractions(p: PhaseField) -> tuple[float, float, float, float]:
     """Fraction of cells carrying each phase label, in label order."""
-    counts = np.bincount(p.labels.ravel(), minlength=5)[1:5]
+    # One boolean mask at a time: bincount would widen the labels to intp.
+    counts = (np.count_nonzero(p.labels == k) for k in range(1, 5))
     total = p.labels.size
     return tuple(c / total for c in counts)  # type: ignore[return-value]
 

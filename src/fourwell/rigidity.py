@@ -8,10 +8,10 @@ which the energy controls from below.  Everything here is read-only
 diagnostics: no generator imports this module.
 
 The transform-heavy steps of a report stream through the spectral core's row
-and column blocks: the pricing pass shares :mod:`fourwell.energy`'s blocked
-multiplier, the characteristic residual sums its squares over row blocks of
-the two derivatives, and the weak defect transforms row blocks of its
-differences made on demand, so none of them holds a full-size real array.
+blocks: the pricing pass shares :mod:`fourwell.energy`'s blocked multiplier,
+the characteristic residual sums its squares over row blocks of the two
+derivatives, and the weak defect transforms row blocks of its differences
+made on demand, so none of them holds a full-size real array.
 """
 
 from __future__ import annotations

@@ -22,10 +22,11 @@ owner of the package's Fourier conventions and of how transforms are blocked:
   projections and potentials, whose multipliers hold odd powers of k.
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
   set to 1; derivatives carry the physical factor ``2 pi i k``.
-* Blocks: ``_coeffs`` and ``_value_rows`` take the row and column passes of a
-  2-D transform a block of ``fields._BLOCK_ROWS`` rows or columns at a time,
-  so the only full-size array a transform makes is its half spectrum, and
-  each equals numpy's ``rfft2`` / ``irfft2`` bit for bit.  ``_coeffs`` can
+* Blocks: ``_coeffs`` and ``_value_rows`` take the row pass of a 2-D
+  transform a block of ``fields._BLOCK_ROWS`` rows at a time and run the
+  column pass in place over the whole half spectrum (numpy's ``out=``), so
+  the only full-size array a transform makes is its half spectrum, and each
+  equals numpy's ``rfft2`` / ``irfft2`` bit for bit.  ``_coeffs`` can
   read its input as row blocks made on demand, and ``_value_rows`` hands its
   output over as row blocks, so callers that only reduce a field never hold
   it whole.  The frequency helpers and ``_drop`` take a row slice, and
@@ -65,20 +66,18 @@ def _coeffs(
     ``values`` is the array, or, with ``shape`` given, a function returning
     the real rows ``values(rows)`` of a row slice, so the rows can be made a
     block at a time.  Equal bit for bit to ``rfft2(values) / (n1 * n2)``,
-    which takes the same two passes: the row ``rfft`` of each row block goes
-    into one preallocated half spectrum, then the column ``fft`` runs over it
-    in place a block of columns at a time.
+    which takes the same two passes: the row ``rfft`` of each row block is
+    written into one preallocated half spectrum, then the column ``fft``
+    runs over it in place.
     """
     if shape is None:
         shape, values = values.shape, values.__getitem__
     n1, n2 = shape
     c = np.empty((n1, n2 // 2 + 1), dtype=complex)
     for rows in _row_blocks(n1):
-        c[rows] = np.fft.rfft(values(rows), axis=1)
-    for cols in _row_blocks(c.shape[1]):
-        block = np.fft.fft(c[:, cols], axis=0)
-        block /= n1 * n2
-        c[:, cols] = block
+        np.fft.rfft(values(rows), axis=1, out=c[rows])
+    np.fft.fft(c, axis=0, out=c)
+    c /= n1 * n2
     return c
 
 
@@ -89,12 +88,11 @@ def _value_rows(c: np.ndarray, shape: tuple[int, int]) -> Iterator[tuple[slice, 
     The shape is needed because an even n2 and the odd n2 + 1 have the same
     half-spectrum width.  Equal bit for bit to ``irfft2(c, s=shape) * n1 *
     n2``, in :func:`_coeffs`'s two passes reversed.  Consumes ``c``: before
-    the first block, the column inverse runs in its buffer a block of columns
-    at a time; each row block's inverse is then made as it is asked for.
+    the first block, the column inverse runs in its buffer in place; each
+    row block's inverse is then made as it is asked for.
     """
     n1, n2 = shape
-    for cols in _row_blocks(c.shape[1]):
-        c[:, cols] = np.fft.ifft(c[:, cols], axis=0)
+    np.fft.ifft(c, axis=0, out=c)
     for rows in _row_blocks(n1):
         block = np.fft.irfft(c[rows], n2, axis=1)
         block *= n1 * n2

@@ -216,7 +216,7 @@ class TestTotalEnergy:
 
     def test_prices_in_few_full_size_arrays(self, float_fields_peak):
         """int8 slots, two half spectra and one half-size float term alive at
-        once, and every other temporary one row or column block in size."""
+        once, and every other temporary one row block in size."""
         grid = Grid(512, 512)
         p = gen_random_partition(1, grid, feature_scale=0.01)
         assert float_fields_peak(lambda: total_energy(p, 1e-2), grid) <= 3.35

@@ -217,6 +217,17 @@ def test_volume_fractions_counts_labels():
     assert volume_fractions(q) == (0.75, 0.0, 0.25, 0.0)
 
 
+def test_volume_fractions_hold_little_beside_the_labels(float_fields_peak):
+    """One boolean mask at a time (1/8 of the unit): the labels are never
+    widened to a full-size index array."""
+    grid = Grid(512, 512)
+    labels = np.random.default_rng(0).integers(1, 5, grid.shape, dtype=np.uint8)
+    p = PhaseField(grid, labels)
+    counts = np.bincount(labels.ravel(), minlength=5)[1:5]
+    assert volume_fractions(p) == tuple(counts / labels.size)
+    assert float_fields_peak(lambda: volume_fractions(p), grid) <= 0.2
+
+
 def test_finite_difference_wraps_periodically():
     grid = Grid(4, 2)
     f = ScalarField(grid, np.arange(8.0).reshape(4, 2))

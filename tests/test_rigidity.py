@@ -384,7 +384,7 @@ class TestReportSpectralPass:
         alive, and the residual and weak defect reduced a row block at a time."""
         grid = Grid(512, 512)
         p = gen_random_partition(1, grid, feature_scale=0.01)
-        assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 3.6
+        assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 3.3
 
     def test_bad_eta_fails_before_any_transform(self, fft_calls):
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)

@@ -70,7 +70,7 @@ class TestTransforms:
 
 
 # Odd, even and non-square shapes, one row or one column, and sizes on both
-# sides of a block edge along each axis.
+# sides of a row-block edge, as heights and as widths.
 BLOCK_SHAPES = [(7, 9), (8, 12), (9, 8), (1, 5), (5, 1), (64, 64), (131, 66), (255, 256)] + [
     shape for n in (63, 64, 65, 129) for shape in ((n, 5), (5, n))
 ]
@@ -95,6 +95,14 @@ class TestBlockedCore:
     def test_int8_rows_transform_as_their_float_copies(self, shape):
         signs = np.where(self.real(shape) < 0, -1, 1).astype(np.int8)
         assert np.array_equal(_coeffs(signs), np.fft.rfft2(signs.astype(float)) / signs.size)
+
+    def test_int8_slot_transforms_beside_little_but_its_half_spectrum(self, float_fields_peak):
+        """The half spectrum (about one unit) and one row block's floats: the
+        slot is never widened whole, and the column pass copies nothing whole."""
+        grid = Grid(512, 512)
+        signs = np.where(self.real(grid.shape) < 0, -1, 1).astype(np.int8)
+        _coeffs(signs)  # numpy caches its FFT plans for these lengths on a first call
+        assert float_fields_peak(lambda: _coeffs(signs), grid) <= 1.2
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_values_equal_irfft2(self, shape):

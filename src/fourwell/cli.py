@@ -36,6 +36,7 @@ from .fields import (
     write_pgm,
 )
 from .microstructures import (
+    _rng,
     gen_branching,
     gen_constant,
     gen_counterexample,
@@ -300,7 +301,7 @@ def _random_indicators(rng: np.random.Generator, grid: Grid):
 
 
 def _verify_checks(grid_n: int, seed: int):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     grid = Grid(grid_n, grid_n)
 
     def check_multiplier_oracle():

@@ -10,10 +10,10 @@ in :mod:`fourwell.spectral` so the algebra here never checks itself.
 
 The relaxed energy is priced by a blocked pass: the spectral core's blocked
 transforms give each half spectrum, and the multiplier's two steps,
-``_shear`` and ``_finish``, run a row block at a time with the block's own
-frequencies.  Column sums run in row order, so the energy is the whole-array
-pass's float exactly, with at most two half spectra and one half-size float
-term alive.
+``_shear`` and ``_finish``, walk the core's mode table a row block at a time
+(``_mode_blocks``).  Column sums run in row order, so the energy is the
+whole-array pass's float exactly, with at most two half spectra and one
+half-size float term alive.
 
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
 elastic energy by ``eta^(-2/3)``; cube roots are taken with ``np.cbrt`` so
@@ -34,16 +34,15 @@ from .fields import (
     ScalarField,
     _check_shape,
     _jump_mass,
-    _row_blocks,
     to_modified,
 )
 from .model import MaterialParams, _check_eta
 from .spectral import (
     _coeffs,
-    _deriv_freqs,
     _fold_sum,
-    _freqs,
     _ksq,
+    _mode_blocks,
+    _modes,
     inv_gradient,
     spectral_derivative,
 )
@@ -199,10 +198,8 @@ def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
     for :func:`_finish`, filled a row block at a time.
     """
     shear = np.empty(c1.shape)
-    for rows in _row_blocks(grid.n1):
-        k1, k2 = _freqs(grid, rows)
-        # The sign-sensitive term averages to 0 at unpaired modes.
-        d1, d2 = _deriv_freqs(grid, rows)
+    # The sign-sensitive term averages to 0 at unpaired modes, where d is 0.
+    for rows, k1, k2, d1, d2 in _mode_blocks(grid):
         a, b, out = c1[rows], c2[rows], shear[rows]
         _sq(a, out=out)
         np.multiply(k1**2, out, out=out)
@@ -224,9 +221,8 @@ def _finish(shear: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
     """
 
     def per_mode():
-        for rows in _row_blocks(grid.n1):
-            k1, k2 = _freqs(grid, rows)
-            ksq = _ksq(grid, rows)
+        for rows, k1, k2, _, _ in _mode_blocks(grid):
+            ksq = _ksq(k1, k2)
             cross = _sq(c3[rows])
             np.multiply(2.0 * (k1**2) * (k2**2), cross, out=cross)
             block = shear[rows]
@@ -270,9 +266,8 @@ def full_multiplier_energy(u0: SymStrainField) -> float:
     e11, e22, e33, e12, e13, e23 = (
         _coeffs(getattr(u0, name)) for name in ("e11", "e22", "e33", "e12", "e13", "e23")
     )
-    k1, k2 = _freqs(grid)
-    d1, d2 = _deriv_freqs(grid)  # terms odd in k1 k2 average to 0 at unpaired modes
-    ksq = _ksq(grid)
+    k1, k2, d1, d2 = _modes(grid)  # terms odd in k1 k2 average to 0 at unpaired modes
+    ksq = _ksq(k1, k2)
 
     frob = _sq(e11) + _sq(e22) + _sq(e33) + 2.0 * (_sq(e12) + _sq(e13) + _sq(e23))
     # |U k|^2 over the rows (e11, e12), (e12, e22), (e13, e23) of U's in-plane columns
@@ -392,13 +387,13 @@ def compute_residuals(
     r11 = _coeffs(rho11)
     r12 = _coeffs(rho12)
     r22 = _coeffs(rho22)
-    k1d, k2d = _deriv_freqs(grid)
+    k1, k2, k1d, k2d = _modes(grid)
     combo = (
         -4.0
         * np.pi**2
         * (k1d * k2d * c3 - k1d**2 * r11 - k1d * k2d * r12 - k2d**2 * r22)
     )
-    weighted = np.abs(combo) ** 2 / _ksq(grid) ** 2
+    weighted = np.abs(combo) ** 2 / _ksq(k1, k2) ** 2
     weighted[0, 0] = 0.0
     residual = float(np.sqrt(_fold_sum(weighted, grid)))
 

@@ -433,14 +433,23 @@ def gen_random_partition(seed: int, grid: Grid, feature_scale: float = 0.125) ->
     """
     if not 0.0 < feature_scale <= 1.0:
         raise ValueError(f"feature_scale must lie in (0, 1], got {feature_scale!r}")
-
-    def block(n: int) -> int:
-        target = feature_scale * n
-        divisors = [d for d in range(1, n + 1) if n % d == 0]
-        return min(divisors, key=lambda d: (abs(d - target), d))
-
-    b1, b2 = block(grid.n1), block(grid.n2)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
+    b1, b2 = _block_edge(grid.n1, feature_scale), _block_edge(grid.n2, feature_scale)
     coarse = rng.integers(1, 5, size=(grid.n1 // b1, grid.n2 // b2)).astype(np.uint8)
     labels = np.repeat(np.repeat(coarse, b1, axis=0), b2, axis=1)
     return PhaseField(grid, labels)
+
+
+def _block_edge(n: int, feature_scale: float) -> int:
+    """The divisor of n closest to ``feature_scale * n``, the smaller on a tie,
+    found in O(sqrt(n)) steps as the pairs (d, n // d) with d <= sqrt(n)."""
+    target = feature_scale * n
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return min(small + [n // d for d in small], key=lambda d: (abs(d - target), d))
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``; the one place a seed is checked."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)

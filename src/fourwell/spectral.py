@@ -1,27 +1,27 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
-The private core (``_coeffs``, ``_value_rows``, ``_values``, ``_half``,
-``_freqs``, ``_deriv_freqs``, ``_ksq``, ``_drop``, ``_fold_sum``) is the only
+The private core (``_coeffs``, ``_value_rows``, ``_values``, ``_axis``,
+``_modes``, ``_mode_blocks``, ``_ksq``, ``_drop``, ``_fold_sum``) is the only
 owner of the package's Fourier conventions and of how transforms are blocked:
 
 * Every field is real, so only half of its spectrum is stored: coefficients
   are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
   the modes with ``k2 >= 0``.  The other half is their complex conjugate.
-* Frequencies are the integer lattice duals from ``fftfreq(n) * n``; on even
-  grids the unpaired mode sits at ``-n/2``, and on even n2 the last column of
-  the half spectrum keeps that label.
-* Fold weights: a sum over the full spectrum of a quantity that takes equal
-  values at k and -k is the half spectrum's sum with column 0, and the last
-  column on even n2, counted once (each is its own mirror image) and every
-  other column counted twice (for itself and its mirror).  ``_fold_sum``
-  applies them, so Parseval reads ``_fold_sum(|c|^2) = mean |f|^2`` and norms
-  below are mean-square quantities.
+* One mode table, ``_modes``, labels the half spectrum with integer
+  frequencies k, from ``fftfreq(n) * n``, and derivative frequencies d: k
+  with the unpaired even-grid mode ``-n/2`` zeroed, the rule ``_axis`` alone
+  writes.  On even n2 the last column keeps the label ``-n2/2``.
+* Fold weights: a sum over the full spectrum of a quantity equal at k and -k
+  is the half spectrum's sum with each column where d2 = 0 (column 0, and the
+  last on even n2) counted once, as its own mirror image, and every other
+  column twice.  ``_fold_sum`` applies them, so Parseval reads
+  ``_fold_sum(|c|^2) = mean |f|^2`` and norms below are mean-square.
 * An unpaired frequency ``-n/2`` has no well-defined sign.  A sign-sensitive
   term is averaged over both sign representatives, which zeroes a term odd in
   that frequency.  Derivatives therefore drop the unpaired modes, and so do
   projections and potentials, whose multipliers hold odd powers of k.
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
-  set to 1; derivatives carry the physical factor ``2 pi i k``.
+  set to 1; derivatives carry the physical factor ``2 pi i d``.
 * Blocks: ``_coeffs`` and ``_value_rows`` take the row pass of a 2-D
   transform a block of ``fields._BLOCK_ROWS`` rows at a time and run the
   column pass in place over the whole half spectrum (numpy's ``out=``), so
@@ -29,9 +29,8 @@ owner of the package's Fourier conventions and of how transforms are blocked:
   equals numpy's ``rfft2`` / ``irfft2`` bit for bit.  ``_coeffs`` can
   read its input as row blocks made on demand, and ``_value_rows`` hands its
   output over as row blocks, so callers that only reduce a field never hold
-  it whole.  The frequency helpers and ``_drop`` take a row slice, and
-  ``_fold_sum`` takes row blocks, so per-mode work runs a block at a time
-  with the whole array's floats.
+  it whole.  Per-mode work walks ``_mode_blocks``, the table cut to row
+  blocks, and ``_fold_sum`` sums row blocks with the whole array's floats.
 
 Callers that hold coefficients use the core directly, so the pricing pass
 transforms each indicator once.  :func:`permode_elastic_oracle` keeps its own
@@ -107,52 +106,42 @@ def _values(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return v
 
 
-def _axis_freqs(n: int) -> np.ndarray:
-    """Integer frequencies of one periodic axis, in FFT order."""
-    return np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+def _axis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One periodic axis: its integer frequencies in FFT order, and its
+    derivative frequencies, the same with the unpaired mode ``-n/2`` zeroed."""
+    k = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+    return k, np.where(2 * k == -n, 0, k)
 
 
-def _axis_deriv_freqs(n: int) -> np.ndarray:
-    """Axis frequencies for differentiation: the unpaired mode ``-n/2`` zeroed."""
-    k = _axis_freqs(n)
-    return np.where(2 * k == -n, 0, k)
+def _modes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The half spectrum's frequencies ``k1, k2`` and derivative frequencies
+    ``d1, d2``, shaped to broadcast; on even n2 the last column is ``-n2/2``."""
+    (k1, d1), (k2, d2) = _axis(grid.n1), _axis(grid.n2)
+    half = slice(grid.n2 // 2 + 1)
+    return k1[:, None], k2[None, half], d1[:, None], d2[None, half]
 
 
-def _half(k: np.ndarray) -> np.ndarray:
-    """The frequencies of one axis that a real transform keeps: 0 .. n // 2.
-
-    On even n the last one keeps its label ``-n/2``.
-    """
-    return k[: k.size // 2 + 1]
-
-
-def _freqs(grid: Grid, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Integer frequencies of the half spectrum's rows ``rows``, shaped to broadcast."""
-    return _axis_freqs(grid.n1)[rows, None], _half(_axis_freqs(grid.n2))[None, :]
+def _mode_blocks(grid: Grid) -> Iterator[tuple]:
+    """``(rows, k1, k2, d1, d2)`` for each row block of the half spectrum, in
+    order: the mode table, built once, cut to the block's rows."""
+    k1, k2, d1, d2 = _modes(grid)
+    for rows in _row_blocks(grid.n1):
+        yield rows, k1[rows], k2, d1[rows], d2
 
 
-def _deriv_freqs(grid: Grid, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies for differentiation: unpaired even-grid modes zeroed."""
-    return (
-        _axis_deriv_freqs(grid.n1)[rows, None],
-        _half(_axis_deriv_freqs(grid.n2))[None, :],
-    )
-
-
-def _ksq(grid: Grid, rows: slice = slice(None)) -> np.ndarray:
-    """Float ``|k|^2`` of the rows ``rows``, the mean mode set to 1 so it can divide."""
-    k1, k2 = _freqs(grid, rows)
+def _ksq(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Float ``|k|^2``, the mean mode set to 1 so it can divide."""
     return np.maximum(k1**2 + k2**2, 1).astype(float)
 
 
-def _drop(c: np.ndarray, grid: Grid, rows: slice = slice(None)) -> np.ndarray:
-    """Zero the mean and the unpaired even-grid modes of ``c``, the half
-    spectrum's rows ``rows``, in place; return it.
+def _drop(
+    c: np.ndarray, k1: np.ndarray, k2: np.ndarray, d1: np.ndarray, d2: np.ndarray
+) -> np.ndarray:
+    """Zero the mean and the unpaired even-grid modes of ``c``, whose modes are
+    ``k1, k2, d1, d2``, in place; return it.
 
     Unpaired modes are where differentiation zeroes a nonzero frequency.
     """
-    k1, k2 = _freqs(grid, rows)
-    d1, d2 = _deriv_freqs(grid, rows)
     c[(k1 != d1) | (k2 != d2) | ((k1 == 0) & (k2 == 0))] = 0.0
     return c
 
@@ -161,16 +150,13 @@ def _fold_sum(per_mode: np.ndarray | Iterable[np.ndarray], grid: Grid) -> float:
     """Sum over the full spectrum of a quantity equal at k and -k, from its half.
 
     ``per_mode`` is the half-spectrum array, or an iterable of its row blocks
-    in order.  Column 0, and the last column on even n2, are their own mirror
-    images and count once; every other column stands for itself and its
-    mirror and counts twice.  Each column is summed in row order either way
-    (the running sums go into the first row of the next block, which is
+    in order.  A column with d2 = 0 (column 0, and ``-n2/2`` on even n2) is its
+    own mirror image and counts once; every other column stands for itself and
+    its mirror and counts twice.  Each column is summed in row order either
+    way (the running sums go into the first row of the next block, which is
     overwritten), so blocks give the whole array's float exactly.
     """
-    weights = np.full(grid.n2 // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if grid.n2 % 2 == 0:
-        weights[-1] = 1.0
+    weights = np.where(_modes(grid)[3][0] == 0, 1.0, 2.0)
     sums = None
     for block in [per_mode] if isinstance(per_mode, np.ndarray) else per_mode:
         if sums is not None:
@@ -186,14 +172,14 @@ def _deriv_coeffs(
 
     Pass ``out=c`` to consume ``c`` rather than allocate another half spectrum.
     """
-    return np.multiply(2j * np.pi * _deriv_freqs(grid)[axis], c, out=out)
+    return np.multiply(2j * np.pi * _modes(grid)[2 + axis], c, out=out)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:
     """Spectral derivative of a periodic 1-D profile on the unit interval."""
     n = profile.size
-    k = _half(_axis_deriv_freqs(n))
-    return np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * k, n)
+    d = _axis(n)[1][: n // 2 + 1]
+    return np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * d, n)
 
 
 def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
@@ -202,14 +188,13 @@ def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
     Consumes both inputs a row block at a time: the result is built in
     ``c1``'s buffer and returned, and ``c2`` is overwritten with ``k2 c2``.
     """
-    for rows in _row_blocks(grid.n1):
-        k1, k2 = _freqs(grid, rows)
+    for rows, k1, k2, d1, d2 in _mode_blocks(grid):
         a, b = c1[rows], c2[rows]
         np.multiply(k1, a, out=a)
         np.multiply(k2, b, out=b)
         a += b
-        a /= 2j * np.pi * _ksq(grid, rows)
-        _drop(a, grid, rows)
+        a /= 2j * np.pi * _ksq(k1, k2)
+        _drop(a, k1, k2, d1, d2)
     return c1
 
 
@@ -219,8 +204,7 @@ def _full1_norm(c: np.ndarray, grid: Grid) -> float:
     at a time."""
 
     def weighted():
-        for rows in _row_blocks(grid.n1):
-            k1, k2 = _freqs(grid, rows)
+        for rows, k1, k2, _, _ in _mode_blocks(grid):
             block = np.abs(c[rows])
             np.square(block, out=block)
             block *= 1.0 / (1.0 + k1**2 + k2**2)
@@ -257,7 +241,7 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
     if s not in (1, 2):
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
     c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
-    w = _ksq(f.grid) ** (-int(s))
+    w = _ksq(*_modes(f.grid)[:2]) ** (-int(s))
     w[0, 0] = 0.0
     return float(np.sqrt(_fold_sum(np.abs(c) ** 2 * w, f.grid)))
 
@@ -270,7 +254,7 @@ def inv_gradient(f: ScalarField) -> ScalarField:
     ``f`` measured with physical frequencies.
     """
     c = _mean_coeff_checked(f, "inv_gradient")
-    c /= 2.0 * np.pi * np.sqrt(_ksq(f.grid))
+    c /= 2.0 * np.pi * np.sqrt(_ksq(*_modes(f.grid)[:2]))
     c[0, 0] = 0.0
     return ScalarField(f.grid, _values(c, f.grid.shape))
 
@@ -284,10 +268,10 @@ def leray_project(w: VectorField) -> VectorField:
     """
     grid = w.grid
     c1, c2 = _coeffs(w.v1), _coeffs(w.v2)
-    k1, k2 = _freqs(grid)
-    dot = (k1 * c1 + k2 * c2) / _ksq(grid)
-    p1 = _drop(c1 - k1 * dot, grid)
-    p2 = _drop(c2 - k2 * dot, grid)
+    k1, k2, d1, d2 = _modes(grid)
+    dot = (k1 * c1 + k2 * c2) / _ksq(k1, k2)
+    p1 = _drop(c1 - k1 * dot, k1, k2, d1, d2)
+    p2 = _drop(c2 - k2 * dot, k1, k2, d1, d2)
     return VectorField(grid, _values(p1, grid.shape), _values(p2, grid.shape))
 
 
@@ -307,8 +291,8 @@ def curl_neg_sobolev(w: VectorField) -> float:
     """
     grid = w.grid
     c1, c2 = _coeffs(w.v1), _coeffs(w.v2)
-    k1, k2 = _freqs(grid)
-    weighted = _drop(np.abs(k1 * c2 - k2 * c1) ** 2 / _ksq(grid), grid)
+    k1, k2, d1, d2 = _modes(grid)
+    weighted = _drop(np.abs(k1 * c2 - k2 * c1) ** 2 / _ksq(k1, k2), k1, k2, d1, d2)
     return float(np.sqrt(_fold_sum(weighted, grid)))
 
 

@@ -551,6 +551,26 @@ class TestVerify:
         ]
 
 
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "random", "--seed", "-1", "--grid", "16", "--out"],
+            ["sweep", "--kinds", "random", "--etas", "0.1", "--seed", "-3", "--out"],
+            ["verify", "--seed", "-1"],
+        ],
+        ids=["generate", "sweep", "verify"],
+    )
+    def test_negative_seed_is_refused_by_name(self, tmp_path, capsys, argv):
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        seed = argv[argv.index("--seed") + 1]
+        assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigLoader:
     def test_parses_flat_key_values(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -1,5 +1,6 @@
 """Tests for the microstructure generators and the branching planner."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from fourwell.fields import _BLOCK_ROWS as BLOCK_ROWS
 from fourwell.fields import Grid, to_modified, volume_fractions
 from fourwell.microstructures import (
     BranchingParams,
+    _block_edge,
     branching_bound,
     gen_branching,
     gen_constant,
@@ -403,3 +405,23 @@ class TestRandomPartition:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError, match="feature_scale"):
             gen_random_partition(0, Grid(16, 16), feature_scale=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, "3"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            gen_random_partition(seed, Grid(16, 16))
+
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 0.125, 0.3, 0.5, 1.0])
+    def test_block_edge_is_the_scan_of_every_divisor(self, scale):
+        """The divisor-pair search picks what a scan of 1..n picks, ties included."""
+        for n in range(1, 400):
+            target = scale * n
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            assert _block_edge(n, scale) == min(divisors, key=lambda d: (abs(d - target), d))
+
+    def test_block_edge_of_a_huge_axis_is_quick(self):
+        """10^12 cells: a scan of every candidate would take hours, the pairs a second."""
+        start = time.perf_counter()
+        assert _block_edge(10**12, 0.125) == 125 * 10**9
+        assert _block_edge(10**12 + 39, 0.125) == 1  # a prime: its divisors are 1 and n
+        assert time.perf_counter() - start < 10.0

@@ -8,6 +8,8 @@ from fourwell.fields import _BLOCK_ROWS, Grid, ScalarField, VectorField, _row_bl
 from fourwell.spectral import (
     _coeffs,
     _fold_sum,
+    _mode_blocks,
+    _modes,
     _value_rows,
     _values,
     curl_neg_sobolev,
@@ -67,6 +69,43 @@ class TestTransforms:
         f = random_field(Grid(*shape), 3)
         energy = _fold_sum(np.abs(_coeffs(f.values)) ** 2, f.grid)
         assert energy == pytest.approx(np.mean(f.values**2), rel=1e-12)
+
+
+class TestModeTable:
+    """One table labels every half-spectrum mode; the Nyquist rule lives in it."""
+
+    @pytest.mark.parametrize("n2", range(2, 10))
+    @pytest.mark.parametrize("n1", range(2, 10))
+    def test_derivative_frequency_drops_exactly_the_unpaired_mode(self, n1, n2):
+        k1, k2, d1, d2 = _modes(Grid(n1, n2))
+        assert (k1.shape, k2.shape) == ((n1, 1), (1, n2 // 2 + 1))
+        assert np.array_equal(k1[:, 0], np.rint(np.fft.fftfreq(n1) * n1))
+        assert np.array_equal(k2[0], np.rint(np.fft.fftfreq(n2) * n2)[: n2 // 2 + 1])
+        for k, d, n in ((k1[:, 0], d1[:, 0], n1), (k2[0], d2[0], n2)):
+            unpaired = (n % 2 == 0) & (k == -(n // 2))
+            assert np.array_equal(d != k, unpaired)
+            assert (d[unpaired] == 0).all()
+
+    @pytest.mark.parametrize("n2", range(2, 10))
+    @pytest.mark.parametrize("n1", range(2, 10))
+    def test_fold_weight_is_one_exactly_on_self_mirrored_columns(self, n1, n2):
+        """Column j holds the modes with FFT index j along axis 1; its mirror is -j mod n2."""
+        grid = Grid(n1, n2)
+        for j in range(n2 // 2 + 1):
+            column = np.zeros((n1, n2 // 2 + 1))
+            column[:, j] = 1.0
+            weight = 1.0 if (-j) % n2 == j else 2.0
+            assert _fold_sum(column, grid) == weight * n1
+
+    @pytest.mark.parametrize("shape", [(7, 9), (64, 8), (130, 6)])
+    def test_mode_blocks_cut_the_table_into_row_blocks(self, shape):
+        grid = Grid(*shape)
+        k1, k2, d1, d2 = _modes(grid)
+        blocks = list(_mode_blocks(grid))
+        assert [rows for rows, *_ in blocks] == list(_row_blocks(grid.n1))
+        for rows, b1, b2, e1, e2 in blocks:
+            assert np.array_equal(b1, k1[rows]) and np.array_equal(e1, d1[rows])
+            assert np.array_equal(b2, k2) and np.array_equal(e2, d2)
 
 
 # Odd, even and non-square shapes, one row or one column, and sizes on both

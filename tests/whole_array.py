@@ -11,7 +11,7 @@ import numpy as np
 
 from fourwell.energy import _re_dot, _sq
 from fourwell.fields import _transposed, shear_resample
-from fourwell.spectral import _deriv_freqs, _fold_sum, _freqs, _profile_derivative
+from fourwell.spectral import _fold_sum, _modes, _profile_derivative
 
 
 def coeffs(values):
@@ -19,7 +19,7 @@ def coeffs(values):
 
 
 def ksq(grid):
-    k1, k2 = _freqs(grid)
+    k1, k2, _, _ = _modes(grid)
     out = (k1**2 + k2**2).astype(float)
     out[0, 0] = 1.0
     return out
@@ -29,8 +29,7 @@ def elastic(m):
     """The relaxed elastic energy: the two-step multiplier on whole half spectra."""
     grid = m.grid
     c1, c2, c3 = coeffs(m.chi1t), coeffs(m.chi2t), coeffs(m.chi3t)
-    k1, k2 = _freqs(grid)
-    d1, d2 = _deriv_freqs(grid)
+    k1, k2, d1, d2 = _modes(grid)
     shear = k1**2 * _sq(c1) + k2**2 * _sq(c2) - 2.0 * d1 * d2 * _re_dot(c2, c1)
     cross = 2.0 * (k1**2) * (k2**2) * _sq(c3)
     per_mode = 2.0 * (shear * ksq(grid) + cross) / ksq(grid) ** 2
@@ -41,8 +40,7 @@ def elastic(m):
 def char_residual(m, outer):
     """The characteristic residual of the Helmholtz potential of (chi2t, chi1t)."""
     grid = m.grid
-    k1, k2 = _freqs(grid)
-    d1, d2 = _deriv_freqs(grid)
+    k1, k2, d1, d2 = _modes(grid)
     c = (k1 * coeffs(m.chi2t) + k2 * coeffs(m.chi1t)) / (2j * np.pi * ksq(grid))
     c[(k1 != d1) | (k2 != d2)] = 0.0
     c[0, 0] = 0.0
@@ -56,7 +54,7 @@ def char_residual(m, outer):
 
 def full1_norm(values, grid):
     c = coeffs(values)
-    k1, k2 = _freqs(grid)
+    k1, k2, _, _ = _modes(grid)
     weighted = np.abs(c)
     np.square(weighted, out=weighted)
     weighted *= 1.0 / (1.0 + k1**2 + k2**2)

@@ -34,7 +34,6 @@ __all__ = [
     "to_modified",
     "from_modified",
     "volume_fractions",
-    "finite_difference",
     "total_variation",
     "shear_resample",
     "write_phase_field",
@@ -257,14 +256,6 @@ def volume_fractions(p: PhaseField) -> tuple[float, float, float, float]:
     counts = (np.count_nonzero(p.labels == k) for k in range(1, 5))
     total = p.labels.size
     return tuple(c / total for c in counts)  # type: ignore[return-value]
-
-
-def finite_difference(f: ScalarField, axis: int, h: int) -> ScalarField:
-    """Periodic difference f(x + h e_axis) - f(x) in grid-cell steps."""
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    shifted = np.roll(f.values, -int(h), axis=axis)
-    return ScalarField(f.grid, shifted - f.values)
 
 
 def total_variation(f: ScalarField) -> float:

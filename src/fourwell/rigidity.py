@@ -7,11 +7,11 @@ recover those profiles from any admissible field and report the defects,
 which the energy controls from below.  Everything here is read-only
 diagnostics: no generator imports this module.
 
-The transform-heavy steps of a report stream through the spectral core's row
-blocks: the pricing pass shares :mod:`fourwell.energy`'s blocked multiplier,
-the characteristic residual sums its squares over row blocks of the two
-derivatives, and the weak defect transforms row blocks of its differences
-made on demand, so none of them holds a full-size real array.
+A report transforms each indicator once: the pricing pass shares
+:mod:`fourwell.energy`'s blocked multiplier, and the characteristic residual
+and the weak defect read the same coefficients of chi1t and chi2t in one walk
+over column slabs of the frame, the grid turned so that the outer axis is
+axis 0, where the outer sign is one value per row.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _finish, _shear, _to_json, _weighted, surface_energy
+from .energy import EnergyBreakdown, _finish, _shear, _sq, _to_json, _weighted, surface_energy
 from .fields import (
     Grid,
     ModifiedIndicators,
@@ -36,14 +36,7 @@ from .fields import (
 )
 from .microstructures import staircase_shifts
 from .model import _check_eta
-from .spectral import (
-    _coeffs,
-    _deriv_coeffs,
-    _full1_norm,
-    _potential,
-    _profile_derivative,
-    _value_rows,
-)
+from .spectral import _coeffs, _fold, _frame, _frame_slabs, _potential, _profile_derivative
 
 __all__ = [
     "OuterProfile",
@@ -109,12 +102,6 @@ def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
     return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
 
 
-def _canonical(m: ModifiedIndicators, outer: OuterProfile) -> ModifiedIndicators:
-    """``m`` with the outer axis on axis 0: chi1t is the sheared field and
-    chi2t its slaved product."""
-    return m if outer.axis == "y1" else _transposed(m)
-
-
 def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
     rounded = np.rint(outer.F)
     if not np.allclose(outer.F, rounded, atol=1e-9):
@@ -134,10 +121,12 @@ def extract_inner(m: ModifiedIndicators, outer: OuterProfile) -> InnerProfile:
     direction, and measures both residuals.
     """
     shifts = _integer_shifts(outer, m.grid)
-    c = _canonical(m, outer)
+    # The outer axis on axis 0: chi1t is the sheared field, chi2t its product.
+    c = m if outer.axis == "y1" else _transposed(m)
     pulled = shear_resample(c.chi1t, -shifts)
     g = pulled.mean(axis=0)
     misfit = np.subtract(pulled, g[None, :])  # the one full-size float buffer
+    del pulled  # freed before the second pull-back is made
     defect_l2 = float(np.mean(np.square(misfit, out=misfit)))
     np.multiply(outer.f[:, None], g[None, :], out=misfit)
     np.subtract(shear_resample(c.chi2t, -shifts), misfit, out=misfit)
@@ -217,28 +206,29 @@ def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:
     the transverse derivative; any function constant along the (unit-slope,
     sign f) characteristic field nulls it.
     """
-    return _transport_residual(_coeffs(u.values), u.grid, outer)
+    transpose = outer.axis == "y2"
+    frame = _frame(u.grid, transpose)
+    sums = np.empty(frame.n2 // 2 + 1)
+    for cols, modes, (c,) in _frame_slabs([_coeffs(u.values)], u.grid, transpose):
+        sums[cols] = _transport_sums(c, modes, outer.f[:, None])
+    return math.sqrt(frame.n1 * _fold(sums, frame))
 
 
-def _transport_residual(c: np.ndarray, grid: Grid, outer: OuterProfile) -> float:
-    """:func:`characteristic_residual` of the field with coefficients ``c``.
+def _transport_sums(u: np.ndarray, modes: tuple, f: np.ndarray) -> np.ndarray:
+    """Column sums of ``|R|^2`` for one frame slab ``u`` of a field's
+    coefficients, whose modes are ``modes``; f is the outer sign of each row.
 
-    Consumes ``c``: the second derivative is formed in its buffer.  The two
-    derivatives come back as row blocks and the squares are summed block by
-    block, so no full-size real array is made.
+    R holds the row spectra of the residual: f is constant along each row, so
+    they are A - f B, with A and B the column inverses of the derivatives
+    along and across.  By Parseval on each row the mean square of the residual
+    is n1 times the fold of these sums.
     """
-    first = _value_rows(_deriv_coeffs(c, grid, 0), grid.shape)
-    second = _value_rows(_deriv_coeffs(c, grid, 1, out=c), grid.shape)
-    total = 0.0
-    for (rows, d1), (_, d2) in zip(first, second):
-        if outer.axis == "y1":
-            along, across, f = d1, d2, outer.f[rows, None]
-        else:  # the outer axis is axis 1 of these blocks
-            along, across, f = d2, d1, outer.f[None, :]
-        np.multiply(f, across, out=across)
-        resid = np.subtract(along, across, out=along)
-        total += float(np.square(resid, out=resid).sum())
-    return math.sqrt(total / (grid.n1 * grid.n2))
+    _, _, d1, d2 = modes
+    along = np.fft.ifft(2j * np.pi * d1 * u, axis=0)
+    across = np.fft.ifft(2j * np.pi * d2 * u, axis=0)
+    across *= f
+    along -= across
+    return _sq(along).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -264,54 +254,64 @@ def _log10_or_none(value: float) -> float | None:
     return math.log10(value) if value > 0.0 else None
 
 
-def _weak_defect(m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile) -> float:
-    """Negative-norm distance of the out-of-plane pair from its twin template.
+def _slab_pass(
+    c1: np.ndarray, c2: np.ndarray, grid: Grid, outer: OuterProfile, inner: InnerProfile
+) -> tuple[float, float]:
+    """The characteristic residual of the Helmholtz potential of (chi2t, chi1t)
+    and the weak defect, in one walk over frame slabs of c1, c2 (left as they are).
 
-    The template is the spectral transverse derivative of the periodic
-    midpoint primitive of the inner profile, carried along the staircase
-    shear; both components are compared in the inhomogeneous first-order
-    negative norm and combined in quadrature.  Template rows and the
-    differences are made one row block at a time, as the transform reads them.
+    The weak defect is the negative-norm distance of the out-of-plane pair
+    from its twin template, the spectral transverse derivative of the periodic
+    midpoint primitive of the inner profile carried along the staircase shear,
+    in the inhomogeneous first-order norm, both components in quadrature.
+    Template row j is the derivative shifted by s_j cells: its row spectrum is
+    the derivative's times ``exp(2 pi i q s_j / n2)``, a root of unity from a
+    table, and a slab's column transform gives the template's coefficients.
     """
-    shifts = _integer_shifts(outer, m.grid)
-    c = _canonical(m, outer)
-
+    transpose = outer.axis == "y2"
+    if transpose:  # the transpose swaps the slots with the axes
+        c1, c2 = c2, c1
+    frame = _frame(grid, transpose)
+    n1, n2 = frame.shape
+    f = outer.f[:, None]
     gm = inner.g - inner.g.mean()
-    primitive = (np.cumsum(gm) - 0.5 * gm) / c.grid.n2
-    deriv = _profile_derivative(primitive)
+    deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
+    roots = np.exp(2j * np.pi * np.arange(n2) / n2)
+    shifts = _integer_shifts(outer, grid)[:, None]
 
-    def template(rows: slice) -> np.ndarray:
-        block = shifts[rows]
-        return shear_resample(np.broadcast_to(deriv, (block.size, deriv.size)), block)
+    def gap_sums(field: np.ndarray, rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        template = np.fft.fft(rows, axis=0)
+        template /= n1 * n2
+        return (_sq(field - template) * weight).sum(axis=0)
 
-    def primary(rows: slice) -> np.ndarray:
-        return c.chi1t[rows] - template(rows)
+    sums = np.empty((3, n2 // 2 + 1))  # the residual's column sums, then the two gaps'
+    for cols, modes, (a, b) in _frame_slabs((c1, c2), grid, transpose):
+        k1, k2, _, _ = modes
+        sums[0, cols] = _transport_sums(_potential(b, a, *modes), modes, f)
+        weight = 1.0 / (1.0 + k1**2 + k2**2)
+        rows = deriv[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n2]
+        sums[1, cols] = gap_sums(a, rows, weight)
+        rows *= f
+        sums[2, cols] = gap_sums(b, rows, weight)
+    residual, primary, product = (_fold(s, frame) for s in sums)
+    return math.sqrt(n1 * residual), math.hypot(math.sqrt(primary), math.sqrt(product))
 
-    def product(rows: slice) -> np.ndarray:
-        t = template(rows)
-        t *= outer.f[rows, None]
-        return np.subtract(c.chi2t[rows], t, out=t)
 
-    gap_primary = _full1_norm(_coeffs(primary, c.grid.shape), c.grid)
-    gap_product = _full1_norm(_coeffs(product, c.grid.shape), c.grid)
-    return float(math.hypot(gap_primary, gap_product))
+def _spectral_pass(
+    m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
+) -> tuple[float, float, float]:
+    """Relaxed elastic energy, characteristic residual and weak defect, from
+    one transform of each indicator.
 
-
-def _spectral_pass(m: ModifiedIndicators, outer: OuterProfile) -> tuple[float, float]:
-    """Relaxed elastic energy and the characteristic residual of the Helmholtz
-    potential of (chi2t, chi1t), from one transform of each indicator.
-
-    The order keeps at most two half spectra and the half-size shear term
-    alive: the shear term, then the potential in c2's buffer, and only then
-    the transform of chi3t.
+    The slab walk runs while c1 and c2 are alive and before the shear term is
+    made, so at most two half spectra and the half-size shear term are alive
+    at once; chi3t is transformed only after c1 and c2 are freed.
     """
     c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
+    char, weak = _slab_pass(c1, c2, m.grid, outer, inner)
     shear = _shear(c1, c2, m.grid)
-    potential = _potential(c2, c1, m.grid)
     del c1, c2
-    elastic = _finish(shear, _coeffs(m.chi3t), m.grid)
-    del shear  # freed before differentiating, where the pass would peak
-    return elastic, _transport_residual(potential, m.grid, outer)
+    return _finish(shear, _coeffs(m.chi3t), m.grid), char, weak
 
 
 def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
@@ -324,12 +324,11 @@ def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
     _check_eta(eta)
     m = to_modified(p)
     outer = extract_outer(m)
-    elastic, char = _spectral_pass(m, outer)
+    inner = extract_inner(m, outer)
+    elastic, char, weak = _spectral_pass(m, outer, inner)
     energy = _weighted(eta, elastic, surface_energy(p))
     theta = volume_fractions(p)
-    inner = extract_inner(m, outer)
     d14, d12 = incompatibility_defect(theta)
-    weak = _weak_defect(m, outer, inner)
     diagnostics = {
         "log10_char_residual": _log10_or_none(char),
         "log10_d12": _log10_or_none(float(d12)),

@@ -1,8 +1,9 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
-The private core (``_coeffs``, ``_value_rows``, ``_values``, ``_axis``,
-``_modes``, ``_mode_blocks``, ``_ksq``, ``_drop``, ``_fold_sum``) is the only
-owner of the package's Fourier conventions and of how transforms are blocked:
+The private core (``_coeffs``, ``_values``, ``_axis``, ``_modes``,
+``_mode_blocks``, ``_frame_slabs``, ``_ksq``, ``_drop``, ``_fold``,
+``_fold_sum``) is the only owner of the package's Fourier conventions and of
+how transforms and per-mode work are blocked:
 
 * Every field is real, so only half of its spectrum is stored: coefficients
   are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
@@ -14,33 +15,34 @@ owner of the package's Fourier conventions and of how transforms are blocked:
 * Fold weights: a sum over the full spectrum of a quantity equal at k and -k
   is the half spectrum's sum with each column where d2 = 0 (column 0, and the
   last on even n2) counted once, as its own mirror image, and every other
-  column twice.  ``_fold_sum`` applies them, so Parseval reads
-  ``_fold_sum(|c|^2) = mean |f|^2`` and norms below are mean-square.
+  column twice.  ``_fold`` applies them to column sums and ``_fold_sum`` to a
+  per-mode array, so Parseval reads ``_fold_sum(|c|^2) = mean |f|^2`` and
+  norms below are mean-square.
 * An unpaired frequency ``-n/2`` has no well-defined sign.  A sign-sensitive
   term is averaged over both sign representatives, which zeroes a term odd in
   that frequency.  Derivatives therefore drop the unpaired modes, and so do
   projections and potentials, whose multipliers hold odd powers of k.
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
   set to 1; derivatives carry the physical factor ``2 pi i d``.
-* Blocks: ``_coeffs`` and ``_value_rows`` take the row pass of a 2-D
-  transform a block of ``fields._BLOCK_ROWS`` rows at a time and run the
-  column pass in place over the whole half spectrum (numpy's ``out=``), so
-  the only full-size array a transform makes is its half spectrum, and each
-  equals numpy's ``rfft2`` / ``irfft2`` bit for bit.  ``_coeffs`` can
-  read its input as row blocks made on demand, and ``_value_rows`` hands its
-  output over as row blocks, so callers that only reduce a field never hold
-  it whole.  Per-mode work walks ``_mode_blocks``, the table cut to row
+* Blocks: ``_coeffs`` takes the row pass of a 2-D transform a block of
+  ``fields._BLOCK_ROWS`` rows at a time and runs the column pass in place
+  over the whole half spectrum (numpy's ``out=``), so the only full-size
+  array it makes is its half spectrum, and it equals numpy's ``rfft2`` bit
+  for bit.  Per-mode work walks ``_mode_blocks``, the table cut to row
   blocks, and ``_fold_sum`` sums row blocks with the whole array's floats.
+* Frames: ``_frame_slabs`` walks a field's half spectrum, or its transpose's
+  (an exact re-indexing, so no transform is taken twice), a slab of
+  ``_SLAB_COLS`` columns at a time with the table cut to the slab.
 
-Callers that hold coefficients use the core directly, so the pricing pass
-transforms each indicator once.  :func:`permode_elastic_oracle` keeps its own
-plain full-spectrum ``fft2`` path on purpose: it checks the closed-form
-multiplier in :mod:`fourwell.energy` and must share none of its algebra.
+Callers that hold coefficients use the core directly, so a report transforms
+each indicator once.  :func:`permode_elastic_oracle` keeps its own plain
+full-spectrum ``fft2`` path on purpose: it checks the closed-form multiplier
+in :mod:`fourwell.energy` and must share none of its algebra.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,54 +58,35 @@ __all__ = [
     "permode_elastic_oracle",
 ]
 
+# Columns per slab where a frame's half spectrum is walked a column slab at a
+# time: a slab's temporaries stay a small fraction of one half spectrum.
+_SLAB_COLS = 16
 
-def _coeffs(
-    values: np.ndarray | Callable[[slice], np.ndarray], shape: tuple[int, int] | None = None
-) -> np.ndarray:
+
+def _coeffs(values: np.ndarray) -> np.ndarray:
     """Normalized half-spectrum Fourier coefficients of a real 2-D array.
 
-    ``values`` is the array, or, with ``shape`` given, a function returning
-    the real rows ``values(rows)`` of a row slice, so the rows can be made a
-    block at a time.  Equal bit for bit to ``rfft2(values) / (n1 * n2)``,
-    which takes the same two passes: the row ``rfft`` of each row block is
-    written into one preallocated half spectrum, then the column ``fft``
-    runs over it in place.
+    Equal bit for bit to ``rfft2(values) / (n1 * n2)``, which takes the same
+    two passes: the row ``rfft`` of each row block is written into one
+    preallocated half spectrum, then the column ``fft`` runs over it in place.
     """
-    if shape is None:
-        shape, values = values.shape, values.__getitem__
-    n1, n2 = shape
+    n1, n2 = values.shape
     c = np.empty((n1, n2 // 2 + 1), dtype=complex)
     for rows in _row_blocks(n1):
-        np.fft.rfft(values(rows), axis=1, out=c[rows])
+        np.fft.rfft(values[rows], axis=1, out=c[rows])
     np.fft.fft(c, axis=0, out=c)
     c /= n1 * n2
     return c
 
 
-def _value_rows(c: np.ndarray, shape: tuple[int, int]) -> Iterator[tuple[slice, np.ndarray]]:
-    """Row blocks ``(rows, values)``, in order, of the real array of ``shape``
-    whose normalized half-spectrum coefficients are ``c``.
+def _values(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The real array of ``shape`` whose normalized half-spectrum coefficients
+    are ``c``.
 
     The shape is needed because an even n2 and the odd n2 + 1 have the same
-    half-spectrum width.  Equal bit for bit to ``irfft2(c, s=shape) * n1 *
-    n2``, in :func:`_coeffs`'s two passes reversed.  Consumes ``c``: before
-    the first block, the column inverse runs in its buffer in place; each
-    row block's inverse is then made as it is asked for.
+    half-spectrum width.
     """
-    n1, n2 = shape
-    np.fft.ifft(c, axis=0, out=c)
-    for rows in _row_blocks(n1):
-        block = np.fft.irfft(c[rows], n2, axis=1)
-        block *= n1 * n2
-        yield rows, block
-
-
-def _values(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The real array of :func:`_value_rows`, whole; consumes ``c``."""
-    v = np.empty(shape)
-    for rows, block in _value_rows(c, shape):
-        v[rows] = block
-    return v
+    return np.fft.irfft2(c, s=shape) * (shape[0] * shape[1])
 
 
 def _axis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +112,34 @@ def _mode_blocks(grid: Grid) -> Iterator[tuple]:
         yield rows, k1[rows], k2, d1[rows], d2
 
 
+def _frame(grid: Grid, transpose: bool) -> Grid:
+    """The grid a field on ``grid`` is seen on, turned if ``transpose``."""
+    return Grid(grid.n2, grid.n1) if transpose else grid
+
+
+def _frame_slabs(cs: Sequence[np.ndarray], grid: Grid, transpose: bool) -> Iterator[tuple]:
+    """``(cols, modes, slabs)`` for each slab of ``_SLAB_COLS`` columns, in
+    order, of the half spectra ``cs`` of fields on ``grid`` seen on
+    ``_frame(grid, transpose)``: the frame's table ``(k1, k2, d1, d2)`` cut to
+    the slab, and each input's slab, the inputs left as they are.
+
+    Untransposed, a slab is the view ``c[:, cols]``.  Transposed, it is an
+    exact re-indexing: frame coefficient ``[p, q]`` is ``c[q, p]`` for
+    ``p <= n2 // 2``, and beyond that the conjugate of ``c[-q mod n1, n2 - p]``.
+    """
+    k1, k2, d1, d2 = _modes(_frame(grid, transpose))
+    width = k2.shape[1]
+    mirror = slice(grid.n2 - grid.n2 // 2 - 1, 0, -1)  # columns n2 - p, p > n2 // 2
+    for start in range(0, width, _SLAB_COLS):
+        cols = slice(start, min(start + _SLAB_COLS, width))
+        if transpose:
+            minus_q = -np.arange(cols.start, cols.stop) % grid.n1
+            slabs = [np.concatenate([c[cols].T, np.conj(c[minus_q, mirror].T)]) for c in cs]
+        else:
+            slabs = [c[:, cols] for c in cs]
+        yield cols, (k1, k2[:, cols], d1, d2[:, cols]), slabs
+
+
 def _ksq(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Float ``|k|^2``, the mean mode set to 1 so it can divide."""
     return np.maximum(k1**2 + k2**2, 1).astype(float)
@@ -146,33 +157,28 @@ def _drop(
     return c
 
 
-def _fold_sum(per_mode: np.ndarray | Iterable[np.ndarray], grid: Grid) -> float:
-    """Sum over the full spectrum of a quantity equal at k and -k, from its half.
-
-    ``per_mode`` is the half-spectrum array, or an iterable of its row blocks
-    in order.  A column with d2 = 0 (column 0, and ``-n2/2`` on even n2) is its
-    own mirror image and counts once; every other column stands for itself and
-    its mirror and counts twice.  Each column is summed in row order either
-    way (the running sums go into the first row of the next block, which is
-    overwritten), so blocks give the whole array's float exactly.
+def _fold(sums: np.ndarray, grid: Grid) -> float:
+    """Sum over the full spectrum of a quantity equal at k and -k, from the
+    column sums of its half: a column with d2 = 0 (column 0, and ``-n2/2`` on
+    even n2) is its own mirror image and counts once, every other column twice.
     """
-    weights = np.where(_modes(grid)[3][0] == 0, 1.0, 2.0)
+    return float(sums @ np.where(_modes(grid)[3][0] == 0, 1.0, 2.0))
+
+
+def _fold_sum(per_mode: np.ndarray | Iterable[np.ndarray], grid: Grid) -> float:
+    """:func:`_fold` of a half-spectrum array, or of an iterable of its row
+    blocks in order.
+
+    Each column is summed in row order either way (the running sums go into
+    the first row of the next block, which is overwritten), so blocks give the
+    whole array's float exactly, and so do column slabs summed one by one.
+    """
     sums = None
     for block in [per_mode] if isinstance(per_mode, np.ndarray) else per_mode:
         if sums is not None:
             block[0] += sums
         sums = block.sum(axis=0)
-    return float(sums @ weights)
-
-
-def _deriv_coeffs(
-    c: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Coefficients of the derivative along ``axis`` of the field with coefficients ``c``.
-
-    Pass ``out=c`` to consume ``c`` rather than allocate another half spectrum.
-    """
-    return np.multiply(2j * np.pi * _modes(grid)[2 + axis], c, out=out)
+    return _fold(sums, grid)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:
@@ -182,42 +188,22 @@ def _profile_derivative(profile: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * d, n)
 
 
-def _potential(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of the zero-mean potential of the curl-free part of (c1, c2).
-
-    Consumes both inputs a row block at a time: the result is built in
-    ``c1``'s buffer and returned, and ``c2`` is overwritten with ``k2 c2``.
-    """
-    for rows, k1, k2, d1, d2 in _mode_blocks(grid):
-        a, b = c1[rows], c2[rows]
-        np.multiply(k1, a, out=a)
-        np.multiply(k2, b, out=b)
-        a += b
-        a /= 2j * np.pi * _ksq(k1, k2)
-        _drop(a, k1, k2, d1, d2)
-    return c1
-
-
-def _full1_norm(c: np.ndarray, grid: Grid) -> float:
-    """Inhomogeneous first-order negative norm of the field with coefficients
-    ``c``: the root of the folded sum of ``|c|^2 / (1 + |k|^2)``, a row block
-    at a time."""
-
-    def weighted():
-        for rows, k1, k2, _, _ in _mode_blocks(grid):
-            block = np.abs(c[rows])
-            np.square(block, out=block)
-            block *= 1.0 / (1.0 + k1**2 + k2**2)
-            yield block
-
-    return float(np.sqrt(_fold_sum(weighted(), grid)))
+def _potential(c1: np.ndarray, c2: np.ndarray, *modes: np.ndarray) -> np.ndarray:
+    """Coefficients of the zero-mean potential of the curl-free part of (c1, c2),
+    whose ``modes`` are ``k1, k2, d1, d2``, the whole table or a slab's; a new
+    array, the inputs left as they are."""
+    k1, k2, d1, d2 = modes
+    u = k1 * c1
+    u += k2 * c2
+    u /= 2j * np.pi * _ksq(k1, k2)
+    return _drop(u, k1, k2, d1, d2)
 
 
 def spectral_derivative(f: ScalarField, axis: int) -> ScalarField:
     """Partial derivative along one axis via the 2 pi i k multiplier."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    c = _deriv_coeffs(_coeffs(f.values), f.grid, axis)
+    c = 2j * np.pi * _modes(f.grid)[2 + axis] * _coeffs(f.values)
     return ScalarField(f.grid, _values(c, f.grid.shape))
 
 
@@ -236,13 +222,15 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
     nonzero modes and reject fields with nonzero mean.  ``s="full1"`` uses the
     inhomogeneous weight ``1/(1+|k|^2)`` and keeps the mean.
     """
-    if s == "full1":
-        return _full1_norm(_coeffs(f.values), f.grid)
-    if s not in (1, 2):
+    if s not in (1, 2, "full1"):
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
-    c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
-    w = _ksq(*_modes(f.grid)[:2]) ** (-int(s))
-    w[0, 0] = 0.0
+    k1, k2 = _modes(f.grid)[:2]
+    if s == "full1":
+        c, w = _coeffs(f.values), 1.0 / (1.0 + k1**2 + k2**2)
+    else:
+        c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
+        w = _ksq(k1, k2) ** (-int(s))
+        w[0, 0] = 0.0
     return float(np.sqrt(_fold_sum(np.abs(c) ** 2 * w, f.grid)))
 
 
@@ -278,7 +266,7 @@ def leray_project(w: VectorField) -> VectorField:
 def helmholtz_potential(w: VectorField) -> ScalarField:
     """Zero-mean scalar u whose gradient is the curl-free part of ``w``."""
     grid = w.grid
-    potential = _potential(_coeffs(w.v1), _coeffs(w.v2), grid)
+    potential = _potential(_coeffs(w.v1), _coeffs(w.v2), *_modes(grid))
     return ScalarField(grid, _values(potential, grid.shape))
 
 

@@ -15,10 +15,11 @@ settings.register_profile("fourwell", derandomize=True, deadline=None)
 settings.load_profile("fourwell")
 
 # The spectral core's transforms: a forward 2-D transform passes through
-# ``_coeffs``, an inverse one through ``_value_rows``, and a 1-D profile's
+# ``_coeffs``, an inverse one through ``_values``, and a 1-D profile's
 # forward-and-inverse pair through ``_profile_derivative``.  Each is one call,
-# however many numpy calls its blocks take.
-CORE_TRANSFORMS = ("_coeffs", "_value_rows", "_profile_derivative")
+# however many numpy calls its blocks take.  The column transforms of a frame
+# slab's template and residual spectra are per-slab work, not counted here.
+CORE_TRANSFORMS = ("_coeffs", "_values", "_profile_derivative")
 # numpy's full complex 2-D transforms, which the half-spectrum core never takes.
 FULL_COMPLEX = ("fft2", "ifft2", "fftn", "ifftn")
 

@@ -20,7 +20,6 @@ from fourwell.fields import (
     VectorField,
     _from_signs,
     _parse_phase_field,
-    finite_difference,
     from_modified,
     read_phase_field,
     shear_resample,
@@ -226,16 +225,6 @@ def test_volume_fractions_hold_little_beside_the_labels(float_fields_peak):
     counts = np.bincount(labels.ravel(), minlength=5)[1:5]
     assert volume_fractions(p) == tuple(counts / labels.size)
     assert float_fields_peak(lambda: volume_fractions(p), grid) <= 0.2
-
-
-def test_finite_difference_wraps_periodically():
-    grid = Grid(4, 2)
-    f = ScalarField(grid, np.arange(8.0).reshape(4, 2))
-    d = finite_difference(f, 0, 1)
-    assert_allclose(d.values[:3], 2.0, rtol=0)
-    assert_allclose(d.values[3], [-6.0, -6.0], rtol=0)
-    with pytest.raises(ValueError, match="axis"):
-        finite_difference(f, 2, 1)
 
 
 class TestTotalVariation:

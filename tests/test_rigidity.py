@@ -18,7 +18,6 @@ from fourwell.fields import (
     VectorField,
     _from_signs,
     _transposed,
-    finite_difference,
     from_modified,
     to_modified,
 )
@@ -182,15 +181,25 @@ class TestMixedDifferenceSup:
             assert abs(got - want) <= 1e-15 * want
 
     @staticmethod
-    def finite_difference_loop(f):
+    def finite_difference(f, axis, h):
+        """Periodic difference f(x + h e_axis) - f(x) in grid-cell steps."""
+        return ScalarField(f.grid, np.roll(f.values, -int(h), axis=axis) - f.values)
+
+    def finite_difference_loop(self, f):
         """Reference: the search as ``finite_difference`` round trips, offset by offset."""
         n1, n2 = f.grid.shape
         sup = 0.0
         for h1 in range(1, n1 // 2 + 1):
-            d1 = finite_difference(f, 0, h1)
+            d1 = self.finite_difference(f, 0, h1)
             for h2 in range(1, n2 // 2 + 1):
-                sup = max(sup, float(np.abs(finite_difference(d1, 1, h2).values).mean()))
+                sup = max(sup, float(np.abs(self.finite_difference(d1, 1, h2).values).mean()))
         return sup
+
+    def test_finite_difference_wraps_periodically(self):
+        f = ScalarField(Grid(4, 2), np.arange(8.0).reshape(4, 2))
+        d = self.finite_difference(f, 0, 1)
+        assert_allclose(d.values[:3], 2.0, rtol=0)
+        assert_allclose(d.values[3], [-6.0, -6.0], rtol=0)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_equals_the_finite_difference_loop(self, shape):
@@ -376,14 +385,19 @@ class TestReportSpectralPass:
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
         rigidity_report(p, 1e-2)
         used = {k: v for k, v in fft_calls.items() if v}
-        assert used == {"_coeffs": 5, "_value_rows": 2, "_profile_derivative": 1}
+        assert used == {"_coeffs": 3, "_profile_derivative": 1}
         assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
 
-    def test_report_is_built_in_few_full_size_arrays(self, float_fields_peak):
+    @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
+    def test_report_is_built_in_few_full_size_arrays(self, float_fields_peak, transpose):
         """int8 slots, at most two half spectra and one half-size float term
-        alive, and the residual and weak defect reduced a row block at a time."""
+        alive, and the residual and weak defect reduced a column slab at a time.
+        The field's outer axis is y2 and its transpose's y1, so both frames run."""
         grid = Grid(512, 512)
         p = gen_random_partition(1, grid, feature_scale=0.01)
+        if transpose:
+            p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
+        assert extract_outer(to_modified(p)).axis == ("y1" if transpose else "y2")
         assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 3.3
 
     def test_bad_eta_fails_before_any_transform(self, fft_calls):
@@ -406,8 +420,9 @@ class TestReportSpectralPass:
 
 
 def blocked_report_cases():
-    """Square grids on both sides of a block edge, each outer axis, twins and a
-    constant field, whose characteristic residual is exactly 0."""
+    """Square grids on both sides of a block edge, each outer axis, non-square
+    grids with a grid-aligned shear on each outer axis, twins and a constant
+    field, whose characteristic residual is exactly 0."""
     n_twin = 130
     f = np.repeat([1.0, -1.0], n_twin // 2)
     g = np.repeat(np.tile([1.0, -1.0], 5), n_twin // 10)
@@ -416,6 +431,9 @@ def blocked_report_cases():
         p = gen_random_partition(n, Grid(n, n), feature_scale=0.1)
         cases.append(pytest.param(p, id=f"random-{n}"))
         cases.append(pytest.param(PhaseField(p.grid, p.labels.T), id=f"random-{n}-T"))
+    for seed, shape in ((0, (32, 64)), (2, (64, 32))):  # outer axis y1, then y2
+        p = gen_random_partition(seed, Grid(*shape), feature_scale=0.1)
+        cases.append(pytest.param(p, id=f"random-{shape[0]}x{shape[1]}"))
     for axis in ("y1", "y2"):
         twin = gen_crossing_twin(axis, f, g, Grid(n_twin, n_twin))
         cases.append(pytest.param(twin, id=f"twin-{axis}"))
@@ -425,17 +443,25 @@ def blocked_report_cases():
 
 
 class TestBlockedReport:
-    """The report's blocked pass, residual and weak defect against the whole-array
-    forms they replaced: energies and the weak defect bit for bit, the
-    characteristic residual to 1e-14, and an exact 0 stays 0."""
+    """The report's blocked pass and column-slab walk against whole-array forms:
+    the energy and the spectral weak defect bit for bit, the real-space weak
+    defect to 1e-15 and the characteristic residual to 1e-14, and an exact 0
+    stays 0."""
 
     @pytest.mark.parametrize("p", blocked_report_cases())
     def test_matches_the_whole_array_oracles(self, p):
         report = rigidity_report(p, 1e-2)
         m = to_modified(p)
+        outer, inner = report.outer, report.inner
         assert report.energy.elastic == whole_array.elastic(m)
-        assert report.weak_defect == whole_array.weak_defect(m, report.outer, report.inner)
-        expected = whole_array.char_residual(m, report.outer)
+        # Column slabs sum each column in row order and fold once, as one fold
+        # of the whole frame half spectrum does.
+        assert report.weak_defect == whole_array.spectral_weak_defect(m, outer, inner)
+        # The real template sheared row by row and transformed is an independent
+        # form; the cases differ from it by at most 6.1e-16 relative.
+        real_space = whole_array.weak_defect(m, outer, inner)
+        assert report.weak_defect == pytest.approx(real_space, rel=1e-15, abs=0.0)
+        expected = whole_array.char_residual(m, outer)
         # abs=0 leaves an expected exact 0 no tolerance at all.
         assert report.char_residual == pytest.approx(expected, rel=1e-14, abs=0.0)
 
@@ -443,6 +469,8 @@ class TestBlockedReport:
         cases = [case.values[0] for case in blocked_report_cases()]
         axes = {extract_outer(to_modified(p)).axis for p in cases}
         assert axes == {"y1", "y2"}
+        non_square = [p for p in cases if p.grid.n1 != p.grid.n2]
+        assert {extract_outer(to_modified(p)).axis for p in non_square} == {"y1", "y2"}
         assert any(rigidity_report(p, 1e-2).char_residual == 0.0 for p in cases)
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourwell.fields import _BLOCK_ROWS, Grid, ScalarField, VectorField, _row_blocks
+from fourwell.fields import Grid, ScalarField, VectorField, _row_blocks
 from fourwell.spectral import (
+    _SLAB_COLS,
     _coeffs,
     _fold_sum,
+    _frame_slabs,
     _mode_blocks,
     _modes,
-    _value_rows,
     _values,
     curl_neg_sobolev,
     helmholtz_potential,
@@ -128,7 +129,6 @@ class TestBlockedCore:
         values = self.real(shape)
         expected = np.fft.rfft2(values) / values.size
         assert np.array_equal(_coeffs(values), expected)
-        assert np.array_equal(_coeffs(values.__getitem__, shape), expected)
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_int8_rows_transform_as_their_float_copies(self, shape):
@@ -147,11 +147,28 @@ class TestBlockedCore:
     def test_values_equal_irfft2(self, shape):
         c = np.fft.rfft2(self.real(shape, 1))
         expected = np.fft.irfft2(c, s=shape) * (shape[0] * shape[1])
-        assert np.array_equal(_values(c.copy(), shape), expected)
-        blocks = list(_value_rows(c.copy(), shape))
-        sizes = [rows.stop - rows.start for rows, _ in blocks]
-        assert sizes[:-1] == [_BLOCK_ROWS] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate([block for _, block in blocks]), expected)
+        assert np.array_equal(_values(c, shape), expected)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("shape", [shape for shape in BLOCK_SHAPES if min(shape) > 1])
+    def test_frame_slabs_cut_the_frame_transform(self, shape, transpose):
+        """Each slab is the half spectrum of the array, or of its transpose (to
+        rounding: a re-indexing, not a transform), cut to the slab's columns,
+        and comes with the frame's table cut the same way."""
+        values = self.real(shape, 2)
+        frame = values.T if transpose else values
+        expected = _coeffs(np.ascontiguousarray(frame))
+        k1, k2, d1, d2 = _modes(Grid(*frame.shape))
+        slabs = list(_frame_slabs([_coeffs(values)], Grid(*shape), transpose))
+        width = frame.shape[1] // 2 + 1
+        assert [cols for cols, _, _ in slabs] == [
+            slice(start, min(start + _SLAB_COLS, width)) for start in range(0, width, _SLAB_COLS)
+        ]
+        for cols, (b1, b2, e1, e2), (slab,) in slabs:
+            assert slab.shape == expected[:, cols].shape
+            assert_allclose(slab, expected[:, cols], rtol=0, atol=1e-16 if transpose else 0)
+            assert np.array_equal(b1, k1) and np.array_equal(e1, d1)
+            assert np.array_equal(b2, k2[:, cols]) and np.array_equal(e2, d2[:, cols])
 
     @pytest.mark.parametrize("shape", [(7, 9), (64, 12), (65, 12), (129, 66), (300, 8)])
     def test_fold_sum_of_blocks_equals_the_whole(self, shape):

@@ -1,8 +1,12 @@
-"""The pricing pass, characteristic residual and weak defect as they were
-computed before the spectral core was blocked: numpy's whole-array ``rfft2`` /
-``irfft2`` and per-mode work on whole half spectra.  Kept as oracles: the
-blocked code must give the energies and the weak defect bit for bit, and the
-characteristic residual to rounding (its sum of squares runs block by block).
+"""Whole-array forms of the report's pass: numpy's ``rfft2`` / ``irfft2`` and
+per-mode work on whole half spectra.
+
+``elastic``, ``char_residual`` and ``weak_defect`` are the forms the blocked
+code replaced: the residual in real space and the weak defect from a real
+template sheared row by row.  ``spectral_weak_defect`` is the report's own
+formula, the template's row spectra phase-shifted, on whole frame half spectra
+with one fold.  The report must give the energies and the spectral weak defect
+bit for bit, and the two real-space forms to rounding.
 """
 
 import math
@@ -10,7 +14,7 @@ import math
 import numpy as np
 
 from fourwell.energy import _re_dot, _sq
-from fourwell.fields import _transposed, shear_resample
+from fourwell.fields import Grid, _transposed, shear_resample
 from fourwell.spectral import _fold_sum, _modes, _profile_derivative
 
 
@@ -72,3 +76,37 @@ def weak_defect(m, outer, inner):
     template *= outer.f[:, None]
     gap_product = full1_norm(c.chi2t - template, c.grid)
     return float(math.hypot(gap_primary, gap_product))
+
+
+def frame_coeffs(values, transpose):
+    """The half spectrum of ``values``, or of its transpose taken from the full
+    spectrum that Hermitian symmetry rebuilds from the half: no transform of the
+    transposed array, so no rounding of its own."""
+    c = coeffs(values)
+    if not transpose:
+        return c
+    n1, n2 = values.shape
+    mirror = np.conj(c[-np.arange(n1) % n1, 1 : n2 - n2 // 2][:, ::-1])
+    return np.concatenate([c, mirror], axis=1).T[:, : n1 // 2 + 1]
+
+
+def spectral_weak_defect(m, outer, inner):
+    """The weak defect from the template's coefficients: row j's spectrum is the
+    profile derivative's times exp(2 pi i q s_j / n2), transformed down the
+    columns, on the whole frame half spectrum."""
+    transpose = outer.axis == "y2"
+    first, second = (m.chi2t, m.chi1t) if transpose else (m.chi1t, m.chi2t)
+    a, b = frame_coeffs(first, transpose), frame_coeffs(second, transpose)
+    n1, n2 = a.shape[0], len(inner.g)
+    frame = Grid(n1, n2)
+    k1, k2, _, _ = _modes(frame)
+    gm = inner.g - inner.g.mean()
+    deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
+    roots = np.exp(2j * np.pi * np.arange(n2) / n2)
+    shifts = np.rint(outer.F).astype(np.int64)
+    rows = deriv * roots[np.arange(n2 // 2 + 1) * shifts[:, None] % n2]
+    weight = 1.0 / (1.0 + k1**2 + k2**2)
+    primary = _fold_sum(_sq(a - np.fft.fft(rows, axis=0) / (n1 * n2)) * weight, frame)
+    template = np.fft.fft(outer.f[:, None] * rows, axis=0) / (n1 * n2)
+    product = _fold_sum(_sq(b - template) * weight, frame)
+    return float(math.hypot(math.sqrt(primary), math.sqrt(product)))

@@ -9,11 +9,11 @@ coefficients.  An independent brute-force oracle for the same minimum lives
 in :mod:`fourwell.spectral` so the algebra here never checks itself.
 
 The relaxed energy is priced by a blocked pass: the spectral core's blocked
-transforms give each half spectrum, and the multiplier's two steps,
-``_shear`` and ``_finish``, walk the core's mode table a row block at a time
-(``_mode_blocks``).  Column sums run in row order, so the energy is the
-whole-array pass's float exactly, with at most two half spectra and one
-half-size float term alive.
+transforms give each half spectrum, and the multiplier's two independent
+folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, walk the core's mode
+table a row block at a time (``_mode_blocks``).  Column sums run in row order,
+so each fold is the whole-array pass's float exactly, with at most two half
+spectra and no half-size term alive.
 
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
 elastic energy by ``eta^(-2/3)``; cube roots are taken with ``np.cbrt`` so
@@ -180,64 +180,58 @@ def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
     zeroes it, so reflections with their sign flips leave the energy unchanged
     on every grid.
 
-    The shear term is formed and c1, c2 freed before chi3t is transformed, so
-    at most two half spectra and one half-size float term are alive at once;
-    the per-mode work runs a row block at a time.
+    It is two folds that share no array, one over c1 and c2 and one over c3,
+    so at most two half spectra are alive at once; per-mode work runs a row
+    block at a time.
     """
-    c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
-    shear = _shear(c1, c2, m.grid)
-    del c1, c2
-    return _finish(shear, _coeffs(m.chi3t), m.grid)
+    shear = _shear(_coeffs(m.chi1t), _coeffs(m.chi2t), m.grid)
+    return shear + _cross(_coeffs(m.chi3t), m.grid)
 
 
-def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> np.ndarray:
-    """First step of the multiplier: ``k1^2 |c1|^2 + k2^2 |c2|^2 - 2 d1 d2 Re(c2 conj(c1))``.
+def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
+    """Fold of ``2 (k1^2 |c1|^2 + k2^2 |c2|^2 - 2 d1 d2 Re(c2 conj(c1))) / |k|^2``.
 
-    ``d1, d2`` are the derivative frequencies, zero at unpaired modes.  The
-    inputs are left as they are; the result is a new half-size float array
-    for :func:`_finish`, filled a row block at a time.
+    ``d1, d2`` are the derivative frequencies, zero at unpaired modes; the
+    inputs are left as they are.  The exact factor 2 is taken outside the
+    fold, and the mean mode adds exactly 0.
     """
-    shear = np.empty(c1.shape)
-    # The sign-sensitive term averages to 0 at unpaired modes, where d is 0.
-    for rows, k1, k2, d1, d2 in _mode_blocks(grid):
-        a, b, out = c1[rows], c2[rows], shear[rows]
-        _sq(a, out=out)
-        np.multiply(k1**2, out, out=out)
-        term = _sq(b)
-        np.multiply(k2**2, term, out=term)
-        out += term
-        np.multiply(2.0 * d1, d2, out=term)
-        term *= _re_dot(b, a)
-        out -= term
-    return shear
+
+    def per_mode():
+        # The sign-sensitive term averages to 0 at unpaired modes, where d is 0.
+        for rows, k1, k2, d1, d2 in _mode_blocks(grid):
+            a, b = c1[rows], c2[rows]
+            block = _sq(a)
+            block *= k1**2
+            term = _sq(b)
+            term *= k2**2
+            block += term
+            np.multiply(2.0 * d1, d2, out=term)
+            term *= _re_dot(b, a)
+            block -= term
+            block /= _ksq(k1, k2)
+            yield block
+
+    return 2.0 * _fold_sum(per_mode(), grid)
 
 
-def _finish(shear: np.ndarray, c3: np.ndarray, grid: Grid) -> float:
-    """Second step of the multiplier: sum ``2 (|k|^2 shear + 2 k1^2 k2^2 |c3|^2) / |k|^4``.
-
-    Consumes ``shear``, which is overwritten with the per-mode energy a row
-    block at a time; ``c3`` is left as it is.  Every frequency factor is 0 at
-    the mean mode, so it adds exactly 0.
-    """
+def _cross(c3: np.ndarray, grid: Grid) -> float:
+    """Fold of ``4 k1^2 k2^2 |c3|^2 / |k|^4``, ``c3`` left as it is; the exact
+    factor 4 is taken outside the fold, and the mean mode adds exactly 0."""
 
     def per_mode():
         for rows, k1, k2, _, _ in _mode_blocks(grid):
             ksq = _ksq(k1, k2)
-            cross = _sq(c3[rows])
-            np.multiply(2.0 * (k1**2) * (k2**2), cross, out=cross)
-            block = shear[rows]
-            block *= ksq
-            block += cross
-            block *= 2.0
-            block /= ksq**2
+            block = _sq(c3[rows])
+            block *= (k1 * k2) ** 2
+            block /= np.square(ksq, out=ksq)
             yield block
 
-    return _fold_sum(per_mode(), grid)
+    return 4.0 * _fold_sum(per_mode(), grid)
 
 
-def _sq(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``|c|^2`` without a square root, in ``out`` or a new array."""
-    out = np.square(c.real, out=out)
+def _sq(c: np.ndarray) -> np.ndarray:
+    """``|c|^2`` without a square root, as a new array."""
+    out = np.square(c.real)
     out += np.square(c.imag)
     return out
 

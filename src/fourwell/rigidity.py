@@ -8,7 +8,7 @@ which the energy controls from below.  Everything here is read-only
 diagnostics: no generator imports this module.
 
 A report transforms each indicator once: the pricing pass shares
-:mod:`fourwell.energy`'s blocked multiplier, and the characteristic residual
+:mod:`fourwell.energy`'s two folds, and the characteristic residual
 and the weak defect read the same coefficients of chi1t and chi2t in one walk
 over column slabs of the frame, the grid turned so that the outer axis is
 axis 0, where the outer sign is one value per row.
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _finish, _shear, _sq, _to_json, _weighted, surface_energy
+from .energy import EnergyBreakdown, _cross, _shear, _sq, _to_json, _weighted, surface_energy
 from .fields import (
     Grid,
     ModifiedIndicators,
@@ -303,15 +303,15 @@ def _spectral_pass(
     """Relaxed elastic energy, characteristic residual and weak defect, from
     one transform of each indicator.
 
-    The slab walk runs while c1 and c2 are alive and before the shear term is
-    made, so at most two half spectra and the half-size shear term are alive
-    at once; chi3t is transformed only after c1 and c2 are freed.
+    The slab walk and the energy's shear fold read c1 and c2; chi3t is
+    transformed for the cross fold only after they are freed, so at most two
+    half spectra and no half-size term are alive at once.
     """
     c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
     char, weak = _slab_pass(c1, c2, m.grid, outer, inner)
     shear = _shear(c1, c2, m.grid)
     del c1, c2
-    return _finish(shear, _coeffs(m.chi3t), m.grid), char, weak
+    return shear + _cross(_coeffs(m.chi3t), m.grid), char, weak
 
 
 def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:

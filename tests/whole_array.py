@@ -30,15 +30,13 @@ def ksq(grid):
 
 
 def elastic(m):
-    """The relaxed elastic energy: the two-step multiplier on whole half spectra."""
+    """The relaxed elastic energy: the shear and cross folds on whole half spectra."""
     grid = m.grid
     c1, c2, c3 = coeffs(m.chi1t), coeffs(m.chi2t), coeffs(m.chi3t)
     k1, k2, d1, d2 = _modes(grid)
-    shear = k1**2 * _sq(c1) + k2**2 * _sq(c2) - 2.0 * d1 * d2 * _re_dot(c2, c1)
-    cross = 2.0 * (k1**2) * (k2**2) * _sq(c3)
-    per_mode = 2.0 * (shear * ksq(grid) + cross) / ksq(grid) ** 2
-    per_mode[0, 0] = 0.0
-    return _fold_sum(per_mode, grid)
+    shear = (k1**2 * _sq(c1) + k2**2 * _sq(c2) - 2.0 * d1 * d2 * _re_dot(c2, c1)) / ksq(grid)
+    cross = _sq(c3) * (k1 * k2) ** 2 / ksq(grid) ** 2
+    return 2.0 * _fold_sum(shear, grid) + 4.0 * _fold_sum(cross, grid)
 
 
 def char_residual(m, outer):

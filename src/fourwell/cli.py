@@ -22,7 +22,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .energy import _weighted, relaxed_elastic_energy, surface_energy, total_energy
+from .energy import (
+    _relaxed_from_labels,
+    _weighted,
+    relaxed_elastic_energy,
+    surface_energy,
+    total_energy,
+)
 from .fields import (
     Grid,
     PhaseField,
@@ -206,15 +212,19 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(field: PhaseField, etas: list[float]) -> list[dict[str, float]]:
-    """One row per eta; everything but the eta weighting is computed once."""
+    """One row per eta; everything but the eta weighting is computed once.
+
+    The indicator slots serve the extractors and are freed before the field
+    is priced from its labels."""
     m = to_modified(field)
-    elastic = relaxed_elastic_energy(m)
+    outer = extract_outer(m)
+    inner = extract_inner(m, outer)
+    del m
+    elastic = _relaxed_from_labels(field)
     surface = surface_energy(field)
     breakdowns = [_weighted(eta, elastic, surface) for eta in etas]
     theta = volume_fractions(field)
     d14, d12 = incompatibility_defect(theta)
-    outer = extract_outer(m)
-    inner = extract_inner(m, outer)
     shared = {
         "theta1": theta[0],
         "theta2": theta[1],

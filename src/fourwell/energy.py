@@ -13,7 +13,9 @@ transforms give each half spectrum, and the multiplier's two independent
 folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, walk the core's mode
 table a row block at a time (``_mode_blocks``).  Column sums run in row order,
 so each fold is the whole-array pass's float exactly, with at most two half
-spectra and no half-size term alive.
+spectra and no half-size term alive.  A phase field is priced from its labels:
+the transforms look each slot up a row block at a time, so beside the labels
+only the half spectra are full-size and no indicator slot is alive.
 
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
 elastic energy by ``eta^(-2/3)``; cube roots are taken with ``np.cbrt`` so
@@ -24,10 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .fields import (
+    _SLOT_OF_LABEL,
     Grid,
     ModifiedIndicators,
     PhaseField,
@@ -184,8 +188,22 @@ def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
     so at most two half spectra are alive at once; per-mode work runs a row
     block at a time.
     """
-    shear = _shear(_coeffs(m.chi1t), _coeffs(m.chi2t), m.grid)
-    return shear + _cross(_coeffs(m.chi3t), m.grid)
+    return _relaxed((_coeffs(slot) for slot in (m.chi1t, m.chi2t, m.chi3t)), m.grid)
+
+
+def _relaxed_from_labels(p: PhaseField) -> float:
+    """:func:`relaxed_elastic_energy` of ``to_modified(p)``, the same float,
+    with each slot looked up from the labels a row block at a time inside its
+    transform, so no full-size slot is made."""
+    return _relaxed((_coeffs(p.labels, table) for table in _SLOT_OF_LABEL), p.grid)
+
+
+def _relaxed(spectra: Iterator[np.ndarray], grid: Grid) -> float:
+    """``_shear(c1, c2) + _cross(c3)``, the half spectra drawn in turn from
+    ``spectra`` as each fold needs them, so c3 is made after c1 and c2 are
+    freed."""
+    shear = _shear(next(spectra), next(spectra), grid)
+    return shear + _cross(next(spectra), grid)
 
 
 def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
@@ -305,14 +323,16 @@ def total_energy(
 ) -> EnergyBreakdown:
     """Weighted sum of surface and elastic parts.
 
-    Without an explicit strain the elastic part is the relaxed minimum; with
-    one it is the pointwise misfit against ``diag`` and the cell's well.
+    Without an explicit strain the elastic part is the relaxed minimum,
+    priced from the labels with two half spectra beside them and no indicator
+    slot made; with one it is the pointwise misfit against ``diag`` and the
+    cell's well.
     """
     _check_eta(eta)
-    m = to_modified(p)
-    elastic = (
-        relaxed_elastic_energy(m) if e is None else elastic_energy_pointwise(e, m, diag)
-    )
+    if e is None:
+        elastic = _relaxed_from_labels(p)
+    else:
+        elastic = elastic_energy_pointwise(e, to_modified(p), diag)
     return _weighted(eta, elastic, surface_energy(p))
 
 

@@ -184,11 +184,13 @@ for _phase, _t in enumerate(ADMISSIBLE_TUPLES, start=1):
 def to_modified(p: PhaseField) -> ModifiedIndicators:
     """Expand phase labels into their sign triples.
 
-    Each slot is its own contiguous int8 array of ±1, an eighth of the memory
-    of a float64 field, filled a row block at a time so the labels are never
-    widened to a full-size index array.
+    Each slot is a contiguous int8 array of ±1, an eighth of the memory of a
+    float64 field, filled a row block at a time so the labels are never
+    widened to a full-size index array.  The three slots are views of one
+    ``(3, n1, n2)`` allocation, so dropping them hands back one mapping rather
+    than three heap chunks the allocator may keep.
     """
-    slots = [np.empty(p.grid.shape, dtype=np.int8) for _ in _SLOT_OF_LABEL]
+    slots = np.empty((len(_SLOT_OF_LABEL), *p.grid.shape), dtype=np.int8)
     for rows in _row_blocks(p.grid.n1):
         for table, slot in zip(_SLOT_OF_LABEL, slots):
             np.take(table, p.labels[rows], out=slot[rows], mode="clip")  # labels are 1..4

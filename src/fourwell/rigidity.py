@@ -11,7 +11,9 @@ A report transforms each indicator once: the pricing pass shares
 :mod:`fourwell.energy`'s two folds, and the characteristic residual
 and the weak defect read the same coefficients of chi1t and chi2t in one walk
 over column slabs of the frame, the grid turned so that the outer axis is
-axis 0, where the outer sign is one value per row.
+axis 0, where the outer sign is one value per row.  Only the extractors read
+the indicator slots; the transforms read the labels, so the slots are freed
+before the first one runs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .energy import EnergyBreakdown, _cross, _shear, _sq, _to_json, _weighted, surface_energy
 from .fields import (
+    _SLOT_OF_LABEL,
     Grid,
     ModifiedIndicators,
     PhaseField,
@@ -298,20 +301,21 @@ def _slab_pass(
 
 
 def _spectral_pass(
-    m: ModifiedIndicators, outer: OuterProfile, inner: InnerProfile
+    p: PhaseField, outer: OuterProfile, inner: InnerProfile
 ) -> tuple[float, float, float]:
     """Relaxed elastic energy, characteristic residual and weak defect, from
-    one transform of each indicator.
+    one transform of each indicator, each read from the labels.
 
     The slab walk and the energy's shear fold read c1 and c2; chi3t is
-    transformed for the cross fold only after they are freed, so at most two
-    half spectra and no half-size term are alive at once.
+    transformed for the cross fold only after they are freed, so beside the
+    labels at most two half spectra, no half-size term and no indicator slot
+    are alive at once.
     """
-    c1, c2 = _coeffs(m.chi1t), _coeffs(m.chi2t)
-    char, weak = _slab_pass(c1, c2, m.grid, outer, inner)
-    shear = _shear(c1, c2, m.grid)
+    c1, c2 = (_coeffs(p.labels, table) for table in _SLOT_OF_LABEL[:2])
+    char, weak = _slab_pass(c1, c2, p.grid, outer, inner)
+    shear = _shear(c1, c2, p.grid)
     del c1, c2
-    return shear + _cross(_coeffs(m.chi3t), m.grid), char, weak
+    return shear + _cross(_coeffs(p.labels, _SLOT_OF_LABEL[2]), p.grid), char, weak
 
 
 def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
@@ -319,13 +323,15 @@ def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
 
     Deterministic: equal inputs give byte-identical JSON.  The shear
     pull-back requires grid-aligned staircases, which square grids always
-    provide.
+    provide.  The indicator slots are made for the two extractors and freed
+    before the spectral pass, which transforms from the labels.
     """
     _check_eta(eta)
     m = to_modified(p)
     outer = extract_outer(m)
     inner = extract_inner(m, outer)
-    elastic, char, weak = _spectral_pass(m, outer, inner)
+    del m
+    elastic, char, weak = _spectral_pass(p, outer, inner)
     energy = _weighted(eta, elastic, surface_energy(p))
     theta = volume_fractions(p)
     d14, d12 = incompatibility_defect(theta)

@@ -28,8 +28,10 @@ how transforms and per-mode work are blocked:
   ``fields._BLOCK_ROWS`` rows at a time and runs the column pass in place
   over the whole half spectrum (numpy's ``out=``), so the only full-size
   array it makes is its half spectrum, and it equals numpy's ``rfft2`` bit
-  for bit.  Per-mode work walks ``_mode_blocks``, the table cut to row
-  blocks, and ``_fold_sum`` sums row blocks with the whole array's floats.
+  for bit.  It can read an indicator slot straight from the phase labels,
+  a row block looked up at a time, so pricing needs no full-size slot.
+  Per-mode work walks ``_mode_blocks``, the table cut to row blocks, and
+  ``_fold_sum`` sums row blocks with the whole array's floats.
 * Frames: ``_frame_slabs`` walks a field's half spectrum, or its transpose's
   (an exact re-indexing, so no transform is taken twice), a slab of
   ``_SLAB_COLS`` columns at a time with the table cut to the slab.
@@ -63,17 +65,22 @@ __all__ = [
 _SLAB_COLS = 16
 
 
-def _coeffs(values: np.ndarray) -> np.ndarray:
-    """Normalized half-spectrum Fourier coefficients of a real 2-D array.
+def _coeffs(values: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    """Normalized half-spectrum Fourier coefficients of a real 2-D array, or,
+    given a ``table``, of the array ``table[values]``.
 
     Equal bit for bit to ``rfft2(values) / (n1 * n2)``, which takes the same
     two passes: the row ``rfft`` of each row block is written into one
     preallocated half spectrum, then the column ``fft`` runs over it in place.
+    With a table, such as one slot's row of ``fields._SLOT_OF_LABEL``, each
+    row block of ``values`` (phase labels) is looked up just before its row
+    ``rfft``, so the looked-up array is never made whole.
     """
     n1, n2 = values.shape
     c = np.empty((n1, n2 // 2 + 1), dtype=complex)
     for rows in _row_blocks(n1):
-        np.fft.rfft(values[rows], axis=1, out=c[rows])
+        block = values[rows] if table is None else np.take(table, values[rows], mode="clip")
+        np.fft.rfft(block, axis=1, out=c[rows])
     np.fft.fft(c, axis=0, out=c)
     c /= n1 * n2
     return c

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,13 @@ import pytest
 import fourwell.cli
 from fourwell.cli import load_config, main
 from fourwell.energy import total_energy
-from fourwell.fields import Grid, read_phase_field, write_phase_field
+from fourwell.fields import (
+    Grid,
+    ModifiedIndicators,
+    PhaseField,
+    read_phase_field,
+    write_phase_field,
+)
 from fourwell.microstructures import gen_random_partition
 from fourwell.rigidity import rigidity_report
 
@@ -326,6 +334,51 @@ class TestHalfSpectrum:
         assert {name: fft_calls[name] for name in self.FULL} == dict.fromkeys(self.FULL, 0)
 
 
+class TestNoSlotDuringTransforms:
+    """Energy, report and sweep transform from the labels: no
+    ``ModifiedIndicators`` made by the code under test is alive at any
+    ``_coeffs`` call."""
+
+    @pytest.fixture
+    def slots_alive(self, monkeypatch):
+        """One entry per ``_coeffs`` call made through a fourwell module that
+        binds it: the count of ``ModifiedIndicators`` then alive that were not
+        alive when the test began (those are held, so no id is reused)."""
+        held = [o for o in gc.get_objects() if isinstance(o, ModifiedIndicators)]
+        counts = []
+        original = fourwell.spectral._coeffs
+
+        def checked(*args, **kwargs):
+            alive = [o for o in gc.get_objects() if isinstance(o, ModifiedIndicators)]
+            counts.append(sum(not any(o is h for h in held) for o in alive))
+            return original(*args, **kwargs)
+
+        for name, module in sys.modules.items():
+            if name.startswith("fourwell.") and getattr(module, "_coeffs", None) is original:
+                monkeypatch.setattr(module, "_coeffs", checked)
+        return counts
+
+    FIELD = gen_random_partition(1, Grid(130, 130), feature_scale=0.05)
+
+    def test_total_energy(self, slots_alive):
+        total_energy(self.FIELD, 1e-2)
+        assert slots_alive == [0, 0, 0]
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
+    def test_report_in_both_frames(self, slots_alive, transpose):
+        p = self.FIELD
+        if transpose:
+            p = PhaseField(p.grid, np.ascontiguousarray(p.labels.T))
+        axis = rigidity_report(p, 1e-2).outer.axis
+        assert axis == ("y1" if transpose else "y2")
+        assert slots_alive == [0, 0, 0]
+
+    def test_sweep(self, tmp_path, capsys, slots_alive):
+        argv = ["sweep", "--grid", "192", "--kinds", "crossing-twin,random", "--etas", "0.1,0.01"]
+        assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+        assert slots_alive == [0] * 6
+
+
 class TestSweep:
     def test_table_structure_and_fits(self, tmp_path, capsys):
         code, out, _ = run(
@@ -406,11 +459,11 @@ class TestSweep:
         work; its header records every generator input the sweep read.
         """
         priced = []
-        original = fourwell.cli.relaxed_elastic_energy
+        original = fourwell.cli._relaxed_from_labels
         monkeypatch.setattr(
             fourwell.cli,
-            "relaxed_elastic_energy",
-            lambda m: priced.append(m) or original(m),
+            "_relaxed_from_labels",
+            lambda p: priced.append(p) or original(p),
         )
         code, _, _ = run(
             capsys,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourwell.fields import Grid, ScalarField, VectorField, _row_blocks
+from fourwell.fields import _SLOT_OF_LABEL, Grid, ScalarField, VectorField, _row_blocks
 from fourwell.spectral import (
     _SLAB_COLS,
     _coeffs,
@@ -130,18 +130,31 @@ class TestBlockedCore:
         expected = np.fft.rfft2(values) / values.size
         assert np.array_equal(_coeffs(values), expected)
 
+    @staticmethod
+    def labels(shape):
+        return np.random.default_rng(0).integers(1, 5, size=shape, dtype=np.uint8)
+
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_int8_rows_transform_as_their_float_copies(self, shape):
-        signs = np.where(self.real(shape) < 0, -1, 1).astype(np.int8)
-        assert np.array_equal(_coeffs(signs), np.fft.rfft2(signs.astype(float)) / signs.size)
+        """Each int8 slot, given whole or looked up from the labels a row
+        block at a time, transforms as its float64 copy."""
+        labels = self.labels(shape)
+        for table in _SLOT_OF_LABEL:
+            signs = table[labels]
+            expected = np.fft.rfft2(signs.astype(float)) / signs.size
+            assert np.array_equal(_coeffs(signs), expected)
+            assert np.array_equal(_coeffs(labels, table), expected)
 
     def test_int8_slot_transforms_beside_little_but_its_half_spectrum(self, float_fields_peak):
         """The half spectrum (about one unit) and one row block's floats: the
-        slot is never widened whole, and the column pass copies nothing whole."""
+        slot is never widened whole, nor made whole from the labels, and the
+        column pass copies nothing whole."""
         grid = Grid(512, 512)
-        signs = np.where(self.real(grid.shape) < 0, -1, 1).astype(np.int8)
+        labels = self.labels(grid.shape)
+        signs = _SLOT_OF_LABEL[0][labels]
         _coeffs(signs)  # numpy caches its FFT plans for these lengths on a first call
         assert float_fields_peak(lambda: _coeffs(signs), grid) <= 1.2
+        assert float_fields_peak(lambda: _coeffs(labels, _SLOT_OF_LABEL[0]), grid) <= 1.2
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_values_equal_irfft2(self, shape):

@@ -11,8 +11,9 @@ in :mod:`fourwell.spectral` so the algebra here never checks itself.
 The relaxed energy is priced by a blocked pass: the spectral core's blocked
 transforms give each half spectrum, and the multiplier's two independent
 folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, walk the core's mode
-table a row block at a time (``_mode_blocks``).  Column sums run in row order,
-so each fold is the whole-array pass's float exactly, with at most two half
+table a row block at a time (``_mode_blocks``); on large grids two workers
+take a column half each (``_fold_parts``).  Column sums run in row order, so
+each fold is the whole-array pass's float exactly, with at most two half
 spectra and no half-size term alive.  A phase field is priced from its labels:
 the transforms look each slot up a row block at a time, so beside the labels
 only the half spectra are full-size and no indicator slot is alive.
@@ -43,6 +44,7 @@ from .fields import (
 from .model import MaterialParams, _check_eta
 from .spectral import (
     _coeffs,
+    _fold_parts,
     _fold_sum,
     _ksq,
     _mode_blocks,
@@ -214,10 +216,10 @@ def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
     fold, and the mean mode adds exactly 0.
     """
 
-    def per_mode():
+    def per_mode(cols):
         # The sign-sensitive term averages to 0 at unpaired modes, where d is 0.
-        for rows, k1, k2, d1, d2 in _mode_blocks(grid):
-            a, b = c1[rows], c2[rows]
+        for rows, k1, k2, d1, d2 in _mode_blocks(grid, cols):
+            a, b = c1[rows, cols], c2[rows, cols]
             block = _sq(a)
             block *= k1**2
             term = _sq(b)
@@ -229,22 +231,22 @@ def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
             block /= _ksq(k1, k2)
             yield block
 
-    return 2.0 * _fold_sum(per_mode(), grid)
+    return 2.0 * _fold_parts(per_mode, grid)
 
 
 def _cross(c3: np.ndarray, grid: Grid) -> float:
     """Fold of ``4 k1^2 k2^2 |c3|^2 / |k|^4``, ``c3`` left as it is; the exact
     factor 4 is taken outside the fold, and the mean mode adds exactly 0."""
 
-    def per_mode():
-        for rows, k1, k2, _, _ in _mode_blocks(grid):
+    def per_mode(cols):
+        for rows, k1, k2, _, _ in _mode_blocks(grid, cols):
             ksq = _ksq(k1, k2)
-            block = _sq(c3[rows])
+            block = _sq(c3[rows, cols])
             block *= (k1 * k2) ** 2
             block /= np.square(ksq, out=ksq)
             yield block
 
-    return 4.0 * _fold_sum(per_mode(), grid)
+    return 4.0 * _fold_parts(per_mode, grid)
 
 
 def _sq(c: np.ndarray) -> np.ndarray:

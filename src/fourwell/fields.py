@@ -79,9 +79,9 @@ class Grid:
 _BLOCK_ROWS = 64
 
 
-def _row_blocks(n: int):
-    """Slices of at most ``_BLOCK_ROWS`` consecutive rows covering ``range(n)``."""
-    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
+def _row_blocks(n: int, size: int = _BLOCK_ROWS):
+    """Slices of at most ``size`` consecutive rows covering ``range(n)``."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 def _check_shape(grid: Grid, values: np.ndarray, what: str) -> None:

@@ -39,7 +39,15 @@ from .fields import (
 )
 from .microstructures import staircase_shifts
 from .model import _check_eta
-from .spectral import _coeffs, _fold, _frame, _frame_slabs, _potential, _profile_derivative
+from .spectral import (
+    _coeffs,
+    _fold,
+    _frame,
+    _frame_slabs,
+    _in_parts,
+    _potential,
+    _profile_derivative,
+)
 
 __all__ = [
     "OuterProfile",
@@ -288,14 +296,18 @@ def _slab_pass(
         return (_sq(field - template) * weight).sum(axis=0)
 
     sums = np.empty((3, n2 // 2 + 1))  # the residual's column sums, then the two gaps'
-    for cols, modes, (a, b) in _frame_slabs((c1, c2), grid, transpose):
-        k1, k2, _, _ = modes
-        sums[0, cols] = _transport_sums(_potential(b, a, *modes), modes, f)
-        weight = 1.0 / (1.0 + k1**2 + k2**2)
-        rows = deriv[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n2]
-        sums[1, cols] = gap_sums(a, rows, weight)
-        rows *= f
-        sums[2, cols] = gap_sums(b, rows, weight)
+
+    def walk(part: int, parts: int) -> None:  # each worker writes its own columns
+        for cols, modes, (a, b) in _frame_slabs((c1, c2), grid, transpose, part, parts):
+            k1, k2, _, _ = modes
+            sums[0, cols] = _transport_sums(_potential(b, a, *modes), modes, f)
+            weight = 1.0 / (1.0 + k1**2 + k2**2)
+            rows = deriv[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n2]
+            sums[1, cols] = gap_sums(a, rows, weight)
+            rows *= f
+            sums[2, cols] = gap_sums(b, rows, weight)
+
+    _in_parts(walk, n1 * n2)
     residual, primary, product = (_fold(s, frame) for s in sums)
     return math.sqrt(n1 * residual), math.hypot(math.sqrt(primary), math.sqrt(product))
 

@@ -2,8 +2,9 @@
 
 The private core (``_coeffs``, ``_values``, ``_axis``, ``_modes``,
 ``_mode_blocks``, ``_frame_slabs``, ``_ksq``, ``_drop``, ``_fold``,
-``_fold_sum``) is the only owner of the package's Fourier conventions and of
-how transforms and per-mode work are blocked:
+``_fold_sum``, ``_fold_parts``, ``_in_parts``) is the only owner of the
+package's Fourier conventions and of how transforms and per-mode work are
+blocked and split across workers:
 
 * Every field is real, so only half of its spectrum is stored: coefficients
   are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
@@ -32,6 +33,17 @@ how transforms and per-mode work are blocked:
   a row block looked up at a time, so pricing needs no full-size slot.
   Per-mode work walks ``_mode_blocks``, the table cut to row blocks, and
   ``_fold_sum`` sums row blocks with the whole array's floats.
+* Workers: ``_in_parts`` runs disjoint parts of a pass at once, on two
+  threads from ``_SPLIT_CELLS`` (640^2) cells up when two CPUs are usable,
+  else on one; numpy's transforms and array loops release the GIL.  In
+  ``_coeffs`` each worker takes every other row block, of half the rows,
+  then half the columns of the column pass, then half the rows of the
+  normalisation.  ``_fold_parts`` gives each worker a column half of a
+  fold, and ``_frame_slabs`` every other half-width piece of the slabs.  So
+  the workers' temporaries together stay one block's or one slab's, every
+  1-D transform is taken alone and every column is summed in row order (no
+  piece is cut to one column, which numpy would sum pairwise), and no output
+  bit depends on the number of workers.
 * Frames: ``_frame_slabs`` walks a field's half spectrum, or its transpose's
   (an exact re-indexing, so no transform is taken twice), a slab of
   ``_SLAB_COLS`` columns at a time with the table cut to the slab.
@@ -44,11 +56,13 @@ in :mod:`fourwell.energy` and must share none of its algebra.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import os
+import threading
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import Grid, ModifiedIndicators, ScalarField, VectorField, _row_blocks
+from .fields import _BLOCK_ROWS, Grid, ModifiedIndicators, ScalarField, VectorField, _row_blocks
 
 __all__ = [
     "spectral_derivative",
@@ -64,6 +78,66 @@ __all__ = [
 # time: a slab's temporaries stay a small fraction of one half spectrum.
 _SLAB_COLS = 16
 
+# The smallest grid, in cells, whose work is split across two workers.  On a
+# 2-CPU machine two workers priced a 512^2 field at 0.93-1.06x the speed of
+# one and a 640^2 field at 1.09-1.17x (energy and report, two runs each).
+_SPLIT_CELLS = 640 * 640
+
+
+def _workers(cells: int) -> int:
+    """How many parts the core splits the work on a grid of ``cells`` cells
+    into: 2 from ``_SPLIT_CELLS`` cells up when this process may run on at
+    least two CPUs, else 1."""
+    if cells < _SPLIT_CELLS:
+        return 1
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        usable = os.cpu_count() or 1
+    return 2 if usable >= 2 else 1
+
+
+def _in_parts(work: Callable[[int, int], object], cells: int) -> list:
+    """``[work(part, parts) for part in range(parts)]`` with ``parts =
+    _workers(cells)``, the parts run at once: part 0 in the caller, each other
+    on a thread of its own.
+
+    ``work`` must give each part disjoint work.  numpy's transforms and array
+    loops release the GIL, so the parts share the CPUs.  Every part finishes
+    before this returns or raises; the first error of a part, in part order,
+    is then raised here, so no error is lost and no thread outlives the call.
+    """
+    parts = _workers(cells)
+    results: list = [None] * parts
+    errors: list[BaseException | None] = [None] * parts
+
+    def run(part: int) -> None:
+        try:
+            results[part] = work(part, parts)
+        except BaseException as exc:  # raised in the caller once all parts end
+            errors[part] = exc
+
+    threads = [threading.Thread(target=run, args=(part,)) for part in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _cut(width: int, parts: int) -> list[slice]:
+    """``range(width)`` cut into ``parts`` consecutive slices, as even as they
+    come, the last ones empty if ``width`` is too small: no slice has one
+    column unless ``width`` is 1, since numpy sums a one-column array
+    pairwise, and each column of a wider one in row order."""
+    used = min(parts, max(1, width // 2))
+    edges = [width * min(i, used) // used for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
 
 def _coeffs(values: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """Normalized half-spectrum Fourier coefficients of a real 2-D array, or,
@@ -75,14 +149,31 @@ def _coeffs(values: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     With a table, such as one slot's row of ``fields._SLOT_OF_LABEL``, each
     row block of ``values`` (phase labels) is looked up just before its row
     ``rfft``, so the looked-up array is never made whole.
+
+    Each worker (:func:`_in_parts`) takes every ``parts``-th row block, of
+    ``_BLOCK_ROWS / parts`` rows so that the workers' block temporaries
+    together stay one block's, then its own columns of the column pass, then
+    its own rows of the normalisation.  numpy transforms each row and column
+    on its own, so the bits do not depend on the number of workers.
     """
     n1, n2 = values.shape
     c = np.empty((n1, n2 // 2 + 1), dtype=complex)
-    for rows in _row_blocks(n1):
-        block = values[rows] if table is None else np.take(table, values[rows], mode="clip")
-        np.fft.rfft(block, axis=1, out=c[rows])
-    np.fft.fft(c, axis=0, out=c)
-    c /= n1 * n2
+
+    def row_pass(part: int, parts: int) -> None:
+        for rows in list(_row_blocks(n1, _BLOCK_ROWS // parts))[part::parts]:
+            block = values[rows] if table is None else np.take(table, values[rows], mode="clip")
+            np.fft.rfft(block, axis=1, out=c[rows])
+
+    def column_pass(part: int, parts: int) -> None:
+        half = c[:, _cut(c.shape[1], parts)[part]]
+        np.fft.fft(half, axis=0, out=half)
+
+    def scale(part: int, parts: int) -> None:
+        # Whole rows: numpy divides a column slice through iterator buffers.
+        c[_cut(n1, parts)[part]] /= n1 * n2
+
+    for work in (row_pass, column_pass, scale):
+        _in_parts(work, values.size)
     return c
 
 
@@ -111,12 +202,12 @@ def _modes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return k1[:, None], k2[None, half], d1[:, None], d2[None, half]
 
 
-def _mode_blocks(grid: Grid) -> Iterator[tuple]:
-    """``(rows, k1, k2, d1, d2)`` for each row block of the half spectrum, in
-    order: the mode table, built once, cut to the block's rows."""
+def _mode_blocks(grid: Grid, cols: slice = slice(None)) -> Iterator[tuple]:
+    """``(rows, k1, k2, d1, d2)`` for each row block of the half spectrum's
+    columns ``cols``, in order: the mode table, built once, cut to the block."""
     k1, k2, d1, d2 = _modes(grid)
     for rows in _row_blocks(grid.n1):
-        yield rows, k1[rows], k2, d1[rows], d2
+        yield rows, k1[rows], k2[:, cols], d1[rows], d2[:, cols]
 
 
 def _frame(grid: Grid, transpose: bool) -> Grid:
@@ -124,11 +215,18 @@ def _frame(grid: Grid, transpose: bool) -> Grid:
     return Grid(grid.n2, grid.n1) if transpose else grid
 
 
-def _frame_slabs(cs: Sequence[np.ndarray], grid: Grid, transpose: bool) -> Iterator[tuple]:
+def _frame_slabs(
+    cs: Sequence[np.ndarray], grid: Grid, transpose: bool, part: int = 0, parts: int = 1
+) -> Iterator[tuple]:
     """``(cols, modes, slabs)`` for each slab of ``_SLAB_COLS`` columns, in
     order, of the half spectra ``cs`` of fields on ``grid`` seen on
     ``_frame(grid, transpose)``: the frame's table ``(k1, k2, d1, d2)`` cut to
     the slab, and each input's slab, the inputs left as they are.
+
+    Worker ``part`` of ``parts`` walks every ``parts``-th piece of the slabs,
+    each slab cut by :func:`_cut`: pieces ``1 / parts`` as wide keep the
+    workers' temporaries together at one slab's, and a column never moves to
+    a one-column piece, so its sum keeps its floats.
 
     Untransposed, a slab is the view ``c[:, cols]``.  Transposed, it is an
     exact re-indexing: frame coefficient ``[p, q]`` is ``c[q, p]`` for
@@ -137,8 +235,13 @@ def _frame_slabs(cs: Sequence[np.ndarray], grid: Grid, transpose: bool) -> Itera
     k1, k2, d1, d2 = _modes(_frame(grid, transpose))
     width = k2.shape[1]
     mirror = slice(grid.n2 - grid.n2 // 2 - 1, 0, -1)  # columns n2 - p, p > n2 // 2
-    for start in range(0, width, _SLAB_COLS):
-        cols = slice(start, min(start + _SLAB_COLS, width))
+    pieces = [
+        slice(start + piece.start, start + piece.stop)
+        for start in range(0, width, _SLAB_COLS)
+        for piece in _cut(min(_SLAB_COLS, width - start), parts)
+        if piece.stop > piece.start
+    ]
+    for cols in pieces[part::parts]:
         if transpose:
             minus_q = -np.arange(cols.start, cols.stop) % grid.n1
             slabs = [np.concatenate([c[cols].T, np.conj(c[minus_q, mirror].T)]) for c in cs]
@@ -174,18 +277,40 @@ def _fold(sums: np.ndarray, grid: Grid) -> float:
 
 def _fold_sum(per_mode: np.ndarray | Iterable[np.ndarray], grid: Grid) -> float:
     """:func:`_fold` of a half-spectrum array, or of an iterable of its row
-    blocks in order.
+    blocks in order."""
+    return _fold(_column_sums([per_mode] if isinstance(per_mode, np.ndarray) else per_mode), grid)
 
-    Each column is summed in row order either way (the running sums go into
-    the first row of the next block, which is overwritten), so blocks give the
-    whole array's float exactly, and so do column slabs summed one by one.
+
+def _column_sums(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The column sums of the row blocks ``blocks`` of one array, in order.
+
+    Each column is summed in row order (the running sums go into the first
+    row of the next block, which is overwritten), so blocks give the whole
+    array's floats exactly, and so do column slices of two or more columns.
     """
     sums = None
-    for block in [per_mode] if isinstance(per_mode, np.ndarray) else per_mode:
+    for block in blocks:
         if sums is not None:
             block[0] += sums
         sums = block.sum(axis=0)
-    return _fold(sums, grid)
+    return sums
+
+
+def _fold_parts(per_mode: Callable[[slice], Iterable[np.ndarray]], grid: Grid) -> float:
+    """:func:`_fold_sum` of the per-mode half-spectrum array whose row blocks,
+    cut to the columns ``cols``, ``per_mode(cols)`` yields in order.
+
+    Each worker (:func:`_in_parts`) sums its own column slice from
+    :func:`_cut`, so its blocks are ``1 / parts`` of a whole row block.  Every
+    column is still summed in row order, so the float does not depend on the
+    number of workers.
+    """
+    width = grid.n2 // 2 + 1
+
+    def part_sums(part: int, parts: int) -> np.ndarray:
+        return _column_sums(per_mode(_cut(width, parts)[part]))
+
+    return _fold(np.concatenate(_in_parts(part_sums, grid.n1 * grid.n2)), grid)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:

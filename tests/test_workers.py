@@ -1,0 +1,283 @@
+"""The spectral core's two workers: the split itself, outputs that do not
+depend on the number of workers, memory pins that hold with two, and worker
+errors that reach the caller."""
+
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import fourwell.spectral
+from fourwell.cli import main
+from fourwell.energy import _relaxed_from_labels, total_energy
+from fourwell.fields import _SLOT_OF_LABEL, Grid, PhaseField, to_modified, write_phase_field
+from fourwell.microstructures import gen_random_partition
+from fourwell.rigidity import extract_outer, rigidity_report
+from fourwell.spectral import (
+    _SLAB_COLS,
+    _SPLIT_CELLS,
+    _coeffs,
+    _cut,
+    _frame_slabs,
+    _in_parts,
+    _workers,
+)
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(fourwell.spectral, "_workers", lambda cells: count)
+
+
+def one_then_two(monkeypatch, build):
+    """``build()`` with one worker, then with two."""
+    results = []
+    for count in (1, 2):
+        force_workers(monkeypatch, count)
+        results.append(build())
+    return results
+
+
+class TestWorkerCount:
+    """Two workers from ``_SPLIT_CELLS`` cells up, if two CPUs are usable."""
+
+    def test_small_grids_keep_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _workers(_SPLIT_CELLS - 1) == 1
+        assert _workers(_SPLIT_CELLS) == 2
+        assert _workers(2048 * 2048) == 2
+
+    def test_one_usable_cpu_keeps_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _workers(2048 * 2048) == 1
+
+    def test_without_affinity_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, expected in ((1, 1), (None, 1), (4, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert _workers(2048 * 2048) == expected
+
+
+class TestInParts:
+    def test_each_part_runs_once_in_part_order(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        threads = {}
+
+        def work(part, parts):
+            threads[part] = threading.current_thread()
+            return (part, parts)
+
+        assert _in_parts(work, 1) == [(0, 2), (1, 2)]
+        assert threads[0] is threading.current_thread()
+        assert threads[1] is not threads[0]
+
+    def test_one_worker_runs_in_the_caller(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        before = threading.active_count()
+        assert _in_parts(lambda part, parts: threading.current_thread(), 1) == [
+            threading.current_thread()
+        ]
+        assert threading.active_count() == before
+
+    def test_a_worker_error_is_raised_after_every_part_ends(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        finished = []
+
+        def work(part, parts):
+            if part == 1:
+                raise MemoryError("second part")
+            time.sleep(0.05)  # the caller's part outlasts the failing one
+            finished.append(part)
+
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="second part"):
+            _in_parts(work, 1)
+        assert finished == [0]
+        assert threading.active_count() == before
+
+    def test_the_first_part_error_wins(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+
+        def work(part, parts):
+            raise ValueError(f"part {part}")
+
+        with pytest.raises(ValueError, match="part 0"):
+            _in_parts(work, 1)
+
+
+class TestCut:
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_slices_tile_the_width_without_lone_columns(self, parts):
+        for width in range(1, 40):
+            cut = _cut(width, parts)
+            assert len(cut) == parts
+            assert cut[0].start == 0 and cut[-1].stop == width
+            assert all(a.stop == b.start for a, b in zip(cut, cut[1:]))
+            sizes = [s.stop - s.start for s in cut if s.stop > s.start]
+            assert max(sizes) - min(sizes) <= 1
+            assert width == 1 or min(sizes) >= 2
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("shape", [(7, 9), (16, 16), (17, 48), (33, 64), (40, 30)])
+    def test_frame_slab_pieces_cut_the_one_worker_slabs(self, shape, transpose):
+        """Two workers walk the one-worker slabs cut in two pieces, each at most
+        half a slab wide and never one column unless the slab is."""
+        c = _coeffs(np.random.default_rng(0).standard_normal(shape))
+        whole = {
+            cols.start: (cols, slab)
+            for cols, _, (slab,) in _frame_slabs([c], Grid(*shape), transpose)
+        }
+        seen = []
+        for part in (0, 1):
+            for cols, _, (slab,) in _frame_slabs([c], Grid(*shape), transpose, part, 2):
+                start = max(s for s in whole if s <= cols.start)
+                outer, outer_slab = whole[start]
+                assert cols.stop <= outer.stop
+                width = cols.stop - cols.start
+                assert width <= -(-_SLAB_COLS // 2)
+                assert width >= 2 or outer.stop - outer.start == 1
+                offset = slice(cols.start - start, cols.stop - start)
+                assert np.array_equal(slab, outer_slab[:, offset])
+                seen.extend(range(cols.start, cols.stop))
+        assert sorted(seen) == list(range(max(c.stop for c, _ in whole.values())))
+
+
+# Odd, even, non-square and non-power-of-two grids, half spectra 2 and 3
+# columns wide, which two workers must not cut into one-column pieces, and a
+# benchmark field's size.
+SHAPES = [(130, 192), (193, 130), (7, 5), (1, 5), (5, 1), (64, 2), (200, 3), (1856, 1856)]
+
+
+class TestOneWorkerEqualsTwo:
+    """Every output is the same float with one worker or two: compared with ``==``."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_coeffs(self, monkeypatch, shape):
+        values = np.random.default_rng(1).standard_normal(shape)
+        one, two = one_then_two(monkeypatch, lambda: _coeffs(values))
+        assert np.array_equal(one, two)
+        labels = np.random.default_rng(2).integers(1, 5, size=shape, dtype=np.uint8)
+        for table in _SLOT_OF_LABEL:
+            one, two = one_then_two(monkeypatch, lambda: _coeffs(labels, table))
+            assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize(
+        "shape", [s for s in SHAPES if min(s) > 1], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_relaxed_energy_from_labels(self, monkeypatch, shape):
+        p = gen_random_partition(0, Grid(*shape), feature_scale=0.05)
+        one, two = one_then_two(monkeypatch, lambda: _relaxed_from_labels(p))
+        assert one == two
+
+    @staticmethod
+    def report_cases():
+        """Square grids whose half spectra reach 1, 3 or 9 columns past a
+        16-column slab, in both frames, and non-square grids on each outer axis."""
+        cases = []
+        for n in (16, 17, 36, 48, 129, 130, 1856):
+            p = gen_random_partition(n, Grid(n, n), feature_scale=0.05)
+            cases += [p, PhaseField(p.grid, np.ascontiguousarray(p.labels.T))]
+        for seed, shape in ((0, (32, 64)), (2, (64, 32))):
+            cases.append(gen_random_partition(seed, Grid(*shape), feature_scale=0.1))
+        return cases
+
+    @pytest.mark.parametrize("p", report_cases(), ids=lambda p: "x".join(map(str, p.grid.shape)))
+    def test_report_json(self, monkeypatch, p):
+        one, two = one_then_two(monkeypatch, lambda: rigidity_report(p, 1e-2).to_json())
+        assert one == two
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        """Four workers on two CPUs, switched every microsecond: a write lost
+        to a race on the shared spectrum or column sums would change a bit."""
+        p = gen_random_partition(5, Grid(130, 130), feature_scale=0.05)
+        transposed = PhaseField(p.grid, np.ascontiguousarray(p.labels.T))
+        values = np.random.default_rng(4).standard_normal((130, 192))
+
+        def outputs():
+            return (
+                _coeffs(values).tobytes(),
+                rigidity_report(p, 1e-2).to_json(),
+                rigidity_report(transposed, 1e-2).to_json(),
+            )
+
+        force_workers(monkeypatch, 1)
+        expected = outputs()
+        force_workers(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert outputs() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_report_cases_cover_both_frames(self):
+        cases = self.report_cases()
+        for shapes in ({(1856, 1856)}, {(32, 64), (64, 32)}):
+            axes = {extract_outer(to_modified(p)).axis for p in cases if p.grid.shape in shapes}
+            assert axes == {"y1", "y2"}
+
+
+class TestMemoryPinsWithTwoWorkers:
+    """The pins of the one-worker tests hold on every run with two workers,
+    whose block temporaries may be alive at the same moment."""
+
+    RUNS = 20
+
+    @pytest.fixture
+    def grid(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        return Grid(512, 512)
+
+    def peaks(self, float_fields_peak, build, grid):
+        build()  # numpy caches its FFT plans and lazy state on a first call
+        return [float_fields_peak(build, grid) for _ in range(self.RUNS)]
+
+    def test_transform(self, grid, float_fields_peak):
+        labels = np.random.default_rng(0).integers(1, 5, size=grid.shape, dtype=np.uint8)
+        signs = _SLOT_OF_LABEL[0][labels]
+        assert max(self.peaks(float_fields_peak, lambda: _coeffs(signs), grid)) <= 1.2
+        table = _SLOT_OF_LABEL[0]
+        assert max(self.peaks(float_fields_peak, lambda: _coeffs(labels, table), grid)) <= 1.2
+
+    def test_total_energy(self, grid, float_fields_peak):
+        p = gen_random_partition(1, grid, feature_scale=0.01)
+        assert max(self.peaks(float_fields_peak, lambda: total_energy(p, 1e-2), grid)) <= 2.5
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
+    def test_report(self, grid, float_fields_peak, transpose):
+        p = gen_random_partition(1, grid, feature_scale=0.01)
+        if transpose:
+            p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
+        assert extract_outer(to_modified(p)).axis == ("y1" if transpose else "y2")
+        assert max(self.peaks(float_fields_peak, lambda: rigidity_report(p, 1e-2), grid)) <= 2.65
+
+
+class TestWorkerErrorsReachTheCli:
+    @pytest.mark.parametrize("command", ["energy", "report"])
+    def test_memory_error_in_the_second_worker_exits_two(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        path = tmp_path / "random.field"
+        write_phase_field(path, gen_random_partition(1, Grid(130, 130), feature_scale=0.1))
+        force_workers(monkeypatch, 2)
+        rfft = np.fft.rfft
+        failed = []
+
+        def rfft_failing_off_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(True)
+                raise MemoryError("Unable to allocate a row block")
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_failing_off_the_main_thread)
+        before = threading.active_count()
+        code = main([command, str(path), "--eta", "1e-2"])
+        captured = capsys.readouterr()
+        assert failed
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: Unable to allocate a row block")
+        assert threading.active_count() == before

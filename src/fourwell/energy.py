@@ -12,7 +12,7 @@ The relaxed energy is priced by a blocked pass: the spectral core's blocked
 transforms give each half spectrum, and the multiplier's two independent
 folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, walk the core's mode
 table a row block at a time (``_mode_blocks``); on large grids two workers
-take a column half each (``_fold_parts``).  Column sums run in row order, so
+take a span of columns each (``_fold_parts``).  Column sums run in row order, so
 each fold is the whole-array pass's float exactly, with at most two half
 spectra and no half-size term alive.  A phase field is priced from its labels:
 the transforms look each slot up a row block at a time, so beside the labels

@@ -79,9 +79,9 @@ class Grid:
 _BLOCK_ROWS = 64
 
 
-def _row_blocks(n: int, size: int = _BLOCK_ROWS):
-    """Slices of at most ``size`` consecutive rows covering ``range(n)``."""
-    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+def _row_blocks(n: int, size: int = _BLOCK_ROWS, first: int = 0):
+    """Slices of at most ``size`` consecutive rows covering ``range(first, n)``."""
+    return (slice(start, min(start + size, n)) for start in range(first, n, size))
 
 
 def _check_shape(grid: Grid, values: np.ndarray, what: str) -> None:

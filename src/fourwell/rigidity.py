@@ -40,6 +40,7 @@ from .fields import (
 from .microstructures import staircase_shifts
 from .model import _check_eta
 from .spectral import (
+    _SLAB_COLS,
     _coeffs,
     _fold,
     _frame,
@@ -111,6 +112,14 @@ def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
     defect = float(np.abs(deviation, out=deviation).mean())
     n_along, n_trans = chi3t.shape
     return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
+
+
+def _profiles(p: PhaseField) -> tuple[OuterProfile, InnerProfile]:
+    """The outer and inner profiles of ``p``, from indicator slots made for
+    the two extractors alone and freed when this returns."""
+    m = to_modified(p)
+    outer = extract_outer(m)
+    return outer, extract_inner(m, outer)
 
 
 def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
@@ -297,8 +306,9 @@ def _slab_pass(
 
     sums = np.empty((3, n2 // 2 + 1))  # the residual's column sums, then the two gaps'
 
-    def walk(part: int, parts: int) -> None:  # each worker writes its own columns
-        for cols, modes, (a, b) in _frame_slabs((c1, c2), grid, transpose, part, parts):
+    def walk(span: slice, parts: int) -> None:  # each worker writes its own columns
+        width = _SLAB_COLS // parts
+        for cols, modes, (a, b) in _frame_slabs((c1, c2), grid, transpose, span, width):
             k1, k2, _, _ = modes
             sums[0, cols] = _transport_sums(_potential(b, a, *modes), modes, f)
             weight = 1.0 / (1.0 + k1**2 + k2**2)
@@ -307,7 +317,7 @@ def _slab_pass(
             rows *= f
             sums[2, cols] = gap_sums(b, rows, weight)
 
-    _in_parts(walk, n1 * n2)
+    _in_parts(walk, n2 // 2 + 1, n1 * n2)
     residual, primary, product = (_fold(s, frame) for s in sums)
     return math.sqrt(n1 * residual), math.hypot(math.sqrt(primary), math.sqrt(product))
 
@@ -339,10 +349,7 @@ def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
     before the spectral pass, which transforms from the labels.
     """
     _check_eta(eta)
-    m = to_modified(p)
-    outer = extract_outer(m)
-    inner = extract_inner(m, outer)
-    del m
+    outer, inner = _profiles(p)
     elastic, char, weak = _spectral_pass(p, outer, inner)
     energy = _weighted(eta, elastic, surface_energy(p))
     theta = volume_fractions(p)

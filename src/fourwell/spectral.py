@@ -32,20 +32,19 @@ blocked and split across workers:
   for bit.  It can read an indicator slot straight from the phase labels,
   a row block looked up at a time, so pricing needs no full-size slot.
   Per-mode work walks ``_mode_blocks``, the table cut to row blocks, and
-  ``_fold_sum`` sums row blocks with the whole array's floats.
-* Workers: ``_in_parts`` runs disjoint parts of a pass at once, on two
-  threads from ``_SPLIT_CELLS`` (640^2) cells up when two CPUs are usable,
-  else on one; numpy's transforms and array loops release the GIL.  In
-  ``_coeffs`` each worker takes every other row block, of half the rows,
-  then half the columns of the column pass, then half the rows of the
-  normalisation.  ``_fold_parts`` gives each worker a column half of a
-  fold, and ``_frame_slabs`` every other half-width piece of the slabs.  So
-  the workers' temporaries together stay one block's or one slab's, every
-  1-D transform is taken alone and every column is summed in row order (no
-  piece is cut to one column, which numpy would sum pairwise), and no output
-  bit depends on the number of workers.
+  ``_column_sums`` sums row blocks with the whole array's floats.
+* Workers: ``_in_parts`` runs a pass over ``range(n)`` (rows, columns or
+  frame columns) on two threads from ``_SPLIT_CELLS`` (640^2) cells up when
+  two CPUs are usable, else on one; numpy's transforms and array loops
+  release the GIL.  Each worker takes its own contiguous span, cut by
+  ``_cut``, and walks it in blocks or slabs ``1 / parts`` the one-worker
+  size, so the workers' temporaries together stay one block's or one
+  slab's.  ``_cut`` alone cuts spans and slabs, and never to one column
+  unless there is only one, which numpy would sum pairwise.  So every 1-D
+  transform is taken alone, every column is summed whole and in row order,
+  and no output bit depends on the number of workers.
 * Frames: ``_frame_slabs`` walks a field's half spectrum, or its transpose's
-  (an exact re-indexing, so no transform is taken twice), a slab of
+  (an exact re-indexing, so no transform is taken twice), a slab of at most
   ``_SLAB_COLS`` columns at a time with the table cut to the slab.
 
 Callers that hold coefficients use the core directly, so a report transforms
@@ -97,23 +96,23 @@ def _workers(cells: int) -> int:
     return 2 if usable >= 2 else 1
 
 
-def _in_parts(work: Callable[[int, int], object], cells: int) -> list:
-    """``[work(part, parts) for part in range(parts)]`` with ``parts =
+def _in_parts(work: Callable[[slice, int], object], n: int, cells: int) -> list:
+    """``[work(span, parts) for span in _cut(n, parts)]`` with ``parts =
     _workers(cells)``, the parts run at once: part 0 in the caller, each other
     on a thread of its own.
 
-    ``work`` must give each part disjoint work.  numpy's transforms and array
-    loops release the GIL, so the parts share the CPUs.  Every part finishes
-    before this returns or raises; the first error of a part, in part order,
-    is then raised here, so no error is lost and no thread outlives the call.
+    Every part finishes before this returns or raises; the first error of a
+    part, in part order, is then raised here, so no error is lost and no
+    thread outlives the call.
     """
     parts = _workers(cells)
+    spans = _cut(n, parts)
     results: list = [None] * parts
     errors: list[BaseException | None] = [None] * parts
 
     def run(part: int) -> None:
         try:
-            results[part] = work(part, parts)
+            results[part] = work(spans[part], parts)
         except BaseException as exc:  # raised in the caller once all parts end
             errors[part] = exc
 
@@ -131,11 +130,9 @@ def _in_parts(work: Callable[[int, int], object], cells: int) -> list:
 
 def _cut(width: int, parts: int) -> list[slice]:
     """``range(width)`` cut into ``parts`` consecutive slices, as even as they
-    come, the last ones empty if ``width`` is too small: no slice has one
-    column unless ``width`` is 1, since numpy sums a one-column array
-    pairwise, and each column of a wider one in row order."""
+    come, the last ones empty if ``width`` is too small to give each two."""
     used = min(parts, max(1, width // 2))
-    edges = [width * min(i, used) // used for i in range(parts + 1)]
+    edges = [width * min(i, used) // max(used, 1) for i in range(parts + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
@@ -149,31 +146,25 @@ def _coeffs(values: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     With a table, such as one slot's row of ``fields._SLOT_OF_LABEL``, each
     row block of ``values`` (phase labels) is looked up just before its row
     ``rfft``, so the looked-up array is never made whole.
-
-    Each worker (:func:`_in_parts`) takes every ``parts``-th row block, of
-    ``_BLOCK_ROWS / parts`` rows so that the workers' block temporaries
-    together stay one block's, then its own columns of the column pass, then
-    its own rows of the normalisation.  numpy transforms each row and column
-    on its own, so the bits do not depend on the number of workers.
     """
     n1, n2 = values.shape
     c = np.empty((n1, n2 // 2 + 1), dtype=complex)
 
-    def row_pass(part: int, parts: int) -> None:
-        for rows in list(_row_blocks(n1, _BLOCK_ROWS // parts))[part::parts]:
+    def row_pass(span: slice, parts: int) -> None:
+        for rows in _row_blocks(span.stop, _BLOCK_ROWS // parts, span.start):
             block = values[rows] if table is None else np.take(table, values[rows], mode="clip")
             np.fft.rfft(block, axis=1, out=c[rows])
 
-    def column_pass(part: int, parts: int) -> None:
-        half = c[:, _cut(c.shape[1], parts)[part]]
+    def column_pass(cols: slice, parts: int) -> None:
+        half = c[:, cols]
         np.fft.fft(half, axis=0, out=half)
 
-    def scale(part: int, parts: int) -> None:
+    def scale(rows: slice, parts: int) -> None:
         # Whole rows: numpy divides a column slice through iterator buffers.
-        c[_cut(n1, parts)[part]] /= n1 * n2
+        c[rows] /= n1 * n2
 
-    for work in (row_pass, column_pass, scale):
-        _in_parts(work, values.size)
+    for work, n in ((row_pass, n1), (column_pass, c.shape[1]), (scale, n1)):
+        _in_parts(work, n, values.size)
     return c
 
 
@@ -216,32 +207,28 @@ def _frame(grid: Grid, transpose: bool) -> Grid:
 
 
 def _frame_slabs(
-    cs: Sequence[np.ndarray], grid: Grid, transpose: bool, part: int = 0, parts: int = 1
+    cs: Sequence[np.ndarray],
+    grid: Grid,
+    transpose: bool,
+    span: slice = slice(None),
+    width: int = _SLAB_COLS,
 ) -> Iterator[tuple]:
-    """``(cols, modes, slabs)`` for each slab of ``_SLAB_COLS`` columns, in
-    order, of the half spectra ``cs`` of fields on ``grid`` seen on
-    ``_frame(grid, transpose)``: the frame's table ``(k1, k2, d1, d2)`` cut to
-    the slab, and each input's slab, the inputs left as they are.
-
-    Worker ``part`` of ``parts`` walks every ``parts``-th piece of the slabs,
-    each slab cut by :func:`_cut`: pieces ``1 / parts`` as wide keep the
-    workers' temporaries together at one slab's, and a column never moves to
-    a one-column piece, so its sum keeps its floats.
+    """``(cols, modes, slabs)`` for each slab of at most ``width`` columns, in
+    order, of the columns ``span`` of the half spectra ``cs`` of fields on
+    ``grid`` seen on ``_frame(grid, transpose)``: the frame's table ``(k1, k2,
+    d1, d2)`` cut to the slab, and each input's slab, the inputs left as they
+    are.  :func:`_cut` cuts the span.
 
     Untransposed, a slab is the view ``c[:, cols]``.  Transposed, it is an
     exact re-indexing: frame coefficient ``[p, q]`` is ``c[q, p]`` for
     ``p <= n2 // 2``, and beyond that the conjugate of ``c[-q mod n1, n2 - p]``.
     """
     k1, k2, d1, d2 = _modes(_frame(grid, transpose))
-    width = k2.shape[1]
+    start, stop, _ = span.indices(k2.shape[1])
+    count = stop - start
     mirror = slice(grid.n2 - grid.n2 // 2 - 1, 0, -1)  # columns n2 - p, p > n2 // 2
-    pieces = [
-        slice(start + piece.start, start + piece.stop)
-        for start in range(0, width, _SLAB_COLS)
-        for piece in _cut(min(_SLAB_COLS, width - start), parts)
-        if piece.stop > piece.start
-    ]
-    for cols in pieces[part::parts]:
+    for cut in _cut(count, -(-count // width)):
+        cols = slice(start + cut.start, start + cut.stop)
         if transpose:
             minus_q = -np.arange(cols.start, cols.stop) % grid.n1
             slabs = [np.concatenate([c[cols].T, np.conj(c[minus_q, mirror].T)]) for c in cs]
@@ -275,10 +262,9 @@ def _fold(sums: np.ndarray, grid: Grid) -> float:
     return float(sums @ np.where(_modes(grid)[3][0] == 0, 1.0, 2.0))
 
 
-def _fold_sum(per_mode: np.ndarray | Iterable[np.ndarray], grid: Grid) -> float:
-    """:func:`_fold` of a half-spectrum array, or of an iterable of its row
-    blocks in order."""
-    return _fold(_column_sums([per_mode] if isinstance(per_mode, np.ndarray) else per_mode), grid)
+def _fold_sum(per_mode: np.ndarray, grid: Grid) -> float:
+    """:func:`_fold` of a half-spectrum array."""
+    return _fold(per_mode.sum(axis=0), grid)
 
 
 def _column_sums(blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -297,20 +283,15 @@ def _column_sums(blocks: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _fold_parts(per_mode: Callable[[slice], Iterable[np.ndarray]], grid: Grid) -> float:
-    """:func:`_fold_sum` of the per-mode half-spectrum array whose row blocks,
-    cut to the columns ``cols``, ``per_mode(cols)`` yields in order.
+    """:func:`_fold` of the per-mode half-spectrum array whose row blocks, cut
+    to the columns ``cols``, ``per_mode(cols)`` yields in order; each worker
+    (:func:`_in_parts`) sums its own columns."""
 
-    Each worker (:func:`_in_parts`) sums its own column slice from
-    :func:`_cut`, so its blocks are ``1 / parts`` of a whole row block.  Every
-    column is still summed in row order, so the float does not depend on the
-    number of workers.
-    """
-    width = grid.n2 // 2 + 1
+    def span_sums(cols: slice, parts: int) -> np.ndarray:
+        return _column_sums(per_mode(cols))
 
-    def part_sums(part: int, parts: int) -> np.ndarray:
-        return _column_sums(per_mode(_cut(width, parts)[part]))
-
-    return _fold(np.concatenate(_in_parts(part_sums, grid.n1 * grid.n2)), grid)
+    sums = _in_parts(span_sums, grid.n2 // 2 + 1, grid.n1 * grid.n2)
+    return _fold(np.concatenate(sums), grid)
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:

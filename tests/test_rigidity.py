@@ -434,6 +434,10 @@ def blocked_report_cases():
     for seed, shape in ((0, (32, 64)), (2, (64, 32))):  # outer axis y1, then y2
         p = gen_random_partition(seed, Grid(*shape), feature_scale=0.1)
         cases.append(pytest.param(p, id=f"random-{shape[0]}x{shape[1]}"))
+    # Outer axis y2, so the frame half spectrum is 17 columns wide: one past a
+    # 16-column slab, a lone column that numpy would sum pairwise.
+    p = gen_random_partition(4, Grid(33, 33), feature_scale=0.05)
+    cases.append(pytest.param(PhaseField(p.grid, p.labels.T), id="random-33-T-seed-4"))
     for axis in ("y1", "y2"):
         twin = gen_crossing_twin(axis, f, g, Grid(n_twin, n_twin))
         cases.append(pytest.param(twin, id=f"twin-{axis}"))

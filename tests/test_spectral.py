@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from fourwell.fields import _SLOT_OF_LABEL, Grid, ScalarField, VectorField, _row_blocks
 from fourwell.spectral import (
-    _SLAB_COLS,
     _coeffs,
+    _column_sums,
+    _fold,
     _fold_sum,
     _frame_slabs,
     _mode_blocks,
@@ -167,16 +168,15 @@ class TestBlockedCore:
     def test_frame_slabs_cut_the_frame_transform(self, shape, transpose):
         """Each slab is the half spectrum of the array, or of its transpose (to
         rounding: a re-indexing, not a transform), cut to the slab's columns,
-        and comes with the frame's table cut the same way."""
+        and comes with the frame's table cut the same way; the slabs tile the
+        frame's columns in order."""
         values = self.real(shape, 2)
         frame = values.T if transpose else values
         expected = _coeffs(np.ascontiguousarray(frame))
         k1, k2, d1, d2 = _modes(Grid(*frame.shape))
         slabs = list(_frame_slabs([_coeffs(values)], Grid(*shape), transpose))
-        width = frame.shape[1] // 2 + 1
-        assert [cols for cols, _, _ in slabs] == [
-            slice(start, min(start + _SLAB_COLS, width)) for start in range(0, width, _SLAB_COLS)
-        ]
+        tiled = [col for cols, _, _ in slabs for col in range(cols.start, cols.stop)]
+        assert tiled == list(range(frame.shape[1] // 2 + 1))
         for cols, (b1, b2, e1, e2), (slab,) in slabs:
             assert slab.shape == expected[:, cols].shape
             assert_allclose(slab, expected[:, cols], rtol=0, atol=1e-16 if transpose else 0)
@@ -191,7 +191,7 @@ class TestBlockedCore:
         grid = Grid(shape[0], 2 * shape[1] - 2)
         whole = _fold_sum(per_mode.copy(), grid)
         blocks = (per_mode[rows].copy() for rows in _row_blocks(shape[0]))
-        assert _fold_sum(blocks, grid) == whole
+        assert _fold(_column_sums(blocks), grid) == whole
 
 
 class TestDerivative:

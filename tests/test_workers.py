@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -65,19 +66,31 @@ class TestInParts:
         force_workers(monkeypatch, 2)
         threads = {}
 
-        def work(part, parts):
-            threads[part] = threading.current_thread()
-            return (part, parts)
+        def work(span, parts):
+            threads[span.start] = threading.current_thread()
+            return (span, parts)
 
-        assert _in_parts(work, 1) == [(0, 2), (1, 2)]
+        assert _in_parts(work, 9, 1) == [(slice(0, 4), 2), (slice(4, 9), 2)]
         assert threads[0] is threading.current_thread()
-        assert threads[1] is not threads[0]
+        assert threads[4] is not threads[0]
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_spans_tile_the_range_in_part_order(self, monkeypatch, parts):
+        force_workers(monkeypatch, parts)
+        for n in range(0, 40):
+            spans = _in_parts(lambda span, parts: span, n, 1)
+            assert len(spans) == parts
+            assert [i for span in spans for i in range(span.start, span.stop)] == list(range(n))
+
+    def test_a_span_may_be_empty(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        assert _in_parts(lambda span, parts: span, 1, 1) == [slice(0, 1), slice(1, 1)]
 
     def test_one_worker_runs_in_the_caller(self, monkeypatch):
         force_workers(monkeypatch, 1)
         before = threading.active_count()
-        assert _in_parts(lambda part, parts: threading.current_thread(), 1) == [
-            threading.current_thread()
+        assert _in_parts(lambda span, parts: (span, threading.current_thread()), 5, 1) == [
+            (slice(0, 5), threading.current_thread())
         ]
         assert threading.active_count() == before
 
@@ -85,26 +98,26 @@ class TestInParts:
         force_workers(monkeypatch, 2)
         finished = []
 
-        def work(part, parts):
-            if part == 1:
+        def work(span, parts):
+            if span.start > 0:
                 raise MemoryError("second part")
             time.sleep(0.05)  # the caller's part outlasts the failing one
-            finished.append(part)
+            finished.append(span)
 
         before = threading.active_count()
         with pytest.raises(MemoryError, match="second part"):
-            _in_parts(work, 1)
-        assert finished == [0]
+            _in_parts(work, 4, 1)
+        assert finished == [slice(0, 2)]
         assert threading.active_count() == before
 
     def test_the_first_part_error_wins(self, monkeypatch):
         force_workers(monkeypatch, 2)
 
-        def work(part, parts):
-            raise ValueError(f"part {part}")
+        def work(span, parts):
+            raise ValueError(f"part from {span.start}")
 
-        with pytest.raises(ValueError, match="part 0"):
-            _in_parts(work, 1)
+        with pytest.raises(ValueError, match="part from 0"):
+            _in_parts(work, 4, 1)
 
 
 class TestCut:
@@ -120,28 +133,38 @@ class TestCut:
             assert width == 1 or min(sizes) >= 2
 
     @pytest.mark.parametrize("transpose", [False, True])
+    def test_frame_slabs_tile_each_span_without_lone_columns(self, transpose):
+        """For frame half spectra 2 to 80 columns wide and the spans of one and
+        of two workers, the slabs tile each span in order, none is wider than
+        asked and none has one column, so numpy sums every column in row order."""
+        for width in range(2, 81):
+            # The frame's half spectrum is n2 // 2 + 1 columns wide.
+            shape = (2 * width - 2, 3) if transpose else (3, 2 * width - 2)
+            c = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+            for parts in (1, 2):
+                asked = _SLAB_COLS // parts
+                for span in _cut(width, parts):
+                    walk = _frame_slabs([c], Grid(*shape), transpose, span, asked)
+                    slabs = [cols for cols, _, _ in walk]
+                    tiled = [col for cols in slabs for col in range(cols.start, cols.stop)]
+                    assert tiled == list(range(span.start, span.stop))
+                    assert all(2 <= cols.stop - cols.start <= asked for cols in slabs)
+
+    @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("shape", [(7, 9), (16, 16), (17, 48), (33, 64), (40, 30)])
     def test_frame_slab_pieces_cut_the_one_worker_slabs(self, shape, transpose):
-        """Two workers walk the one-worker slabs cut in two pieces, each at most
-        half a slab wide and never one column unless the slab is."""
+        """Two workers' slabs, side by side, hold the one-worker slabs' columns
+        bit for bit: how the frame is cut changes no coefficient."""
         c = _coeffs(np.random.default_rng(0).standard_normal(shape))
-        whole = {
-            cols.start: (cols, slab)
-            for cols, _, (slab,) in _frame_slabs([c], Grid(*shape), transpose)
-        }
-        seen = []
-        for part in (0, 1):
-            for cols, _, (slab,) in _frame_slabs([c], Grid(*shape), transpose, part, 2):
-                start = max(s for s in whole if s <= cols.start)
-                outer, outer_slab = whole[start]
-                assert cols.stop <= outer.stop
-                width = cols.stop - cols.start
-                assert width <= -(-_SLAB_COLS // 2)
-                assert width >= 2 or outer.stop - outer.start == 1
-                offset = slice(cols.start - start, cols.stop - start)
-                assert np.array_equal(slab, outer_slab[:, offset])
-                seen.extend(range(cols.start, cols.stop))
-        assert sorted(seen) == list(range(max(c.stop for c, _ in whole.values())))
+        grid = Grid(*shape)
+
+        def side_by_side(slabs):
+            return np.concatenate([slab for _, _, (slab,) in slabs], axis=1)
+
+        whole = side_by_side(_frame_slabs([c], grid, transpose))
+        spans = _cut(whole.shape[1], 2)
+        pieces = [_frame_slabs([c], grid, transpose, span, _SLAB_COLS // 2) for span in spans]
+        assert np.array_equal(side_by_side(chain(*pieces)), whole)
 
 
 # Odd, even, non-square and non-power-of-two grids, half spectra 2 and 3
@@ -198,6 +221,7 @@ class TestOneWorkerEqualsTwo:
         def outputs():
             return (
                 _coeffs(values).tobytes(),
+                _relaxed_from_labels(p),
                 rigidity_report(p, 1e-2).to_json(),
                 rigidity_report(transposed, 1e-2).to_json(),
             )

@@ -54,7 +54,8 @@ from .microstructures import (
 )
 from .model import _check_eta
 from .rigidity import (
-    _profiles,
+    extract_inner,
+    extract_outer,
     incompatibility_defect,
     mixed_difference_sup,
     rigidity_report,
@@ -211,10 +212,9 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(field: PhaseField, etas: list[float]) -> list[dict[str, float]]:
-    """One row per eta; everything but the eta weighting is computed once.
-
-    The profiles are extracted before the field is priced from its labels."""
-    outer, inner = _profiles(field)
+    """One row per eta; everything but the eta weighting is computed once."""
+    outer = extract_outer(field)
+    inner = extract_inner(field, outer)
     elastic = _relaxed_from_labels(field)
     surface = surface_energy(field)
     breakdowns = [_weighted(eta, elastic, surface) for eta in etas]
@@ -341,7 +341,8 @@ def _verify_checks(grid_n: int, seed: int):
         worst = 0.0
         for axis, which in (("y1", 0), ("y2", 1)):
             field = gen_crossing_twin(axis, f, g, grid)
-            outer, inner = _profiles(field)
+            outer = extract_outer(field)
+            inner = extract_inner(field, outer)
             gaps = incompatibility_defect(volume_fractions(field))
             worst = max(worst, outer.defect_l1, inner.defect_l2, float(gaps[which]))
         return worst == 0.0, f"max defect {worst:.2e}"

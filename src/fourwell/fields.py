@@ -7,9 +7,9 @@ the first coordinate and axis 1 along the second; cell centers sit at
 
 A microstructure is stored either as a :class:`PhaseField` of labels 1..4 or
 as the equivalent :class:`ModifiedIndicators`, three fields with values in
-{-1, +1} (int8 from :func:`to_modified`) whose sign triple at each cell
-identifies the phase.  The two forms are interconvertible through
-:func:`to_modified` / :func:`from_modified`.
+{-1, +1} (int8 from :func:`to_modified`, back through :func:`from_modified`)
+whose sign triple at each cell identifies the phase.  ``total_energy`` and the
+rigidity report read the labels through ``_SLOT_OF_LABEL`` and make no slots.
 Only four of the eight sign triples are admissible, since chi2t is always
 chi1t * chi3t, so the two signs (chi1t, chi3t) fix the phase.
 """
@@ -247,7 +247,8 @@ def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:
     """The model's transpose symmetry: swap the two axes and the slots chi1t, chi2t.
 
     The image of an admissible triple is admissible, and energies and defects
-    are unchanged; a structure normal to y2 is the image of one normal to y1.
+    are unchanged.  Tests use it as the model's transpose; the package writes
+    the swap where it reads the turned frame.
     """
     return ModifiedIndicators(Grid(m.grid.n2, m.grid.n1), m.chi2t.T, m.chi1t.T, m.chi3t.T)
 

@@ -7,13 +7,13 @@ recover those profiles from any admissible field and report the defects,
 which the energy controls from below.  Everything here is read-only
 diagnostics: no generator imports this module.
 
+Everything reads the labels, a row block at a time; the extractors keep only
+integer sums of the ±1 slots, so each profile defect is rounded once.
 A report transforms each indicator once: the pricing pass shares
 :mod:`fourwell.energy`'s two folds, and the characteristic residual
 and the weak defect read the same coefficients of chi1t and chi2t in one walk
 over column slabs of the frame, the grid turned so that the outer axis is
-axis 0, where the outer sign is one value per row.  Only the extractors read
-the indicator slots; the transforms read the labels, so the slots are freed
-before the first one runs.
+axis 0, where the outer sign is one value per row.
 """
 
 from __future__ import annotations
@@ -26,17 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import EnergyBreakdown, _cross, _shear, _sq, _to_json, _weighted, surface_energy
-from .fields import (
-    _SLOT_OF_LABEL,
-    Grid,
-    ModifiedIndicators,
-    PhaseField,
-    ScalarField,
-    _transposed,
-    shear_resample,
-    to_modified,
-    volume_fractions,
-)
+from .fields import _SLOT_OF_LABEL, Grid, PhaseField, ScalarField, _row_blocks, volume_fractions
 from .microstructures import staircase_shifts
 from .model import _check_eta
 from .spectral import (
@@ -94,32 +84,31 @@ class InnerProfile:
     defect_chi2: float
 
 
-def extract_outer(m: ModifiedIndicators) -> OuterProfile:
-    """Column-sign profile of the in-plane indicator, on the better axis.
+def extract_outer(p: PhaseField) -> OuterProfile:
+    """Sign profile of the in-plane indicator chi3t, on the better axis.
 
     Both axes are tried; the one with the smaller mean absolute defect wins,
-    the first axis on ties.  Sign ties within a column resolve to +1.
+    the first axis on ties.  Sign ties within a row resolve to +1.
     """
-    first = _row_profile("y1", m.chi3t)
-    second = _row_profile("y2", m.chi3t.T)
+    rows = np.empty(p.grid.n1, dtype=np.int64)
+    cols = np.zeros(p.grid.n2, dtype=np.int64)
+    for block in _row_blocks(p.grid.n1):
+        chi3t = np.take(_SLOT_OF_LABEL[2], p.labels[block], mode="clip")  # labels are 1..4
+        rows[block] = chi3t.sum(axis=1)
+        cols += chi3t.sum(axis=0)
+    first = _sign_profile("y1", rows, p.grid.n2)
+    second = _sign_profile("y2", cols, p.grid.n1)
     return second if second.defect_l1 < first.defect_l1 else first
 
 
-def _row_profile(axis: str, chi3t: np.ndarray) -> OuterProfile:
-    """Sign profile along axis 0 of ``chi3t``, recorded as the outer ``axis``."""
-    f = np.where(chi3t.mean(axis=1) >= 0.0, 1, -1)
-    deviation = np.subtract(chi3t, f[:, None], dtype=chi3t.dtype)  # int8 slots stay int8
-    defect = float(np.abs(deviation, out=deviation).mean())
-    n_along, n_trans = chi3t.shape
-    return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
-
-
-def _profiles(p: PhaseField) -> tuple[OuterProfile, InnerProfile]:
-    """The outer and inner profiles of ``p``, from indicator slots made for
-    the two extractors alone and freed when this returns."""
-    m = to_modified(p)
-    outer = extract_outer(m)
-    return outer, extract_inner(m, outer)
+def _sign_profile(axis: str, sums: np.ndarray, n_trans: int) -> OuterProfile:
+    """The outer profile along ``axis``, from chi3t's sum over each of its
+    rows of ``n_trans`` cells: a row of sum s differs from its sign f in
+    (n_trans - f s) / 2 cells, each by 2."""
+    f = np.where(sums >= 0, 1, -1)
+    cells = len(sums) * n_trans
+    defect = (cells - int(f @ sums)) / cells
+    return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / len(sums)))
 
 
 def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
@@ -133,25 +122,34 @@ def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def extract_inner(m: ModifiedIndicators, outer: OuterProfile) -> InnerProfile:
+def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
     """Average the out-of-plane pair along the sheared characteristics.
 
-    Undoes the staircase shear recorded in ``outer`` (which must land on
-    whole cells), averages the first out-of-plane field over the outer
-    direction, and measures both residuals.
+    In the frame whose axis 0 is the outer axis, cell (a, t) lies on the
+    characteristic of column ``(t + s_a) mod n_trans``, s the staircase shear
+    recorded in ``outer`` (which must land on whole cells).  S sums chi1t and
+    H sums f chi2t over each characteristic, a row block of labels at a time;
+    the transpose swaps chi1t and chi2t with the axes.  g = S / n_along, and
+    with D = n_along^2 n_trans the two mean-square defects are the integer
+    ratios (D - S.S) / D and (D - 2 S.H + S.S) / D, each rounded once.
     """
-    shifts = _integer_shifts(outer, m.grid)
-    # The outer axis on axis 0: chi1t is the sheared field, chi2t its product.
-    c = m if outer.axis == "y1" else _transposed(m)
-    pulled = shear_resample(c.chi1t, -shifts)
-    g = pulled.mean(axis=0)
-    misfit = np.subtract(pulled, g[None, :])  # the one full-size float buffer
-    del pulled  # freed before the second pull-back is made
-    defect_l2 = float(np.mean(np.square(misfit, out=misfit)))
-    np.multiply(outer.f[:, None], g[None, :], out=misfit)
-    np.subtract(shear_resample(c.chi2t, -shifts), misfit, out=misfit)
-    defect_chi2 = float(np.sqrt(np.mean(np.square(misfit, out=misfit))))
-    return InnerProfile(g=g, defect_l2=defect_l2, defect_chi2=defect_chi2)
+    shifts = _integer_shifts(outer, p.grid)
+    transpose = outer.axis == "y2"
+    n_along, n_trans = _frame(p.grid, transpose).shape
+    first, second = _SLOT_OF_LABEL[1::-1] if transpose else _SLOT_OF_LABEL[:2]
+    S, H = np.zeros(n_trans), np.zeros(n_trans)  # sums of at most n_along signs: exact
+    for block in _row_blocks(p.grid.n1):
+        j, i = np.ogrid[block, : p.grid.n2]
+        a, t = (i, j) if transpose else (j, i)
+        column = ((t + shifts[a]) % n_trans).ravel()
+        labels = p.labels[block]
+        S += np.bincount(column, np.take(first, labels, mode="clip").ravel(), n_trans)
+        signed = outer.f[a] * np.take(second, labels, mode="clip")
+        H += np.bincount(column, signed.ravel(), n_trans)
+    S, H = S.astype(np.int64), H.astype(np.int64)
+    D, SS = n_along**2 * n_trans, int(S @ S)
+    chi2 = math.sqrt((D - 2 * int(S @ H) + SS) / D)
+    return InnerProfile(g=S / n_along, defect_l2=(D - SS) / D, defect_chi2=chi2)
 
 
 def wave_decompose(f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
@@ -343,13 +341,13 @@ def _spectral_pass(
 def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
     """Run the full diagnostic suite on one phase arrangement.
 
-    Deterministic: equal inputs give byte-identical JSON.  The shear
-    pull-back requires grid-aligned staircases, which square grids always
-    provide.  The indicator slots are made for the two extractors and freed
-    before the spectral pass, which transforms from the labels.
+    Deterministic: equal inputs give byte-identical JSON.  The inner profile
+    requires grid-aligned staircases, which square grids always provide.
+    Every part reads the labels; no indicator slot is made.
     """
     _check_eta(eta)
-    outer, inner = _profiles(p)
+    outer = extract_outer(p)
+    inner = extract_inner(p, outer)
     elastic, char, weak = _spectral_pass(p, outer, inner)
     energy = _weighted(eta, elastic, surface_energy(p))
     theta = volume_fractions(p)

@@ -218,7 +218,7 @@ def test_criterion_07_rigidity_scaling():
     for amplitude in np.geomspace(0.002, 0.2, 9):
         p = sheared(laminate, amplitude)
         energies.append(total_energy(p, eta).total)
-        outer_defects.append(extract_outer(to_modified(p)).defect_l1)
+        outer_defects.append(extract_outer(p).defect_l1)
 
     twin_grid = Grid(512, 512)
     twin = gen_crossing_twin(

@@ -335,9 +335,22 @@ class TestHalfSpectrum:
 
 
 class TestNoSlotDuringTransforms:
-    """Energy, report and sweep transform from the labels: no
-    ``ModifiedIndicators`` made by the code under test is alive at any
-    ``_coeffs`` call."""
+    """Energy, report and sweep read only the labels: they make no
+    ``ModifiedIndicators``, so none made by the code under test is alive at
+    any ``_coeffs`` call."""
+
+    @pytest.fixture
+    def slots_made(self, monkeypatch):
+        """The grid of each ``ModifiedIndicators`` made during the test."""
+        made = []
+        original = ModifiedIndicators.__post_init__
+
+        def counted(m):
+            made.append(m.grid)
+            original(m)
+
+        monkeypatch.setattr(ModifiedIndicators, "__post_init__", counted)
+        return made
 
     @pytest.fixture
     def slots_alive(self, monkeypatch):
@@ -360,23 +373,26 @@ class TestNoSlotDuringTransforms:
 
     FIELD = gen_random_partition(1, Grid(130, 130), feature_scale=0.05)
 
-    def test_total_energy(self, slots_alive):
+    def test_total_energy(self, slots_alive, slots_made):
         total_energy(self.FIELD, 1e-2)
         assert slots_alive == [0, 0, 0]
+        assert slots_made == []
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
-    def test_report_in_both_frames(self, slots_alive, transpose):
+    def test_report_in_both_frames(self, slots_alive, slots_made, transpose):
         p = self.FIELD
         if transpose:
             p = PhaseField(p.grid, np.ascontiguousarray(p.labels.T))
         axis = rigidity_report(p, 1e-2).outer.axis
         assert axis == ("y1" if transpose else "y2")
         assert slots_alive == [0, 0, 0]
+        assert slots_made == []
 
-    def test_sweep(self, tmp_path, capsys, slots_alive):
+    def test_sweep(self, tmp_path, capsys, slots_alive, slots_made):
         argv = ["sweep", "--grid", "192", "--kinds", "crossing-twin,random", "--etas", "0.1,0.01"]
         assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
         assert slots_alive == [0] * 6
+        assert slots_made == []
 
 
 class TestSweep:

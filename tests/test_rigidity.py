@@ -2,13 +2,13 @@
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import fourwell.rigidity
 from fourwell.energy import relaxed_elastic_energy, surface_energy, total_energy
 from fourwell.fields import (
     Grid,
@@ -19,6 +19,7 @@ from fourwell.fields import (
     _from_signs,
     _transposed,
     from_modified,
+    shear_resample,
     to_modified,
 )
 from fourwell.microstructures import (
@@ -30,7 +31,6 @@ from fourwell.microstructures import (
 )
 from fourwell.rigidity import (
     OuterProfile,
-    _row_profile,
     characteristic_residual,
     extract_inner,
     extract_outer,
@@ -68,15 +68,14 @@ class TestExtractOuter:
     def test_laminate_is_recovered_exactly(self, axis):
         grid = Grid(16, 16)
         profile = stripe_profile(16, 4)
-        outer = extract_outer(to_modified(gen_laminate(axis, profile, grid)))
+        outer = extract_outer(gen_laminate(axis, profile, grid))
         assert outer.axis == axis
         assert outer.defect_l1 == 0.0
         assert np.array_equal(outer.f, profile)
 
     def test_tie_prefers_the_first_axis(self):
         grid = Grid(8, 8)
-        m = to_modified(gen_laminate("y1", np.ones(8), grid))
-        outer = extract_outer(m)
+        outer = extract_outer(gen_laminate("y1", np.ones(8), grid))
         assert outer.axis == "y1"
         assert outer.defect_l1 == 0.0
 
@@ -84,20 +83,23 @@ class TestExtractOuter:
         grid = Grid(64, 64)
         f = stripe_profile(64, 2)
         p = gen_crossing_twin("y1", f, stripe_profile(64, 8), grid)
-        outer = extract_outer(to_modified(p))
+        outer = extract_outer(p)
         assert outer.axis == "y1"
         assert outer.defect_l1 == 0.0
         assert np.array_equal(outer.f, f)
         assert np.all(outer.F == np.rint(outer.F))
 
-
-    @pytest.mark.parametrize("axis", ["y1", "y2"])
-    def test_deviation_stays_in_int8(self, axis, float_fields_peak):
-        """The profile's deviation from its slot is one int8 array (1/8 of the unit)."""
+    @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
+    def test_profiles_keep_only_sums(self, transpose, float_fields_peak):
+        """Both extractors read the labels a row block at a time and keep row
+        and column sums: no slot, pull-back or full-size misfit is made."""
         grid = Grid(512, 512)
-        chi3t = to_modified(gen_random_partition(1, grid, feature_scale=0.01)).chi3t
-        slot = chi3t if axis == "y1" else chi3t.T
-        assert float_fields_peak(lambda: _row_profile(axis, slot), grid) <= 0.35
+        p = gen_random_partition(1, grid, feature_scale=0.01)
+        if transpose:
+            p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
+        assert extract_outer(p).axis == ("y1" if transpose else "y2")
+        peak = float_fields_peak(lambda: extract_inner(p, extract_outer(p)), grid)
+        assert peak <= 0.75
 
 
 class TestExtractInner:
@@ -106,21 +108,104 @@ class TestExtractInner:
         grid = Grid(64, 64)
         g_profile = stripe_profile(64, 8)
         p = gen_crossing_twin(axis, stripe_profile(64, 2), g_profile, grid)
-        m = to_modified(p)
-        outer = extract_outer(m)
-        inner = extract_inner(m, outer)
+        outer = extract_outer(p)
+        inner = extract_inner(p, outer)
         assert inner.defect_l2 == 0.0
         assert inner.defect_chi2 == 0.0
         assert np.array_equal(inner.g, g_profile)
 
     def test_rejects_fractional_shear(self):
         grid = Grid(8, 8)
-        m = to_modified(gen_laminate("y1", np.ones(8), grid))
+        p = gen_laminate("y1", np.ones(8), grid)
         broken = OuterProfile(
             axis="y1", f=np.ones(8), defect_l1=0.0, F=np.full(8, 0.25)
         )
         with pytest.raises(ValueError, match="grid-aligned"):
-            extract_inner(m, broken)
+            extract_inner(p, broken)
+
+
+def reference_cases():
+    """The extractor tests' fields, and random fields on odd, even and
+    non-square grids, each as drawn and transposed, so both frames run; some
+    shears are not grid-aligned."""
+    twin = Grid(64, 64)
+    cases = [
+        pytest.param(gen_laminate("y1", np.ones(8), Grid(8, 8)), id="tie"),
+        pytest.param(gen_counterexample(3, Grid(96, 96)), id="counterexample-k3"),
+    ]
+    for axis in ("y1", "y2"):
+        p = gen_laminate(axis, stripe_profile(16, 4), Grid(16, 16))
+        cases.append(pytest.param(p, id=f"laminate-{axis}"))
+        p = gen_crossing_twin(axis, stripe_profile(64, 2), stripe_profile(64, 8), twin)
+        cases.append(pytest.param(p, id=f"twin-{axis}"))
+    for shape in ((9, 9), (33, 33), (12, 12), (64, 64), (32, 64), (64, 32), (7, 14), (15, 10)):
+        for seed in range(3):
+            random = gen_random_partition(seed, Grid(*shape), feature_scale=0.1)
+            uniform = np.random.default_rng(seed).integers(1, 5, size=shape)
+            for kind, labels in (("random", random.labels), ("uniform", uniform)):
+                for t, view in (("", labels), ("-T", labels.T)):
+                    p = PhaseField(Grid(*view.shape), view)
+                    cases.append(pytest.param(p, id=f"{kind}-{shape[0]}x{shape[1]}-{seed}{t}"))
+    return cases
+
+
+class TestReferenceProfiles:
+    """The extractors' integer sums against the pull-back reference: axis, f,
+    F, g and the outer defect equal, the inner defects to rounding, and the
+    same refusal where the staircase is not grid-aligned."""
+
+    @pytest.mark.parametrize("p", reference_cases())
+    def test_matches_the_pull_back(self, p):
+        want_outer, want_inner = whole_array.profiles(to_modified(p))
+        outer = extract_outer(p)
+        assert plain(outer) == plain(want_outer)
+        if want_inner is None:
+            with pytest.raises(ValueError, match="grid-aligned"):
+                extract_inner(p, outer)
+            return
+        inner = extract_inner(p, outer)
+        assert inner.g.tolist() == want_inner.g.tolist()
+        for name in ("defect_l2", "defect_chi2"):
+            want = getattr(want_inner, name)
+            assert abs(getattr(inner, name) - want) <= 5e-16 * want, name
+
+    def test_cases_cover_both_axes_and_refusals(self):
+        outcomes = set()
+        for case in reference_cases():
+            outer, inner = whole_array.profiles(to_modified(case.values[0]))
+            outcomes.add((outer.axis, inner is None))
+        assert outcomes == {(axis, refused) for axis in ("y1", "y2") for refused in (False, True)}
+
+    @pytest.mark.parametrize(
+        "p, transpose",
+        [
+            (gen_counterexample(3, Grid(96, 96)), False),
+            (gen_random_partition(5, Grid(9, 9), feature_scale=0.1), False),
+            (gen_random_partition(4, Grid(12, 12), feature_scale=0.1), True),
+            (gen_random_partition(0, Grid(33, 33), feature_scale=0.1), False),
+            (gen_random_partition(0, Grid(33, 33), feature_scale=0.1), True),
+        ],
+        ids=["counterexample-k3", "random-9", "random-12-T", "random-33", "random-33-T"],
+    )
+    def test_inner_defects_are_exactly_rounded_ratios(self, p, transpose):
+        """Each mean-square inner defect is its integer ratio over
+        D = n_along^2 n_trans rounded once; the sums here come from the
+        slots pulled back along the staircase."""
+        if transpose:
+            p = PhaseField(p.grid, p.labels.T)
+        report = rigidity_report(p, 1e-2)
+        outer, m = report.outer, to_modified(p)
+        frame = m if outer.axis == "y1" else _transposed(m)
+        shifts = -np.rint(outer.F).astype(np.int64)
+        S = [int(s) for s in shear_resample(frame.chi1t, shifts).sum(axis=0, dtype=np.int64)]
+        signed = outer.f[:, None] * shear_resample(frame.chi2t, shifts)
+        H = [int(h) for h in signed.sum(axis=0)]
+        n_along, n_trans = frame.grid.shape
+        D = n_along**2 * n_trans
+        SS = sum(s * s for s in S)
+        SH = sum(s * h for s, h in zip(S, H))
+        assert report.inner.defect_l2 == float(Fraction(D - SS, D))
+        assert report.inner.defect_chi2 == math.sqrt(float(Fraction(D - 2 * SH + SS, D)))
 
 
 class TestWaveDecompose:
@@ -239,7 +324,7 @@ class TestTransposeSymmetry:
 
     def test_extract_outer_swaps_its_axis(self, pair):
         m, t = pair
-        outer, outer_t = extract_outer(m), extract_outer(t)
+        outer, outer_t = extract_outer(from_modified(m)), extract_outer(from_modified(t))
         assert {outer.axis, outer_t.axis} == {"y1", "y2"}
         assert np.array_equal(outer_t.f, outer.f)
         assert outer_t.defect_l1 == outer.defect_l1
@@ -397,7 +482,7 @@ class TestReportSpectralPass:
         p = gen_random_partition(1, grid, feature_scale=0.01)
         if transpose:
             p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
-        assert extract_outer(to_modified(p)).axis == ("y1" if transpose else "y2")
+        assert extract_outer(p).axis == ("y1" if transpose else "y2")
         assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 2.65
 
     def test_bad_eta_fails_before_any_transform(self, fft_calls):
@@ -471,10 +556,10 @@ class TestBlockedReport:
 
     def test_both_outer_axes_are_covered(self):
         cases = [case.values[0] for case in blocked_report_cases()]
-        axes = {extract_outer(to_modified(p)).axis for p in cases}
+        axes = {extract_outer(p).axis for p in cases}
         assert axes == {"y1", "y2"}
         non_square = [p for p in cases if p.grid.n1 != p.grid.n2]
-        assert {extract_outer(to_modified(p)).axis for p in non_square} == {"y1", "y2"}
+        assert {extract_outer(p).axis for p in non_square} == {"y1", "y2"}
         assert any(rigidity_report(p, 1e-2).char_residual == 0.0 for p in cases)
 
 
@@ -515,22 +600,12 @@ class TestInt8Slots:
             assert price(m) == price(float_slots(m))
 
     @CASES
-    def test_profiles_are_equal(self, shape, transpose):
-        m = to_modified(self.noisy_stripes(shape, transpose))
-        outer = extract_outer(m)
-        assert outer.axis == ("y2" if transpose else "y1")
-        assert plain(outer) == plain(extract_outer(float_slots(m)))
-        assert plain(extract_inner(m, outer)) == plain(extract_inner(float_slots(m), outer))
-
-    @CASES
-    def test_reports_are_equal(self, shape, transpose, monkeypatch):
-        """The report's slots reach only the extractors; its energy, priced
-        from the labels, is checked against both slot dtypes directly."""
+    def test_reports_are_equal(self, shape, transpose):
+        """The report, priced from the labels, against both slot dtypes."""
         p = self.noisy_stripes(shape, transpose)
         m = to_modified(p)
         energy = total_energy(p, 1e-2)
         assert energy.elastic == relaxed_elastic_energy(m) == relaxed_elastic_energy(float_slots(m))
-        expected = rigidity_report(p, 1e-2)
-        assert expected.energy == energy
-        monkeypatch.setattr(fourwell.rigidity, "to_modified", lambda q: float_slots(to_modified(q)))
-        assert rigidity_report(p, 1e-2).to_json() == expected.to_json()
+        report = rigidity_report(p, 1e-2)
+        assert report.outer.axis == ("y2" if transpose else "y1")
+        assert report.energy == energy

@@ -14,7 +14,7 @@ import pytest
 import fourwell.spectral
 from fourwell.cli import main
 from fourwell.energy import _relaxed_from_labels, total_energy
-from fourwell.fields import _SLOT_OF_LABEL, Grid, PhaseField, to_modified, write_phase_field
+from fourwell.fields import _SLOT_OF_LABEL, Grid, PhaseField, write_phase_field
 from fourwell.microstructures import gen_random_partition
 from fourwell.rigidity import extract_outer, rigidity_report
 from fourwell.spectral import (
@@ -240,7 +240,7 @@ class TestOneWorkerEqualsTwo:
     def test_report_cases_cover_both_frames(self):
         cases = self.report_cases()
         for shapes in ({(1856, 1856)}, {(32, 64), (64, 32)}):
-            axes = {extract_outer(to_modified(p)).axis for p in cases if p.grid.shape in shapes}
+            axes = {extract_outer(p).axis for p in cases if p.grid.shape in shapes}
             assert axes == {"y1", "y2"}
 
 
@@ -275,7 +275,7 @@ class TestMemoryPinsWithTwoWorkers:
         p = gen_random_partition(1, grid, feature_scale=0.01)
         if transpose:
             p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
-        assert extract_outer(to_modified(p)).axis == ("y1" if transpose else "y2")
+        assert extract_outer(p).axis == ("y1" if transpose else "y2")
         assert max(self.peaks(float_fields_peak, lambda: rigidity_report(p, 1e-2), grid)) <= 2.65
 
 

@@ -7,6 +7,11 @@ template sheared row by row.  ``spectral_weak_defect`` is the report's own
 formula, the template's row spectra phase-shifted, on whole frame half spectra
 with one fold.  The report must give the energies and the spectral weak defect
 bit for bit, and the two real-space forms to rounding.
+
+``profiles`` is the pull-back form the extractors' integer sums replaced: the
+sheared frame's slots translated back row by row and the misfits averaged in
+float64.  The extractors must give its axis, f, F, g and outer defect exactly
+and its two inner defects to rounding.
 """
 
 import math
@@ -15,6 +20,8 @@ import numpy as np
 
 from fourwell.energy import _re_dot, _sq
 from fourwell.fields import Grid, _transposed, shear_resample
+from fourwell.microstructures import staircase_shifts
+from fourwell.rigidity import InnerProfile, OuterProfile
 from fourwell.spectral import _fold_sum, _modes, _profile_derivative
 
 
@@ -108,3 +115,27 @@ def spectral_weak_defect(m, outer, inner):
     template = np.fft.fft(outer.f[:, None] * rows, axis=0) / (n1 * n2)
     product = _fold_sum(_sq(b - template) * weight, frame)
     return float(math.hypot(math.sqrt(primary), math.sqrt(product)))
+
+
+def profiles(m):
+    """The outer and inner profiles of the indicator slots ``m``; the inner one
+    is None when the staircase is not grid-aligned, so no pull-back exists."""
+
+    def row_profile(axis, chi3t):
+        f = np.where(chi3t.mean(axis=1) >= 0.0, 1, -1)
+        n_along, n_trans = chi3t.shape
+        defect = float(np.abs(chi3t - f[:, None]).mean())
+        return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
+
+    first, second = row_profile("y1", m.chi3t), row_profile("y2", m.chi3t.T)
+    outer = second if second.defect_l1 < first.defect_l1 else first
+    shifts = np.rint(outer.F)
+    if not np.allclose(outer.F, shifts, atol=1e-9):
+        return outer, None
+    shifts = -shifts.astype(np.int64)
+    c = m if outer.axis == "y1" else _transposed(m)
+    pulled = shear_resample(c.chi1t, shifts)
+    g = pulled.mean(axis=0)
+    defect_l2 = float(np.mean(np.square(pulled - g)))
+    misfit = shear_resample(c.chi2t, shifts) - outer.f[:, None] * g
+    return outer, InnerProfile(g, defect_l2, float(np.sqrt(np.mean(np.square(misfit)))))

@@ -16,7 +16,9 @@ take a span of columns each (``_fold_parts``).  Column sums run in row order, so
 each fold is the whole-array pass's float exactly, with at most two half
 spectra and no half-size term alive.  A phase field is priced from its labels:
 the transforms look each slot up a row block at a time, so beside the labels
-only the half spectra are full-size and no indicator slot is alive.
+only the half spectra are full-size and no indicator slot is alive.  Each
+pricing is the one expression ``_shear(c1, c2) + _cross(c3)``: c1 and c2 are
+dropped when ``_shear`` returns, before c3's transform starts.
 
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
 elastic energy by ``eta^(-2/3)``; cube roots are taken with ``np.cbrt`` so
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .fields import (
     ScalarField,
     _check_shape,
     _jump_mass,
-    to_modified,
 )
 from .model import MaterialParams, _check_eta
 from .spectral import (
@@ -153,8 +153,7 @@ def elastic_energy_pointwise(
     full symmetric matrix.  For the strain of any displacement (see
     :func:`strain_from_displacement`) this is an upper bound on
     :func:`relaxed_elastic_energy` that shares none of its algebra, which is
-    its role in ``tests/test_energy.py``; :func:`total_energy` prices a given
-    strain with it.
+    its role in ``tests/test_energy.py``.
     """
     if e.grid != m.grid:
         raise ValueError(f"strain grid {e.grid.shape} != indicator grid {m.grid.shape}")
@@ -188,24 +187,24 @@ def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
 
     It is two folds that share no array, one over c1 and c2 and one over c3,
     so at most two half spectra are alive at once; per-mode work runs a row
-    block at a time.
+    block at a time.  No command prices through it: they price phase fields
+    from their labels with the same folds.  It is the raw-triple form the
+    tests compare the label route and the oracle with.
     """
-    return _relaxed((_coeffs(slot) for slot in (m.chi1t, m.chi2t, m.chi3t)), m.grid)
+    grid = m.grid
+    return _shear(_coeffs(m.chi1t), _coeffs(m.chi2t), grid) + _cross(_coeffs(m.chi3t), grid)
 
 
 def _relaxed_from_labels(p: PhaseField) -> float:
     """:func:`relaxed_elastic_energy` of ``to_modified(p)``, the same float,
     with each slot looked up from the labels a row block at a time inside its
-    transform, so no full-size slot is made."""
-    return _relaxed((_coeffs(p.labels, table) for table in _SLOT_OF_LABEL), p.grid)
-
-
-def _relaxed(spectra: Iterator[np.ndarray], grid: Grid) -> float:
-    """``_shear(c1, c2) + _cross(c3)``, the half spectra drawn in turn from
-    ``spectra`` as each fold needs them, so c3 is made after c1 and c2 are
-    freed."""
-    shear = _shear(next(spectra), next(spectra), grid)
-    return shear + _cross(next(spectra), grid)
+    transform, so no full-size slot is made.  ``energy``, ``sweep`` and
+    ``verify``'s energy checks all price through it."""
+    t1, t2, t3 = _SLOT_OF_LABEL
+    grid = p.grid
+    return _shear(_coeffs(p.labels, t1), _coeffs(p.labels, t2), grid) + _cross(
+        _coeffs(p.labels, t3), grid
+    )
 
 
 def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
@@ -317,25 +316,14 @@ def _label_jumps(labels: np.ndarray) -> int:
     return inner + np.count_nonzero(labels[0] != labels[-1])
 
 
-def total_energy(
-    p: PhaseField,
-    eta: float,
-    e: SymStrainField | None = None,
-    diag: tuple[float, float, float] = DEFAULT_DIAG,
-) -> EnergyBreakdown:
-    """Weighted sum of surface and elastic parts.
+def total_energy(p: PhaseField, eta: float) -> EnergyBreakdown:
+    """Weighted sum of surface and relaxed elastic parts.
 
-    Without an explicit strain the elastic part is the relaxed minimum,
-    priced from the labels with two half spectra beside them and no indicator
-    slot made; with one it is the pointwise misfit against ``diag`` and the
-    cell's well.
+    The elastic part is priced from the labels, with two half spectra beside
+    them and no indicator slot made.
     """
     _check_eta(eta)
-    if e is None:
-        elastic = _relaxed_from_labels(p)
-    else:
-        elastic = elastic_energy_pointwise(e, to_modified(p), diag)
-    return _weighted(eta, elastic, surface_energy(p))
+    return _weighted(eta, _relaxed_from_labels(p), surface_energy(p))
 
 
 def _weighted(eta: float, elastic: float, surface: float) -> EnergyBreakdown:

@@ -542,7 +542,7 @@ class TestSweep:
 
     def test_unknown_kind_is_refused_before_any_field_is_built(self, tmp_path, capsys, monkeypatch):
         calls = []
-        for name in ("_generate_field", "relaxed_elastic_energy"):
+        for name in ("_generate_field", "_relaxed_from_labels"):
             monkeypatch.setattr(fourwell.cli, name, lambda *args, _name=name: calls.append(_name))
         argv = ["--kinds", "laminate,crossing-twin,random,foo", "--etas", "0.1", "--grid", "16"]
         code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path))
@@ -601,6 +601,16 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[-1] == "zigzag-gradient: FAIL (max |grad_s| deviation 5.00e-01)"
         assert all(": PASS (" in line for line in lines[:-1])
+
+    def test_the_oracle_checks_the_shipped_pricing(self, capsys, monkeypatch):
+        """``multiplier-oracle`` prices through the label route that ``energy``
+        and ``sweep`` ship, so an error there fails it alone."""
+        real = fourwell.cli._relaxed_from_labels
+        monkeypatch.setattr(fourwell.cli, "_relaxed_from_labels", lambda p: real(p) * (1.0 + 1e-6))
+        code, out, _ = run(capsys, "verify", "--grid", "16")
+        assert code == 1
+        failed = [line.split(":")[0] for line in out.splitlines() if ": FAIL (" in line]
+        assert failed == ["multiplier-oracle"]
 
     def test_help_states_the_grid_rule(self, capsys):
         code, out, _ = run(capsys, "verify", "--help")

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from fourwell.energy import (
     DEFAULT_DIAG,
+    EnergyBreakdown,
     SymStrainField,
     compute_residuals,
     elastic_energy_pointwise,
@@ -242,12 +243,15 @@ class TestTotalEnergy:
         assert b8.total == root8 * b1.surface + b1.elastic / root8**2
 
     def test_pointwise_route(self):
+        """A given strain is priced by ``elastic_energy_pointwise``;
+        ``total_energy`` prices only the relaxed minimum."""
         grid = Grid(8, 8)
         p = gen_constant(1, grid)
-        b = total_energy(p, 1.0, e=zero_strain(grid))
+        pointwise = elastic_energy_pointwise(zero_strain(grid), to_modified(p))
         d1, d2, d3 = DEFAULT_DIAG
-        assert b.elastic == pytest.approx(d1**2 + d2**2 + d3**2 + 6.0, rel=1e-14)
-        assert b.surface == 0.0
+        assert pointwise == pytest.approx(d1**2 + d2**2 + d3**2 + 6.0, rel=1e-14)
+        expected = EnergyBreakdown(eta=1.0, elastic=0.0, surface=0.0, total=0.0)
+        assert total_energy(p, 1.0) == expected
 
     def test_rejects_bad_eta(self):
         p = gen_constant(1, Grid(4, 4))

@@ -59,14 +59,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.n1, self.n2)
 
-    @property
-    def spacing(self) -> tuple[float, float]:
-        return (1.0 / self.n1, 1.0 / self.n2)
-
-    @property
-    def cell_area(self) -> float:
-        return 1.0 / (self.n1 * self.n2)
-
     def axis_coords(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis, in [-1/2, 1/2)."""
         n = self.shape[axis]
@@ -101,12 +93,6 @@ class ScalarField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         _check_shape(self.grid, self.values, "ScalarField.values")
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.mean(self.values**2)))
 
 
 @dataclass(frozen=True)
@@ -241,16 +227,6 @@ def _from_signs(grid: Grid, chi1t, chi3t, slot: int = 1) -> PhaseField:
         index += np.less(chi3t[rows], 0)
         np.take(table, index, out=labels[rows], mode="clip")  # index is 0..3
     return PhaseField(grid, labels)
-
-
-def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:
-    """The model's transpose symmetry: swap the two axes and the slots chi1t, chi2t.
-
-    The image of an admissible triple is admissible, and energies and defects
-    are unchanged.  Tests use it as the model's transpose; the package writes
-    the swap where it reads the turned frame.
-    """
-    return ModifiedIndicators(Grid(m.grid.n2, m.grid.n1), m.chi2t.T, m.chi1t.T, m.chi3t.T)
 
 
 def volume_fractions(p: PhaseField) -> tuple[float, float, float, float]:

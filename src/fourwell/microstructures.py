@@ -93,9 +93,9 @@ def _placed(axis: str, along: Grid, chi1t: np.ndarray | int, chi3t: np.ndarray) 
     """Labels of a structure built normal to y1 on ``along`` from its two signs,
     turned to be normal to ``axis``.
 
-    The turn is the model's transpose (see ``fields._transposed``): it swaps
-    the axes and the slots chi1t and chi2t, so the turned structure's chi2t
-    is ``chi1t`` turned, and no product field is made.
+    The turn is the model's transpose (the tests' ``whole_array._transposed``):
+    it swaps the axes and the slots chi1t and chi2t, so the turned structure's
+    chi2t is ``chi1t`` turned, and no product field is made.
     """
     if axis == "y1":
         return _from_signs(along, chi1t, chi3t)

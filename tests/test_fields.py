@@ -45,8 +45,6 @@ class TestGrid:
     def test_properties(self):
         g = Grid(4, 8)
         assert g.shape == (4, 8)
-        assert g.spacing == (0.25, 0.125)
-        assert g.cell_area == 1.0 / 32.0
 
     def test_axis_coords_are_cell_centers(self):
         g = Grid(4, 8)
@@ -64,11 +62,6 @@ class TestFieldContainers:
     def test_scalar_field_checks_shape(self):
         with pytest.raises(ValueError, match="shape"):
             ScalarField(Grid(4, 4), np.zeros((4, 5)))
-
-    def test_scalar_field_statistics(self):
-        f = ScalarField(Grid(2, 2), [[1.0, -1.0], [3.0, -3.0]])
-        assert f.mean() == 0.0
-        assert f.l2_norm() == pytest.approx(np.sqrt(5.0), rel=1e-15)
 
     def test_vector_field_norm(self):
         grid = Grid(2, 2)

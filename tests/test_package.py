@@ -13,6 +13,30 @@ from fourwell import energy, fields, microstructures, model, rigidity, spectral
 
 MODULES = [energy, fields, microstructures, model, rigidity, spectral]
 
+# Every public name, spelled out: adding or dropping one is an edit here.
+PUBLIC_NAMES = [
+    "ADMISSIBLE_TUPLES", "BranchingParams", "DEFAULT_DIAG", "EnergyBreakdown",
+    "Grid", "InnerProfile", "MaterialParams", "ModifiedIndicators",
+    "OuterProfile", "PhaseField", "RigidityReport", "ScalarField",
+    "SymStrainField", "VectorField", "WellSet", "ZigzagPotential",
+    "branching_bound", "characteristic_residual", "curl_neg_sobolev",
+    "elastic_energy_pointwise", "eta", "extract_inner", "extract_outer",
+    "from_modified", "gen_branching", "gen_constant", "gen_counterexample",
+    "gen_crossing_twin", "gen_laminate", "gen_random_partition",
+    "helmholtz_potential", "incompatibility_defect", "interpolation_gap",
+    "inv_gradient", "leray_project", "make_wells", "mixed_difference_sup",
+    "neg_sobolev_norm", "permode_elastic_oracle", "plan_branching",
+    "read_phase_field", "relaxed_elastic_energy", "rigidity_report",
+    "shear_resample", "spectral_derivative", "staircase_shifts",
+    "surface_energy", "to_modified", "total_energy", "total_variation",
+    "volume_fractions", "wave_decompose", "write_pgm", "write_phase_field",
+    "zigzag_potential",
+]
+
+
+def test_all_is_the_pinned_list_of_public_names():
+    assert fourwell.__all__ == PUBLIC_NAMES
+
 
 def test_all_is_the_sorted_union_of_the_module_lists():
     union = [name for module in MODULES for name in module.__all__]
@@ -38,9 +62,16 @@ def test_star_import_binds_exactly_all():
 
 
 def test_import_leaves_the_cli_out():
-    env = {**os.environ, "PYTHONPATH": str(Path(fourwell.__file__).parents[1])}
-    probe = "import sys, fourwell; print('fourwell.cli' in sys.modules, hasattr(fourwell, 'cli'))"
+    # The tests directory is on the path, so the package could import the
+    # references in whole_array; neither it nor the test tools may be loaded.
+    path = [str(Path(fourwell.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = (
+        "import sys, fourwell; print('fourwell.cli' in sys.modules, hasattr(fourwell, 'cli')); "
+        "import fourwell.cli; "
+        "print(*(name in sys.modules for name in ('whole_array', 'pytest', 'hypothesis')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "False"]

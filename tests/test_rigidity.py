@@ -17,7 +17,6 @@ from fourwell.fields import (
     ScalarField,
     VectorField,
     _from_signs,
-    _transposed,
     from_modified,
     shear_resample,
     to_modified,
@@ -195,7 +194,7 @@ class TestReferenceProfiles:
             p = PhaseField(p.grid, p.labels.T)
         report = rigidity_report(p, 1e-2)
         outer, m = report.outer, to_modified(p)
-        frame = m if outer.axis == "y1" else _transposed(m)
+        frame = m if outer.axis == "y1" else whole_array._transposed(m)
         shifts = -np.rint(outer.F).astype(np.int64)
         S = [int(s) for s in shear_resample(frame.chi1t, shifts).sum(axis=0, dtype=np.int64)]
         signed = outer.f[:, None] * shear_resample(frame.chi2t, shifts)
@@ -306,12 +305,12 @@ class TestTransposeSymmetry:
         shape, seed = request.param
         labels = np.random.default_rng(seed).integers(1, 5, size=shape)
         m = to_modified(PhaseField(Grid(*shape), labels))
-        return m, _transposed(m)
+        return m, whole_array._transposed(m)
 
     def test_twice_is_the_identity(self, pair):
         m, t = pair
         assert t.grid == Grid(m.grid.n2, m.grid.n1)
-        back = _transposed(t)
+        back = whole_array._transposed(t)
         assert back.grid == m.grid
         for name in ("chi1t", "chi2t", "chi3t"):
             assert np.array_equal(getattr(back, name), getattr(m, name))

@@ -12,17 +12,33 @@ bit for bit, and the two real-space forms to rounding.
 sheared frame's slots translated back row by row and the misfits averaged in
 float64.  The extractors must give its axis, f, F, g and outer defect exactly
 and its two inner defects to rounding.
+
+The rest are references no command reads: ``strain_from_displacement``, the
+strain of a displacement, whose pointwise energy bounds the relaxed one from
+above; ``full_multiplier_energy``, the multiplier on any symmetric target,
+with its own copy of the unpaired-mode rule; ``compute_residuals``, the
+pointwise misfit split into the compatibility identity's fields; and
+``_transposed``, the model's transpose symmetry on indicator slots, which the
+package writes out where it reads the turned frame.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fourwell.energy import _re_dot, _sq
-from fourwell.fields import Grid, _transposed, shear_resample
+from fourwell.energy import DEFAULT_DIAG, SymStrainField, _re_dot, _sq
+from fourwell.fields import Grid, ModifiedIndicators, ScalarField, shear_resample
 from fourwell.microstructures import staircase_shifts
 from fourwell.rigidity import InnerProfile, OuterProfile
-from fourwell.spectral import _fold_sum, _modes, _profile_derivative
+from fourwell.spectral import (
+    _coeffs,
+    _fold_sum,
+    _ksq,
+    _modes,
+    _profile_derivative,
+    spectral_derivative,
+)
 
 
 def coeffs(values):
@@ -139,3 +155,159 @@ def profiles(m):
     defect_l2 = float(np.mean(np.square(pulled - g)))
     misfit = shear_resample(c.chi2t, shifts) - outer.f[:, None] * g
     return outer, InnerProfile(g, defect_l2, float(np.sqrt(np.mean(np.square(misfit)))))
+
+
+def strain_from_displacement(
+    u1: ScalarField, u2: ScalarField, u3: ScalarField
+) -> SymStrainField:
+    """Symmetrized gradient of a periodic displacement constant in the third
+    direction.
+
+    Such a strain is compatible, so its :func:`elastic_energy_pointwise`
+    bounds :func:`relaxed_elastic_energy` from above without the multiplier's
+    algebra; ``tests/test_energy.py`` uses it for that independent bound.
+    """
+    if not (u1.grid == u2.grid == u3.grid):
+        raise ValueError("displacement components live on different grids")
+    d1u1 = spectral_derivative(u1, 0).values
+    d2u1 = spectral_derivative(u1, 1).values
+    d1u2 = spectral_derivative(u2, 0).values
+    d2u2 = spectral_derivative(u2, 1).values
+    d1u3 = spectral_derivative(u3, 0).values
+    d2u3 = spectral_derivative(u3, 1).values
+    zero = np.zeros(u1.grid.shape)
+    return SymStrainField(
+        u1.grid,
+        e11=d1u1,
+        e22=d2u2,
+        e33=zero,
+        e12=0.5 * (d1u2 + d2u1),
+        e13=0.5 * d1u3,
+        e23=0.5 * d2u3,
+    )
+
+
+
+def full_multiplier_energy(u0: SymStrainField) -> float:
+    """Distance of a symmetric target field from all compatible strains.
+
+    Evaluates, per nonzero mode with in-plane frequency k embedded as
+    (k1, k2, 0),
+
+        |U|_F^2 - 2 |U k|^2 / |k|^2 + |k . U k|^2 / |k|^4 ,
+
+    with the terms odd in an unpaired even-grid frequency averaged over both
+    of its signs, that is dropped.  Agrees with :func:`relaxed_elastic_energy`
+    when the target carries indicator fields off-diagonal and a constant
+    diagonal.
+    """
+    grid = u0.grid
+    e11, e22, e33, e12, e13, e23 = (
+        _coeffs(getattr(u0, name)) for name in ("e11", "e22", "e33", "e12", "e13", "e23")
+    )
+    k1, k2, d1, d2 = _modes(grid)  # terms odd in k1 k2 average to 0 at unpaired modes
+    ksq = _ksq(k1, k2)
+
+    frob = _sq(e11) + _sq(e22) + _sq(e33) + 2.0 * (_sq(e12) + _sq(e13) + _sq(e23))
+    # |U k|^2 over the rows (e11, e12), (e12, e22), (e13, e23) of U's in-plane columns
+    uk_sq = (
+        k1**2 * (_sq(e11) + _sq(e12) + _sq(e13))
+        + k2**2 * (_sq(e12) + _sq(e22) + _sq(e23))
+        + 2.0 * d1 * d2 * (_re_dot(e11, e12) + _re_dot(e12, e22) + _re_dot(e13, e23))
+    )
+    # k . U k = even + 2 k1 k2 e12
+    even = k1**2 * e11 + k2**2 * e22
+    kuk_sq = _sq(even) + 4.0 * k1**2 * k2**2 * _sq(e12) + 4.0 * d1 * d2 * _re_dot(even, e12)
+
+    per_mode = frob - 2.0 * uk_sq / ksq + kuk_sq / ksq**2
+    per_mode[0, 0] = 0.0
+    return _fold_sum(per_mode, grid)
+
+
+
+@dataclass(frozen=True)
+class ResidualDecomposition:
+    """Per-cell misfits split by strain slot, plus one compatibility check.
+
+    rho11 and rho22 carry half the diagonal misfits of the in-plane block in
+    crossed order, rho12 the in-plane shear misfit, rho13 and rho23 the two
+    out-of-plane shear misfits.  With these weights the second mixed
+    derivative of the in-plane indicator equals a divergence-form combination
+    of the first three fields whenever the strain is a symmetrized gradient;
+    ``identity_residual`` measures that combination in the second-order
+    negative norm.
+    """
+
+    grid: Grid
+    rho11: np.ndarray
+    rho12: np.ndarray
+    rho22: np.ndarray
+    rho13: np.ndarray
+    rho23: np.ndarray
+    identity_residual: float
+
+    def sum_sq(self) -> float:
+        """Mean of the squared residual fields; bounded by the pointwise energy."""
+        total = (
+            self.rho11**2 + self.rho12**2 + self.rho22**2 + self.rho13**2 + self.rho23**2
+        )
+        return float(total.mean())
+
+
+def compute_residuals(
+    e: SymStrainField,
+    m: ModifiedIndicators,
+    diag: tuple[float, float, float] = DEFAULT_DIAG,
+) -> ResidualDecomposition:
+    """Split the pointwise misfit into the fields entering the compatibility
+    identity.
+
+    Part of the multiplier-free side of ``tests/test_energy.py``: with
+    :func:`strain_from_displacement` and :func:`elastic_energy_pointwise` it
+    checks that the identity vanishes on symmetrized gradients and that the
+    residual fields stay under the pointwise energy, the independent upper
+    bound on :func:`relaxed_elastic_energy`.
+    """
+    if e.grid != m.grid:
+        raise ValueError(f"strain grid {e.grid.shape} != indicator grid {m.grid.shape}")
+    grid = e.grid
+    d1, d2, d3 = diag
+    rho11 = 0.5 * (e.e22 - d2)
+    rho22 = 0.5 * (e.e11 - d1)
+    rho12 = m.chi3t - e.e12
+    rho13 = m.chi2t - e.e13
+    rho23 = m.chi1t - e.e23
+
+    c3 = _coeffs(m.chi3t)
+    r11 = _coeffs(rho11)
+    r12 = _coeffs(rho12)
+    r22 = _coeffs(rho22)
+    k1, k2, k1d, k2d = _modes(grid)
+    combo = (
+        -4.0
+        * np.pi**2
+        * (k1d * k2d * c3 - k1d**2 * r11 - k1d * k2d * r12 - k2d**2 * r22)
+    )
+    weighted = np.abs(combo) ** 2 / _ksq(k1, k2) ** 2
+    weighted[0, 0] = 0.0
+    residual = float(np.sqrt(_fold_sum(weighted, grid)))
+
+    return ResidualDecomposition(
+        grid=grid,
+        rho11=rho11,
+        rho12=rho12,
+        rho22=rho22,
+        rho13=rho13,
+        rho23=rho23,
+        identity_residual=residual,
+    )
+
+
+def _transposed(m: ModifiedIndicators) -> ModifiedIndicators:
+    """The model's transpose symmetry: swap the two axes and the slots chi1t, chi2t.
+
+    The image of an admissible triple is admissible, and energies and defects
+    are unchanged.  Tests use it as the model's transpose; the package writes
+    the swap where it reads the turned frame.
+    """
+    return ModifiedIndicators(Grid(m.grid.n2, m.grid.n1), m.chi2t.T, m.chi1t.T, m.chi3t.T)

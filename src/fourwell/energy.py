@@ -10,11 +10,11 @@ in :mod:`fourwell.spectral` so the algebra here never checks itself.
 
 The relaxed energy is priced by a blocked pass: the spectral core's blocked
 transforms give each half spectrum, and the multiplier's two independent
-folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, walk the core's mode
-table a row block at a time (``_mode_blocks``); on large grids two workers
-take a span of columns each (``_fold_parts``).  Column sums run in row order, so
-each fold is the whole-array pass's float exactly, with at most two half
-spectra and no half-size term alive.  A phase field is priced from its labels:
+folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, are per-block terms
+that the core's ``_fold_blocks`` walks over its mode table a row block at a
+time, splitting the columns between workers itself.  Column sums run in row
+order, so each fold is the whole-array pass's float exactly, with at most two
+half spectra and no half-size term alive.  A phase field is priced from its labels:
 the transforms look each slot up a row block at a time, so beside the labels
 only the half spectra are full-size and no indicator slot is alive.  Each
 pricing is the one expression ``_shear(c1, c2) + _cross(c3)``: c1 and c2 are
@@ -42,7 +42,7 @@ from .fields import (
     _jump_mass,
 )
 from .model import MaterialParams, _check_eta
-from .spectral import _coeffs, _fold_parts, _ksq, _mode_blocks, inv_gradient
+from .spectral import _coeffs, _fold_blocks, _ksq, inv_gradient
 
 __all__ = [
     "DEFAULT_DIAG",
@@ -171,37 +171,34 @@ def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
     fold, and the mean mode adds exactly 0.
     """
 
-    def per_mode(cols):
+    def per_mode(k1, k2, d1, d2, a, b):
         # The sign-sensitive term averages to 0 at unpaired modes, where d is 0.
-        for rows, k1, k2, d1, d2 in _mode_blocks(grid, cols):
-            a, b = c1[rows, cols], c2[rows, cols]
-            block = _sq(a)
-            block *= k1**2
-            term = _sq(b)
-            term *= k2**2
-            block += term
-            np.multiply(2.0 * d1, d2, out=term)
-            term *= _re_dot(b, a)
-            block -= term
-            block /= _ksq(k1, k2)
-            yield block
+        block = _sq(a)
+        block *= k1**2
+        term = _sq(b)
+        term *= k2**2
+        block += term
+        np.multiply(2.0 * d1, d2, out=term)
+        term *= _re_dot(b, a)
+        block -= term
+        block /= _ksq(k1, k2)
+        return block
 
-    return 2.0 * _fold_parts(per_mode, grid)
+    return 2.0 * _fold_blocks(per_mode, grid, c1, c2)
 
 
 def _cross(c3: np.ndarray, grid: Grid) -> float:
     """Fold of ``4 k1^2 k2^2 |c3|^2 / |k|^4``, ``c3`` left as it is; the exact
     factor 4 is taken outside the fold, and the mean mode adds exactly 0."""
 
-    def per_mode(cols):
-        for rows, k1, k2, _, _ in _mode_blocks(grid, cols):
-            ksq = _ksq(k1, k2)
-            block = _sq(c3[rows, cols])
-            block *= (k1 * k2) ** 2
-            block /= np.square(ksq, out=ksq)
-            yield block
+    def per_mode(k1, k2, d1, d2, c):
+        ksq = _ksq(k1, k2)
+        block = _sq(c)
+        block *= (k1 * k2) ** 2
+        block /= np.square(ksq, out=ksq)
+        return block
 
-    return 4.0 * _fold_parts(per_mode, grid)
+    return 4.0 * _fold_blocks(per_mode, grid, c3)
 
 
 def _sq(c: np.ndarray) -> np.ndarray:

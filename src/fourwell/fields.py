@@ -54,6 +54,8 @@ class Grid:
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
+        if int(self.n1) * int(self.n2) > np.iinfo(np.intp).max:
+            raise ValueError(f"n1 = {self.n1}, n2 = {self.n2}: more cells than numpy can index")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -166,6 +166,8 @@ class BranchingParams:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam!r}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive, got {self.beta!r}")
+        if 0.5**self.beta == 1.0:  # the heights would divide 0 by 0
+            raise ValueError(f"beta = {self.beta!r} is too small: 0.5**beta rounds to 1")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
         if not 0.0 < self.w1 <= 1.0:

@@ -13,7 +13,9 @@ A report transforms each indicator once: the pricing pass shares
 :mod:`fourwell.energy`'s two folds, and the characteristic residual
 and the weak defect read the same coefficients of chi1t and chi2t in one walk
 over column slabs of the frame, the grid turned so that the outer axis is
-axis 0, where the outer sign is one value per row.
+axis 0, where the outer sign is one value per row.  The walk, its split
+between workers and the folds are the spectral core's ``_fold_slabs``; this
+module gives it the per-slab column sums only.
 """
 
 from __future__ import annotations
@@ -29,16 +31,7 @@ from .energy import EnergyBreakdown, _cross, _shear, _sq, _to_json, _weighted, s
 from .fields import _SLOT_OF_LABEL, Grid, PhaseField, ScalarField, _row_blocks, volume_fractions
 from .microstructures import staircase_shifts
 from .model import _check_eta
-from .spectral import (
-    _SLAB_COLS,
-    _coeffs,
-    _fold,
-    _frame,
-    _frame_slabs,
-    _in_parts,
-    _potential,
-    _profile_derivative,
-)
+from .spectral import _coeffs, _fold_slabs, _frame, _potential, _profile_derivative
 
 __all__ = [
     "OuterProfile",
@@ -113,7 +106,7 @@ def _sign_profile(axis: str, sums: np.ndarray, n_trans: int) -> OuterProfile:
 
 def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
     rounded = np.rint(outer.F)
-    if not np.allclose(outer.F, rounded, atol=1e-9):
+    if not np.allclose(outer.F, rounded, rtol=0, atol=1e-9):
         worst = int(np.argmax(np.abs(outer.F - rounded)))
         raise ValueError(
             f"shear profile is not grid-aligned on the {grid.n1}x{grid.n2} grid: "
@@ -227,11 +220,11 @@ def characteristic_residual(u: ScalarField, outer: OuterProfile) -> float:
     sign f) characteristic field nulls it.
     """
     transpose = outer.axis == "y2"
-    frame = _frame(u.grid, transpose)
-    sums = np.empty(frame.n2 // 2 + 1)
-    for cols, modes, (c,) in _frame_slabs([_coeffs(u.values)], u.grid, transpose):
-        sums[cols] = _transport_sums(c, modes, outer.f[:, None])
-    return math.sqrt(frame.n1 * _fold(sums, frame))
+    f = outer.f[:, None]
+    (residual,) = _fold_slabs(
+        lambda _, modes, c: [_transport_sums(c, modes, f)], [_coeffs(u.values)], u.grid, transpose
+    )
+    return math.sqrt(_frame(u.grid, transpose).n1 * residual)
 
 
 def _transport_sums(u: np.ndarray, modes: tuple, f: np.ndarray) -> np.ndarray:
@@ -291,8 +284,7 @@ def _slab_pass(
     transpose = outer.axis == "y2"
     if transpose:  # the transpose swaps the slots with the axes
         c1, c2 = c2, c1
-    frame = _frame(grid, transpose)
-    n1, n2 = frame.shape
+    n1, n2 = _frame(grid, transpose).shape
     f = outer.f[:, None]
     gm = inner.g - inner.g.mean()
     deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
@@ -304,21 +296,16 @@ def _slab_pass(
         template /= n1 * n2
         return (_sq(field - template) * weight).sum(axis=0)
 
-    sums = np.empty((3, n2 // 2 + 1))  # the residual's column sums, then the two gaps'
+    def column_sums(cols, modes, a, b):
+        k1, k2, _, _ = modes
+        residual = _transport_sums(_potential(b, a, *modes), modes, f)
+        weight = 1.0 / (1.0 + k1**2 + k2**2)
+        rows = deriv[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n2]
+        primary = gap_sums(a, rows, weight)
+        rows *= f
+        return residual, primary, gap_sums(b, rows, weight)
 
-    def walk(span: slice, parts: int) -> None:  # each worker writes its own columns
-        width = _SLAB_COLS // parts
-        for cols, modes, (a, b) in _frame_slabs((c1, c2), grid, transpose, span, width):
-            k1, k2, _, _ = modes
-            sums[0, cols] = _transport_sums(_potential(b, a, *modes), modes, f)
-            weight = 1.0 / (1.0 + k1**2 + k2**2)
-            rows = deriv[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n2]
-            sums[1, cols] = gap_sums(a, rows, weight)
-            rows *= f
-            sums[2, cols] = gap_sums(b, rows, weight)
-
-    _in_parts(walk, n2 // 2 + 1, n1 * n2)
-    residual, primary, product = (_fold(s, frame) for s in sums)
+    residual, primary, product = _fold_slabs(column_sums, (c1, c2), grid, transpose)
     return math.sqrt(n1 * residual), math.hypot(math.sqrt(primary), math.sqrt(product))
 
 

@@ -1,10 +1,10 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
 The private core (``_coeffs``, ``_values``, ``_axis``, ``_modes``,
-``_mode_blocks``, ``_frame_slabs``, ``_ksq``, ``_drop``, ``_fold``,
-``_fold_sum``, ``_fold_parts``, ``_in_parts``) is the only owner of the
-package's Fourier conventions and of how transforms and per-mode work are
-blocked and split across workers:
+``_frame_slabs``, ``_ksq``, ``_drop``, ``_fold``, ``_fold_sum``,
+``_fold_blocks``, ``_fold_slabs``, ``_in_parts``) alone owns the Fourier
+conventions and how transforms and per-mode sums are blocked, split across
+workers and folded; the modules on it write per-mode formulas only:
 
 * Every field is real, so only half of its spectrum is stored: coefficients
   are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
@@ -31,8 +31,8 @@ blocked and split across workers:
   array it makes is its half spectrum, and it equals numpy's ``rfft2`` bit
   for bit.  It can read an indicator slot straight from the phase labels,
   a row block looked up at a time, so pricing needs no full-size slot.
-  Per-mode work walks ``_mode_blocks``, the table cut to row blocks, and
-  ``_column_sums`` sums row blocks with the whole array's floats.
+  ``_fold_blocks`` folds a per-mode term given the table and the half
+  spectra cut to row blocks, with the whole array's column sums.
 * Workers: ``_in_parts`` runs a pass over ``range(n)`` (rows, columns or
   frame columns) on two threads from ``_SPLIT_CELLS`` (640^2) cells up when
   two CPUs are usable, else on one; numpy's transforms and array loops
@@ -45,7 +45,8 @@ blocked and split across workers:
   and no output bit depends on the number of workers.
 * Frames: ``_frame_slabs`` walks a field's half spectrum, or its transpose's
   (an exact re-indexing, so no transform is taken twice), a slab of at most
-  ``_SLAB_COLS`` columns at a time with the table cut to the slab.
+  ``_SLAB_COLS`` columns at a time with the table cut to the slab, and
+  ``_fold_slabs`` folds each row of column sums a per-slab term gives.
 
 Callers that hold coefficients use the core directly, so a report transforms
 each indicator once.  :func:`permode_elastic_oracle` keeps its own plain
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -193,14 +194,6 @@ def _modes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return k1[:, None], k2[None, half], d1[:, None], d2[None, half]
 
 
-def _mode_blocks(grid: Grid, cols: slice = slice(None)) -> Iterator[tuple]:
-    """``(rows, k1, k2, d1, d2)`` for each row block of the half spectrum's
-    columns ``cols``, in order: the mode table, built once, cut to the block."""
-    k1, k2, d1, d2 = _modes(grid)
-    for rows in _row_blocks(grid.n1):
-        yield rows, k1[rows], k2[:, cols], d1[rows], d2[:, cols]
-
-
 def _frame(grid: Grid, transpose: bool) -> Grid:
     """The grid a field on ``grid`` is seen on, turned if ``transpose``."""
     return Grid(grid.n2, grid.n1) if transpose else grid
@@ -267,31 +260,45 @@ def _fold_sum(per_mode: np.ndarray, grid: Grid) -> float:
     return _fold(per_mode.sum(axis=0), grid)
 
 
-def _column_sums(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """The column sums of the row blocks ``blocks`` of one array, in order.
-
-    Each column is summed in row order (the running sums go into the first
-    row of the next block, which is overwritten), so blocks give the whole
-    array's floats exactly, and so do column slices of two or more columns.
-    """
-    sums = None
-    for block in blocks:
-        if sums is not None:
-            block[0] += sums
-        sums = block.sum(axis=0)
-    return sums
-
-
-def _fold_parts(per_mode: Callable[[slice], Iterable[np.ndarray]], grid: Grid) -> float:
-    """:func:`_fold` of the per-mode half-spectrum array whose row blocks, cut
-    to the columns ``cols``, ``per_mode(cols)`` yields in order; each worker
-    (:func:`_in_parts`) sums its own columns."""
+def _fold_blocks(term: Callable[..., np.ndarray], grid: Grid, *spectra: np.ndarray) -> float:
+    """:func:`_fold` of the per-mode half-spectrum array whose row blocks are
+    ``term(k1, k2, d1, d2, *blocks)``: the mode table and each of ``spectra``
+    cut to the block.  Each worker (:func:`_in_parts`) sums its own span of
+    columns in row order, the running sums added into the first row of the
+    next block (``term`` returns a new array), so the sums are the whole
+    array's floats."""
+    k1, k2, d1, d2 = _modes(grid)
 
     def span_sums(cols: slice, parts: int) -> np.ndarray:
-        return _column_sums(per_mode(cols))
+        sums = None
+        for rows in _row_blocks(grid.n1):
+            blocks = (c[rows, cols] for c in spectra)
+            block = term(k1[rows], k2[:, cols], d1[rows], d2[:, cols], *blocks)
+            if sums is not None:
+                block[0] += sums
+            sums = block.sum(axis=0)
+        return sums
 
     sums = _in_parts(span_sums, grid.n2 // 2 + 1, grid.n1 * grid.n2)
     return _fold(np.concatenate(sums), grid)
+
+
+def _fold_slabs(term: Callable, spectra: Sequence, grid: Grid, transpose: bool) -> list[float]:
+    """:func:`_fold` on ``_frame(grid, transpose)`` of each row of the column
+    sums ``term(cols, modes, *slabs)`` gives, a sequence of rows of the slab's
+    width, for each slab of :func:`_frame_slabs` of ``spectra``, which
+    each worker (:func:`_in_parts`) walks over its own span of columns in
+    slabs ``1 / parts`` the one-worker width.  Each row is folded alone: one
+    matrix-vector product over the rows would sum in another order."""
+    frame = _frame(grid, transpose)
+
+    def walk(span: slice, parts: int) -> list[np.ndarray]:
+        slabs = _frame_slabs(spectra, grid, transpose, span, _SLAB_COLS // parts)
+        return [np.stack(term(cols, modes, *cut)) for cols, modes, cut in slabs]
+
+    parts = _in_parts(walk, frame.n2 // 2 + 1, frame.n1 * frame.n2)
+    sums = np.concatenate([piece for part in parts for piece in part], axis=1)
+    return [_fold(row, frame) for row in sums]
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:

@@ -145,6 +145,13 @@ class TestGenerate:
         assert out == ""
         assert err.startswith("error: out of memory: Unable to allocate")
 
+    def test_tiny_beta_is_refused_by_name(self, tmp_path, capsys):
+        argv = ["generate", "branching", "--eta", "1e-2", "--beta", "1e-300"]
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: beta = 1e-300 is too small: 0.5**beta rounds to 1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert main(["generate", "mystery"]) == 2
 
@@ -311,6 +318,16 @@ class TestEnergyAndReport:
         assert out == ""
         assert "not grid-aligned on the 64x96 grid" in err
         assert "np.float64" not in err
+
+    def test_report_refuses_a_half_cell_shear_on_a_wide_grid(self, tmp_path, capsys):
+        """The staircase shift reaches 100000.5 cells: no relative tolerance
+        may round that half cell away."""
+        path = tmp_path / "wide.field"
+        labels = np.repeat(np.array([[1], [2]], dtype=np.uint8), 200001, axis=1)
+        write_phase_field(path, PhaseField(Grid(2, 200001), labels))
+        code, out, err = run(capsys, "report", str(path), "--eta", "1e-2")
+        assert (code, out) == (2, "")
+        assert "not grid-aligned on the 2x200001 grid: F[0] = -100000.5" in err
 
 
 class TestHalfSpectrum:
@@ -647,6 +664,27 @@ class TestSeed:
         assert (code, out) == (2, "")
         seed = argv[argv.index("--seed") + 1]
         assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+HUGE = "100000000000000000000"
+
+
+class TestGridsNumpyCannotIndex:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "laminate"],
+            ["generate", "crossing-twin"],
+            ["generate", "random"],
+            ["sweep", "--kinds", "laminate", "--etas", "1e-2"],
+        ],
+        ids=["laminate", "crossing-twin", "random", "sweep"],
+    )
+    def test_are_refused_by_name_at_once(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--grid", HUGE, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: n1 = {HUGE}, n2 = {HUGE}: more cells than numpy can index\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -52,10 +52,20 @@ class TestGrid:
         assert g.axis_coords(1).shape == (8,)
         assert g.axis_coords(1)[0] == -0.5 + 1.0 / 16.0
 
-    @pytest.mark.parametrize("bad", [(1, 4), (4, 1), (0, 4), (-2, 4), (4.0, 4)])
+    # The last three have more cells than numpy can index; numpy integers
+    # must not wrap around when multiplied.
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 4), (4, 1), (0, 4), (-2, 4), (4.0, 4)]
+        + [(3037000500, 3037000500), (10**20, 2), (np.int64(2**32), np.int64(2**32))],
+    )
     def test_rejects_degenerate_sizes(self, bad):
         with pytest.raises(ValueError):
             Grid(*bad)
+
+    def test_accepts_every_grid_numpy_can_index(self):
+        assert 3037000499**2 <= np.iinfo(np.intp).max
+        assert Grid(3037000499, 3037000499).shape == (3037000499, 3037000499)
 
 
 class TestFieldContainers:

@@ -168,6 +168,7 @@ class TestBranchingParams:
             (dict(w1=0.3), "reciprocal"),
             (dict(w1=0.0), "w1"),
             (dict(eta=0.0), "eta"),
+            (dict(beta=1e-300), "beta"),  # 0.5**beta rounds to 1
         ],
     )
     def test_domain_validation(self, kwargs, match):

@@ -121,6 +121,13 @@ class TestExtractInner:
         )
         with pytest.raises(ValueError, match="grid-aligned"):
             extract_inner(p, broken)
+        # A half cell past 100000 cells is no closer to whole for being far out.
+        labels = np.repeat(np.array([[1], [2]], dtype=np.uint8), 200001, axis=1)
+        wide = PhaseField(Grid(2, 200001), labels)
+        outer = extract_outer(wide)
+        assert outer.axis == "y1" and list(outer.F) == [-100000.5, 0.0]
+        with pytest.raises(ValueError, match="grid-aligned"):
+            extract_inner(wide, outer)
 
 
 def reference_cases():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fourwell.spectral
 from fourwell.fields import _SLOT_OF_LABEL, Grid, ScalarField, VectorField, _row_blocks
 from fourwell.spectral import (
     _coeffs,
-    _column_sums,
-    _fold,
+    _cut,
+    _fold_blocks,
     _fold_sum,
     _frame_slabs,
-    _mode_blocks,
     _modes,
     _values,
     curl_neg_sobolev,
@@ -100,14 +100,33 @@ class TestModeTable:
             assert _fold_sum(column, grid) == weight * n1
 
     @pytest.mark.parametrize("shape", [(7, 9), (64, 8), (130, 6)])
-    def test_mode_blocks_cut_the_table_into_row_blocks(self, shape):
+    def test_mode_blocks_cut_the_table_into_row_blocks(self, monkeypatch, shape):
+        """With one worker and with two, ``_fold_blocks`` hands its term the
+        table and the spectrum cut to each row block of each worker's span of
+        columns, the row blocks of a span in order."""
         grid = Grid(*shape)
         k1, k2, d1, d2 = _modes(grid)
-        blocks = list(_mode_blocks(grid))
-        assert [rows for rows, *_ in blocks] == list(_row_blocks(grid.n1))
-        for rows, b1, b2, e1, e2 in blocks:
-            assert np.array_equal(b1, k1[rows]) and np.array_equal(e1, d1[rows])
-            assert np.array_equal(b2, k2) and np.array_equal(e2, d2)
+        width = k2.shape[1]
+        index = np.arange(grid.n1 * width).reshape(grid.n1, width)  # each mode's own number
+        for parts in (1, 2):
+            monkeypatch.setattr(fourwell.spectral, "_workers", lambda cells: parts)
+            seen = []
+
+            def record(b1, b2, e1, e2, block):
+                seen.append((b1, b2, e1, e2, block))
+                return np.zeros(block.shape)
+
+            assert _fold_blocks(record, grid, index) == 0.0
+            spans = {}
+            for b1, b2, e1, e2, block in seen:
+                rows = slice(block[0, 0] // width, block[-1, 0] // width + 1)
+                cols = slice(block[0, 0] % width, block[0, -1] % width + 1)
+                assert np.array_equal(block, index[rows, cols])
+                assert np.array_equal(b1, k1[rows]) and np.array_equal(e1, d1[rows])
+                assert np.array_equal(b2, k2[:, cols]) and np.array_equal(e2, d2[:, cols])
+                spans.setdefault((cols.start, cols.stop), []).append(rows)
+            assert [slice(*span) for span in sorted(spans)] == _cut(width, parts)
+            assert all(blocks == list(_row_blocks(grid.n1)) for blocks in spans.values())
 
 
 # Odd, even and non-square shapes, one row or one column, and sizes on both
@@ -190,8 +209,7 @@ class TestBlockedCore:
         per_mode = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
         grid = Grid(shape[0], 2 * shape[1] - 2)
         whole = _fold_sum(per_mode.copy(), grid)
-        blocks = (per_mode[rows].copy() for rows in _row_blocks(shape[0]))
-        assert _fold(_column_sums(blocks), grid) == whole
+        assert _fold_blocks(lambda k1, k2, d1, d2, block: block.copy(), grid, per_mode) == whole
 
 
 class TestDerivative:

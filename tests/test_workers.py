@@ -14,9 +14,16 @@ import pytest
 import fourwell.spectral
 from fourwell.cli import main
 from fourwell.energy import _relaxed_from_labels, total_energy
-from fourwell.fields import _SLOT_OF_LABEL, Grid, PhaseField, write_phase_field
+from fourwell.fields import (
+    _SLOT_OF_LABEL,
+    Grid,
+    PhaseField,
+    VectorField,
+    to_modified,
+    write_phase_field,
+)
 from fourwell.microstructures import gen_random_partition
-from fourwell.rigidity import extract_outer, rigidity_report
+from fourwell.rigidity import characteristic_residual, extract_outer, rigidity_report
 from fourwell.spectral import (
     _SLAB_COLS,
     _SPLIT_CELLS,
@@ -25,6 +32,7 @@ from fourwell.spectral import (
     _frame_slabs,
     _in_parts,
     _workers,
+    helmholtz_potential,
 )
 
 
@@ -197,18 +205,35 @@ class TestOneWorkerEqualsTwo:
     @staticmethod
     def report_cases():
         """Square grids whose half spectra reach 1, 3 or 9 columns past a
-        16-column slab, in both frames, and non-square grids on each outer axis."""
+        16-column slab, in both frames, non-square grids on each outer axis,
+        and frame half spectra 2 or 3 columns wide, on each outer axis, where
+        the second worker's span is empty."""
         cases = []
         for n in (16, 17, 36, 48, 129, 130, 1856):
             p = gen_random_partition(n, Grid(n, n), feature_scale=0.05)
             cases += [p, PhaseField(p.grid, np.ascontiguousarray(p.labels.T))]
         for seed, shape in ((0, (32, 64)), (2, (64, 32))):
             cases.append(gen_random_partition(seed, Grid(*shape), feature_scale=0.1))
+        for seed, shape in ((0, (2, 2)), (5, (2, 2)), (0, (3, 3)), (1, (3, 3)), (2, (2, 4))):
+            labels = np.random.default_rng(seed).integers(1, 5, size=shape)
+            cases.append(PhaseField(Grid(*shape), labels))
         return cases
 
     @pytest.mark.parametrize("p", report_cases(), ids=lambda p: "x".join(map(str, p.grid.shape)))
     def test_report_json(self, monkeypatch, p):
         one, two = one_then_two(monkeypatch, lambda: rigidity_report(p, 1e-2).to_json())
+        assert one == two
+
+    def test_characteristic_residual(self, monkeypatch):
+        """Outer axis y2 on a 33^2 grid: the frame half spectrum is 17 columns
+        wide, one past a slab, and two workers walk it in 8- and 9-column spans."""
+        p = gen_random_partition(4, Grid(33, 33), feature_scale=0.05)
+        p = PhaseField(p.grid, p.labels.T)
+        outer = extract_outer(p)
+        assert outer.axis == "y2"
+        m = to_modified(p)
+        u = helmholtz_potential(VectorField(p.grid, m.chi2t, m.chi1t))
+        one, two = one_then_two(monkeypatch, lambda: characteristic_residual(u, outer))
         assert one == two
 
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):

@@ -121,25 +121,33 @@ def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
     In the frame whose axis 0 is the outer axis, cell (a, t) lies on the
     characteristic of column ``(t + s_a) mod n_trans``, s the staircase shear
     recorded in ``outer`` (which must land on whole cells).  S sums chi1t and
-    H sums f chi2t over each characteristic, a row block of labels at a time;
-    the transpose swaps chi1t and chi2t with the axes.  g = S / n_along, and
-    with D = n_along^2 n_trans the two mean-square defects are the integer
-    ratios (D - S.S) / D and (D - 2 S.H + S.S) / D, each rounded once.
+    H sums f chi2t over each characteristic; the transpose swaps chi1t and
+    chi2t with the axes.  Both come from one unweighted count, a row block of
+    labels at a time: cell (a, t) goes to bin ``t + (s_a mod n_trans) +
+    2 n_trans code``, code = 2 [chi1t < 0] + [f_a chi2t < 0] read by label
+    from one of two tables picked by the sign of f_a.  Of the 8 n_trans bins,
+    each block of 2 n_trans folds its wrapped half onto the first, and S and
+    H are signed sums of the four codes' counts.  g = S / n_along, and with
+    D = n_along^2 n_trans the two mean-square defects are the integer ratios
+    (D - S.S) / D and (D - 2 S.H + S.S) / D, each rounded once.
     """
     shifts = _integer_shifts(outer, p.grid)
     transpose = outer.axis == "y2"
     n_along, n_trans = _frame(p.grid, transpose).shape
     first, second = _SLOT_OF_LABEL[1::-1] if transpose else _SLOT_OF_LABEL[:2]
-    S, H = np.zeros(n_trans), np.zeros(n_trans)  # sums of at most n_along signs: exact
+    code = 2 * (first < 0) + (np.array([[1], [-1]]) * second < 0)  # by [f < 0], label
+    # Row a: the bin offset of each label in outer row a, so bin = t + bins[a, label].
+    bins = 2 * n_trans * code[(outer.f < 0).astype(np.intp)] + (shifts % n_trans)[:, None]
+    n_labels = bins.shape[1]
+    counts = np.zeros(8 * n_trans, dtype=np.int64)
     for block in _row_blocks(p.grid.n1):
         j, i = np.ogrid[block, : p.grid.n2]
         a, t = (i, j) if transpose else (j, i)
-        column = ((t + shifts[a]) % n_trans).ravel()
-        labels = p.labels[block]
-        S += np.bincount(column, np.take(first, labels, mode="clip").ravel(), n_trans)
-        signed = outer.f[a] * np.take(second, labels, mode="clip")
-        H += np.bincount(column, signed.ravel(), n_trans)
-    S, H = S.astype(np.int64), H.astype(np.int64)
+        keys = np.take(bins, n_labels * a + p.labels[block], mode="clip")  # labels are 1..4
+        keys += t
+        counts += np.bincount(keys.ravel(), minlength=8 * n_trans)
+    c0, c1, c2, c3 = counts.reshape(4, 2, n_trans).sum(axis=1)  # by code and column
+    S, H = c0 + c1 - c2 - c3, c0 - c1 + c2 - c3
     D, SS = n_along**2 * n_trans, int(S @ S)
     chi2 = math.sqrt((D - 2 * int(S @ H) + SS) / D)
     return InnerProfile(g=S / n_along, defect_l2=(D - SS) / D, defect_chi2=chi2)

@@ -79,8 +79,10 @@ __all__ = [
 _SLAB_COLS = 16
 
 # The smallest grid, in cells, whose work is split across two workers.  On a
-# 2-CPU machine two workers priced a 512^2 field at 0.93-1.06x the speed of
-# one and a 640^2 field at 1.09-1.17x (energy and report, two runs each).
+# 2-CPU machine, in medians of 8-10 interleaved rounds on random fields, two
+# workers ran the label pricing and the report at 0.77-0.83x the speed of one
+# at 512^2, 0.88-1.11x at 640^2, 0.97-1.48x at 768^2 and 1024^2, and
+# 1.25-1.63x at 1280^2 and 1536^2.
 _SPLIT_CELLS = 640 * 640
 
 

@@ -268,6 +268,21 @@ class TestEnergyAndReport:
         assert out.strip() == rigidity_report(field, 1e-2).to_json()
         assert payload["outer"]["defect_l1"] == 0.0
 
+    @pytest.mark.parametrize(
+        "name", ["branching_112", "crossing_twin_y2_32", "counterexample_k2_32", "laminate_y2_32"]
+    )
+    def test_report_reproduces_the_golden_bytes(self, tmp_path, capsys, name):
+        """The golden reports were written before the inner profile was
+        counted from one key per cell."""
+        data = Path(__file__).parent / "data"
+        json_out = tmp_path / "report.json"
+        field = str(data / f"{name}.field")
+        code, out, _ = run(capsys, "report", field, "--eta", "1e-2", "--json-out", str(json_out))
+        assert code == 0
+        golden = (data / f"{name}_report.json").read_bytes()
+        assert out.encode() == golden
+        assert json_out.read_bytes() == golden
+
     def test_missing_field_file_returns_two(self, capsys):
         code, _, err = run(capsys, "energy", "/nonexistent/f.field", "--eta", "1.0")
         assert code == 2

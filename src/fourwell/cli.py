@@ -16,6 +16,7 @@ input errors, a grid too large to allocate included.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Mapping
@@ -237,7 +238,7 @@ def _sweep_rows(field: PhaseField, etas: list[float]) -> list[dict[str, float]]:
 
 def _fit_slope(rows: list[dict[str, float]], column: str) -> float:
     pairs = [
-        (np.log10(r["E"]), np.log10(r[column]))
+        (math.log10(r["E"]), math.log10(r[column]))
         for r in rows
         if r["E"] > 0.0 and r[column] > 0.0
     ]
@@ -246,7 +247,8 @@ def _fit_slope(rows: list[dict[str, float]], column: str) -> float:
     x, y = np.array(pairs).T
     if np.allclose(x, x[0]):
         return float("nan")
-    return float(np.polyfit(x, y, 1)[0])
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

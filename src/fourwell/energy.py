@@ -21,8 +21,8 @@ pricing is the one expression ``_shear(c1, c2) + _cross(c3)``: c1 and c2 are
 dropped when ``_shear`` returns, before c3's transform starts.
 
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
-elastic energy by ``eta^(-2/3)``; cube roots are taken with ``np.cbrt`` so
-scaling ``eta`` by 8 shifts the two weights by exact binary factors.
+elastic energy by ``eta^(-2/3)``; the cube root is correctly rounded, so
+scaling ``eta`` by 8 shifts the weights by exact binary factors on every CPU.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .fields import (
     _check_shape,
     _jump_mass,
 )
-from .model import MaterialParams, _check_eta
+from .model import MaterialParams, _cbrt, _check_eta
 from .spectral import _coeffs, _fold_blocks, _ksq, inv_gradient
 
 __all__ = [
@@ -246,7 +246,7 @@ def total_energy(p: PhaseField, eta: float) -> EnergyBreakdown:
 def _weighted(eta: float, elastic: float, surface: float) -> EnergyBreakdown:
     """The one place surface and elastic parts are weighted into a total."""
     _check_eta(eta)
-    root = float(np.cbrt(eta))
+    root = _cbrt(eta)
     total = root * surface + elastic / root**2
     return EnergyBreakdown(eta=eta, elastic=elastic, surface=surface, total=total)
 
@@ -267,6 +267,6 @@ def interpolation_gap(f: ScalarField, eta: float) -> tuple[float, float, float]:
     grad = _jump_mass(f)
     sup = float(np.abs(f.values).max())
     potential_sq = float(np.mean(inv_gradient(f).values ** 2))
-    root = float(np.cbrt(eta))
+    root = _cbrt(eta)
     rhs = root * grad * sup + potential_sq / root**2
     return (lhs, rhs, lhs / rhs)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, PhaseField, _from_signs, _row_blocks, shear_resample
-from .model import _check_eta
+from .model import _cbrt, _check_eta
 
 __all__ = [
     "BranchingParams",
@@ -183,10 +183,10 @@ class BranchingParams:
 
     def heights(self) -> np.ndarray:
         """Slab heights l_n per half-stack of the upper band; they sum to
-        (1 - lam) / 2."""
+        (1 - lam) / 2.  The powers are libm's, not numpy's AVX-512 variant."""
         decay = 0.5**self.beta
         l1 = 0.5 * (1.0 - self.lam) * (1.0 - decay) / (1.0 - decay**self.N)
-        return l1 * decay ** np.arange(self.N)
+        return l1 * np.array([decay**n for n in range(self.N)])
 
     @property
     def is_admissible(self) -> bool:
@@ -222,7 +222,7 @@ def branching_bound(p: BranchingParams) -> float:
     """
     w = p.widths()
     l = p.heights()
-    root = float(np.cbrt(p.eta))
+    root = _cbrt(p.eta)
     per_gen = root * (l / w) + (w**2 / l) / root**2
     tips = 0.5**(p.N + 1) * p.w1 / root**2
     return float(per_gen.sum() + root + tips)
@@ -243,7 +243,7 @@ def plan_branching(
     resolves every generation exactly fits within ``max_grid``.
     """
     _check_eta(eta)
-    root = float(np.cbrt(eta))
+    root = _cbrt(eta)
     den_start = max(1, math.ceil(1.0 / (root * (1.0 - lam)) - 1e-9))
     n_start = max(1, math.floor(-math.log2(root**2) + 1e-9))
     for den in range(den_start, den_start + 4096):

@@ -127,3 +127,21 @@ def _check_eta(value: float) -> None:
     """The one admissibility rule for an energy ratio eta."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"eta must be positive and finite, got {value!r}")
+
+
+def _cbrt(x: float) -> float:
+    """``x ** (1/3)`` for a positive finite ``x``, correctly rounded: the same
+    float on every CPU, and ``_cbrt(8 * x) == 2 * _cbrt(x)``.  The guess steps
+    an ulp at a time until the exact midpoints to its neighbours bracket x."""
+    p, q = x.as_integer_ratio()
+
+    def below(a: float, b: float) -> bool:  # ((a + b) / 2)^3 < x, in integers
+        (n, d), (m, e) = a.as_integer_ratio(), b.as_integer_ratio()
+        return (n * e + m * d) ** 3 * q < 8 * p * (d * e) ** 3
+
+    r = float(x) ** (1 / 3)
+    while below(r, up := math.nextafter(r, math.inf)):
+        r = up
+    while not below(down := math.nextafter(r, 0.0), r):
+        r = down
+    return r

@@ -249,17 +249,17 @@ def _drop(
     return c
 
 
-def _fold(sums: np.ndarray, grid: Grid) -> float:
+def _fold(sums: np.ndarray, grid: Grid) -> np.ndarray:
     """Sum over the full spectrum of a quantity equal at k and -k, from the
-    column sums of its half: a column with d2 = 0 (column 0, and ``-n2/2`` on
-    even n2) is its own mirror image and counts once, every other column twice.
-    """
-    return float(sums @ np.where(_modes(grid)[3][0] == 0, 1.0, 2.0))
+    column sums of its half on the last axis: a column with d2 = 0 (column 0,
+    and ``-n2/2`` on even n2) is its own mirror image and counts once, every
+    other column twice.  A pairwise sum, not BLAS: the same on every CPU."""
+    return (sums * np.where(_modes(grid)[3][0] == 0, 1.0, 2.0)).sum(axis=-1)
 
 
 def _fold_sum(per_mode: np.ndarray, grid: Grid) -> float:
     """:func:`_fold` of a half-spectrum array."""
-    return _fold(per_mode.sum(axis=0), grid)
+    return float(_fold(per_mode.sum(axis=0), grid))
 
 
 def _fold_blocks(term: Callable[..., np.ndarray], grid: Grid, *spectra: np.ndarray) -> float:
@@ -282,7 +282,7 @@ def _fold_blocks(term: Callable[..., np.ndarray], grid: Grid, *spectra: np.ndarr
         return sums
 
     sums = _in_parts(span_sums, grid.n2 // 2 + 1, grid.n1 * grid.n2)
-    return _fold(np.concatenate(sums), grid)
+    return float(_fold(np.concatenate(sums), grid))
 
 
 def _fold_slabs(term: Callable, spectra: Sequence, grid: Grid, transpose: bool) -> list[float]:
@@ -290,8 +290,7 @@ def _fold_slabs(term: Callable, spectra: Sequence, grid: Grid, transpose: bool) 
     sums ``term(cols, modes, *slabs)`` gives, a sequence of rows of the slab's
     width, for each slab of :func:`_frame_slabs` of ``spectra``, which
     each worker (:func:`_in_parts`) walks over its own span of columns in
-    slabs ``1 / parts`` the one-worker width.  Each row is folded alone: one
-    matrix-vector product over the rows would sum in another order."""
+    slabs ``1 / parts`` the one-worker width."""
     frame = _frame(grid, transpose)
 
     def walk(span: slice, parts: int) -> list[np.ndarray]:
@@ -300,7 +299,7 @@ def _fold_slabs(term: Callable, spectra: Sequence, grid: Grid, transpose: bool) 
 
     parts = _in_parts(walk, frame.n2 // 2 + 1, frame.n1 * frame.n2)
     sums = np.concatenate([piece for part in parts for piece in part], axis=1)
-    return [_fold(row, frame) for row in sums]
+    return _fold(sums, frame).tolist()
 
 
 def _profile_derivative(profile: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for material parameters and the energy-well construction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from fourwell.energy import total_energy
 from fourwell.fields import Grid, PhaseField
 from fourwell.microstructures import BranchingParams, plan_branching
-from fourwell.model import ADMISSIBLE_TUPLES, MaterialParams, eta, make_wells
+from fourwell.model import ADMISSIBLE_TUPLES, MaterialParams, _cbrt, eta, make_wells
 
 # The six stress-free strains at the default parameters, written out in full.
 EXPECTED_ORIGINAL = np.array(
@@ -147,3 +148,33 @@ ETA_ENTRY_POINTS = {
 def test_every_eta_entry_point_shares_one_rule(entry, bad):
     with pytest.raises(ValueError, match=r"^eta must be positive and finite, got "):
         entry(bad)
+
+
+def _cbrt_cases():
+    """About 10^4 positive floats: etas the goldens and tests use, the ends of
+    the float range, 5000 log-uniform over the normal range and 5000 uniform
+    in (0, 1)."""
+    rng = np.random.default_rng(11)
+    named = [1e-2, 1e-4, 1e-5, 1e-3, 1.3e-3, 0.3, 0.1, 0.05, 1.0, 0.125, 27.0]
+    edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    drawn = np.concatenate([10.0 ** rng.uniform(-307, 308, 5000), rng.uniform(0, 1, 5000)])
+    return named + edges + [float(x) for x in drawn if x > 0.0]
+
+
+def test_cbrt_is_correctly_rounded_and_scales_by_octaves():
+    """The midpoints to the root's neighbours bracket x exactly, so no float
+    is nearer the true root; where 8x is a normal float too, its root is
+    exactly twice x's."""
+    for x in _cbrt_cases():
+        r = _cbrt(x)
+        lo, hi = ((Fraction(r) + Fraction(math.nextafter(r, t))) / 2 for t in (0.0, math.inf))
+        assert lo**3 < Fraction(x) < hi**3, x
+        if 2.2250738585072014e-308 <= x <= 1.7976931348623157e308 / 8:
+            assert _cbrt(8.0 * x) == 2.0 * r, x
+
+
+def test_cbrt_fixes_the_bits_libm_gets_wrong():
+    """glibc's cbrt, which numpy uses without AVX-512, is an ulp or two off
+    at these etas."""
+    assert _cbrt(1e-2).hex() == "0x1.b93a6cec0b3b1p-3"
+    assert _cbrt(1e-5).hex() == "0x1.60fb8a566f628p-6"

@@ -63,15 +63,17 @@ def test_star_import_binds_exactly_all():
 
 def test_import_leaves_the_cli_out():
     # The tests directory is on the path, so the package could import the
-    # references in whole_array; neither it nor the test tools may be loaded.
+    # references in whole_array; neither it nor the test tools may be loaded,
+    # nor fractions, whose import alone takes milliseconds.
     path = [str(Path(fourwell.__file__).parents[1]), str(Path(__file__).parent)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     probe = (
         "import sys, fourwell; print('fourwell.cli' in sys.modules, hasattr(fourwell, 'cli')); "
         "import fourwell.cli; "
-        "print(*(name in sys.modules for name in ('whole_array', 'pytest', 'hypothesis')))"
+        "print(*(name in sys.modules "
+        "for name in ('whole_array', 'pytest', 'hypothesis', 'fractions')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False", "False", "False", "False"]
+    assert out.stdout.split() == ["False"] * 6

@@ -37,7 +37,6 @@ from .fields import (
     _header_lines,
     read_phase_field,
     to_modified,
-    volume_fractions,
     write_phase_field,
     write_pgm,
 )
@@ -53,14 +52,7 @@ from .microstructures import (
     zigzag_potential,
 )
 from .model import _check_eta
-from .rigidity import (
-    extract_inner,
-    extract_outer,
-    incompatibility_defect,
-    mixed_difference_sup,
-    rigidity_report,
-    wave_decompose,
-)
+from .rigidity import _label_measures, mixed_difference_sup, rigidity_report, wave_decompose
 from .spectral import curl_neg_sobolev, leray_project, permode_elastic_oracle
 
 __all__ = ["main"]
@@ -213,20 +205,17 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 def _sweep_rows(field: PhaseField, etas: list[float]) -> list[dict[str, float]]:
     """One row per eta; everything but the eta weighting is computed once."""
-    outer = extract_outer(field)
-    inner = extract_inner(field, outer)
+    outer, inner, theta, d14, d12 = _label_measures(field)
     elastic = _relaxed_from_labels(field)
     surface = surface_energy(field)
     breakdowns = [_weighted(eta, elastic, surface) for eta in etas]
-    theta = volume_fractions(field)
-    d14, d12 = incompatibility_defect(theta)
     shared = {
         "theta1": theta[0],
         "theta2": theta[1],
         "theta3": theta[2],
         "theta4": theta[3],
-        "d14": float(d14),
-        "d12": float(d12),
+        "d14": d14,
+        "d12": d12,
         "outer_defect": outer.defect_l1,
         "inner_defect": inner.defect_l2,
     }
@@ -341,10 +330,8 @@ def _verify_checks(grid_n: int, seed: int):
         worst = 0.0
         for axis, which in (("y1", 0), ("y2", 1)):
             field = gen_crossing_twin(axis, f, g, grid)
-            outer = extract_outer(field)
-            inner = extract_inner(field, outer)
-            gaps = incompatibility_defect(volume_fractions(field))
-            worst = max(worst, outer.defect_l1, inner.defect_l2, float(gaps[which]))
+            outer, inner, _, *gaps = _label_measures(field)
+            worst = max(worst, outer.defect_l1, inner.defect_l2, gaps[which])
         return worst == 0.0, f"max defect {worst:.2e}"
 
     def check_wave_residual():

@@ -233,8 +233,11 @@ def _from_signs(grid: Grid, chi1t, chi3t, slot: int = 1) -> PhaseField:
 
 def volume_fractions(p: PhaseField) -> tuple[float, float, float, float]:
     """Fraction of cells carrying each phase label, in label order."""
-    # One boolean mask at a time: bincount would widen the labels to intp.
-    counts = (np.count_nonzero(p.labels == k) for k in range(1, 5))
+    # One boolean mask of a row block at a time: bincount would widen the
+    # labels to intp, and a full-size mask freed before a report's transforms
+    # raises glibc's mmap threshold and with it the report's peak RSS.
+    blocks = [p.labels[block] for block in _row_blocks(p.grid.n1)]
+    counts = (sum(np.count_nonzero(b == k) for b in blocks) for k in range(1, 5))
     total = p.labels.size
     return tuple(c / total for c in counts)  # type: ignore[return-value]
 

@@ -153,6 +153,15 @@ def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
     return InnerProfile(g=S / n_along, defect_l2=(D - SS) / D, defect_chi2=chi2)
 
 
+def _label_measures(p: PhaseField) -> tuple:
+    """The outer profile, the inner profile along its axis, the phase fractions
+    and their gaps d14, d12: all that the report, ``sweep`` and ``verify`` read
+    from the labels alone, so the choice of outer axis is made here only."""
+    outer, theta = extract_outer(p), volume_fractions(p)
+    gaps = (float(gap) for gap in incompatibility_defect(theta))
+    return outer, extract_inner(p, outer), theta, *gaps
+
+
 def wave_decompose(f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
     """Split a field into two one-directional waves plus a small remainder.
 
@@ -282,11 +291,13 @@ def _slab_pass(
     and the weak defect, in one walk over frame slabs of c1, c2 (left as they are).
 
     The weak defect is the negative-norm distance of the out-of-plane pair
-    from its twin template, the spectral transverse derivative of the periodic
-    midpoint primitive of the inner profile carried along the staircase shear,
-    in the inhomogeneous first-order norm, both components in quadrature.
-    Template row j is the derivative shifted by s_j cells: its row spectrum is
-    the derivative's times ``exp(2 pi i q s_j / n2)``, a root of unity from a
+    from its twin template, the inner profile's mean plus the spectral
+    transverse derivative of the periodic midpoint primitive of the rest,
+    carried along the staircase shear, in the inhomogeneous first-order norm,
+    both components in quadrature; an exact crossing twin or laminate, whatever
+    its mean, matches its template.
+    Template row j is that profile shifted by s_j cells: its row spectrum is
+    the profile's times ``exp(2 pi i q s_j / n2)``, a root of unity from a
     table, and a slab's column transform gives the template's coefficients.
     """
     transpose = outer.axis == "y2"
@@ -296,6 +307,7 @@ def _slab_pass(
     f = outer.f[:, None]
     gm = inner.g - inner.g.mean()
     deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
+    deriv[0] += n2 * inner.g.mean()
     roots = np.exp(2j * np.pi * np.arange(n2) / n2)
     shifts = _integer_shifts(outer, grid)[:, None]
 
@@ -343,16 +355,13 @@ def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
     Every part reads the labels; no indicator slot is made.
     """
     _check_eta(eta)
-    outer = extract_outer(p)
-    inner = extract_inner(p, outer)
+    outer, inner, theta, d14, d12 = _label_measures(p)
     elastic, char, weak = _spectral_pass(p, outer, inner)
     energy = _weighted(eta, elastic, surface_energy(p))
-    theta = volume_fractions(p)
-    d14, d12 = incompatibility_defect(theta)
     diagnostics = {
         "log10_char_residual": _log10_or_none(char),
-        "log10_d12": _log10_or_none(float(d12)),
-        "log10_d14": _log10_or_none(float(d14)),
+        "log10_d12": _log10_or_none(d12),
+        "log10_d14": _log10_or_none(d14),
         "log10_elastic": _log10_or_none(energy.elastic),
         "log10_inner_defect_l2": _log10_or_none(inner.defect_l2),
         "log10_outer_defect_l1": _log10_or_none(outer.defect_l1),
@@ -365,8 +374,8 @@ def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:
         theta=theta,
         outer=outer,
         inner=inner,
-        d14=float(d14),
-        d12=float(d12),
+        d14=d14,
+        d12=d12,
         char_residual=char,
         weak_defect=weak,
         diagnostics=diagnostics,

@@ -76,9 +76,12 @@ def sheared(p, amplitude):
 
 
 def fitted_slope(energies, defects):
+    """The least-squares slope of log defect against log energy, in the closed
+    form ``cli._fit_slope`` takes."""
     x = np.log(np.asarray(energies))
     y = np.log(np.asarray(defects))
-    return float(np.polyfit(x, y, 1)[0])
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
 
 
 def test_criterion_01_multiplier_identity():

@@ -15,11 +15,15 @@ from fourwell.fields import (
     Grid,
     ModifiedIndicators,
     PhaseField,
+    from_modified,
     read_phase_field,
+    to_modified,
     write_phase_field,
 )
 from fourwell.microstructures import gen_random_partition
 from fourwell.rigidity import rigidity_report
+
+import whole_array
 
 
 def run(capsys, *argv):
@@ -273,7 +277,8 @@ class TestEnergyAndReport:
     )
     def test_report_reproduces_the_golden_bytes(self, tmp_path, capsys, name):
         """The golden reports were written before the inner profile was
-        counted from one key per cell."""
+        counted from one key per cell; the branching and laminate ones were
+        rewritten when the weak defect's template took in g's mean."""
         data = Path(__file__).parent / "data"
         json_out = tmp_path / "report.json"
         field = str(data / f"{name}.field")
@@ -497,6 +502,37 @@ class TestSweep:
         )
         text = (tmp_path / "sweep.csv").read_text()
         assert "# fit_slope_d12=nan" in text
+
+    def test_equal_energies_give_nan_slopes(self, tmp_path, capsys):
+        """Two equal etas give two rows of one energy, so no slope is fitted,
+        not even of the laminate's positive d12."""
+        argv = ["--etas", "0.01,0.01", "--kinds", "laminate", "--grid", "16"]
+        assert run(capsys, "sweep", *argv, "--out", str(tmp_path))[0] == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert float(lines[-4].split(",")[fourwell.cli.SWEEP_COLUMNS.index("d12")]) == 0.25
+        assert lines[-3:] == [f"# fit_slope_{c}=nan" for c in ("outer_defect", "d14", "d12")]
+
+    @pytest.mark.parametrize("kind", fourwell.cli.KINDS)
+    def test_rows_read_what_the_report_reads(self, kind):
+        """On each kind the sweep builds, and on its transpose, a row's energy
+        parts, phase fractions, gaps and profile defects equal the report's."""
+        args = fourwell.cli.build_parser().parse_args(["sweep", "--grid", "32"])
+        field = fourwell.cli._generate_field(kind, fourwell.cli._Resolver(args, {}), 0.05)
+        for p in (field, from_modified(whole_array._transposed(to_modified(field)))):
+            report = rigidity_report(p, 0.05)
+            assert fourwell.cli._sweep_rows(p, [0.05]) == [
+                {
+                    "eta": 0.05,
+                    "E_elast": report.energy.elastic,
+                    "E_surf": report.energy.surface,
+                    "E": report.energy.total,
+                    **{f"theta{i}": t for i, t in enumerate(report.theta, start=1)},
+                    "d14": report.d14,
+                    "d12": report.d12,
+                    "outer_defect": report.outer.defect_l1,
+                    "inner_defect": report.inner.defect_l2,
+                }
+            ]
 
     def test_output_is_golden_and_each_field_is_priced_once(
         self, tmp_path, capsys, monkeypatch

@@ -269,6 +269,10 @@ class TestShearResample:
         with pytest.raises(ValueError, match="integer"):
             shear_resample(np.zeros((2, 4)), np.array([0.5, 0.0]))
 
+    def test_rejects_a_non_2d_array(self):
+        with pytest.raises(ValueError, match="expected a 2d array"):
+            shear_resample(np.zeros(4), np.array([0]))
+
     def test_rejects_wrong_shift_count(self):
         with pytest.raises(ValueError, match="one shift per row"):
             shear_resample(np.zeros((2, 4)), np.array([1, 2, 3]))

@@ -427,6 +427,18 @@ class TestRigidityReport:
         assert report.diagnostics["log10_d14"] is None
         assert report.diagnostics["log10_outer_defect_l1"] is None
         assert report.diagnostics["log10_elastic"] is not None
+        # Laminates on even and odd grids, and a twin whose fine profile is +1
+        # on 6 of every 8 cells, are exact too, and their inner profiles have a
+        # nonzero mean, which the template carries.
+        unbalanced = np.tile([1.0] * 6 + [-1.0] * 2, 8)
+        exact = [gen_crossing_twin("y1", stripe_profile(64, 2), unbalanced, Grid(64, 64))]
+        for n, stripes in ((32, 2), (33, 3)):
+            f = stripe_profile(n, stripes)
+            exact += [gen_laminate(axis, f, Grid(n, n)) for axis in ("y1", "y2")]
+        for p in exact:
+            report = rigidity_report(p, 1e-3)
+            assert report.inner.defect_l2 == 0.0
+            assert report.weak_defect <= 0.05
 
     def test_json_is_deterministic_and_complete(self):
         grid = Grid(64, 64)

@@ -3,9 +3,10 @@ per-mode work on whole half spectra.
 
 ``elastic``, ``char_residual`` and ``weak_defect`` are the forms the blocked
 code replaced: the residual in real space and the weak defect from a real
-template sheared row by row.  ``spectral_weak_defect`` is the report's own
-formula, the template's row spectra phase-shifted, on whole frame half spectra
-with one fold.  The report must give the energies and the spectral weak defect
+template sheared row by row, the inner profile's mean plus the derivative of
+the midpoint primitive of the rest.  ``spectral_weak_defect`` is the report's
+own formula, the template's row spectra phase-shifted, on whole frame half
+spectra with one fold.  The report must give the energies and the spectral weak defect
 bit for bit, and the two real-space forms to rounding.
 
 ``profiles`` is the pull-back form the extractors' integer sums replaced: the
@@ -91,7 +92,7 @@ def weak_defect(m, outer, inner):
     shifts = np.rint(outer.F).astype(np.int64)
     c = m if outer.axis == "y1" else _transposed(m)
     gm = inner.g - inner.g.mean()
-    deriv = _profile_derivative((np.cumsum(gm) - 0.5 * gm) / c.grid.n2)
+    deriv = _profile_derivative((np.cumsum(gm) - 0.5 * gm) / c.grid.n2) + inner.g.mean()
     template = shear_resample(np.broadcast_to(deriv[None, :], c.grid.shape), shifts)
     gap_primary = full1_norm(c.chi1t - template, c.grid)
     template *= outer.f[:, None]
@@ -123,6 +124,7 @@ def spectral_weak_defect(m, outer, inner):
     k1, k2, _, _ = _modes(frame)
     gm = inner.g - inner.g.mean()
     deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
+    deriv[0] += n2 * inner.g.mean()
     roots = np.exp(2j * np.pi * np.arange(n2) / n2)
     shifts = np.rint(outer.F).astype(np.int64)
     rows = deriv * roots[np.arange(n2 // 2 + 1) * shifts[:, None] % n2]

@@ -208,20 +208,10 @@ def _sweep_rows(field: PhaseField, etas: list[float]) -> list[dict[str, float]]:
     outer, inner, theta, d14, d12 = _label_measures(field)
     elastic = _relaxed_from_labels(field)
     surface = surface_energy(field)
-    breakdowns = [_weighted(eta, elastic, surface) for eta in etas]
-    shared = {
-        "theta1": theta[0],
-        "theta2": theta[1],
-        "theta3": theta[2],
-        "theta4": theta[3],
-        "d14": d14,
-        "d12": d12,
-        "outer_defect": outer.defect_l1,
-        "inner_defect": inner.defect_l2,
-    }
+    shared = (*theta, d14, d12, outer.defect_l1, inner.defect_l2)
     return [
-        {"eta": b.eta, "E_elast": b.elastic, "E_surf": b.surface, "E": b.total, **shared}
-        for b in breakdowns
+        dict(zip(SWEEP_COLUMNS, (b.eta, b.elastic, b.surface, b.total, *shared), strict=True))
+        for b in (_weighted(eta, elastic, surface) for eta in etas)
     ]
 
 
@@ -406,17 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     input_keys = frozenset(action.option_strings[0][2:] for action in inputs)
     gen.set_defaults(func=_cmd_generate, inputs=input_keys)
 
-    en = sub.add_parser("energy", help="energy breakdown of a stored field")
-    en.add_argument("field", help="path to a .field file")
-    en.add_argument("--eta", type=float, required=True)
-    en.add_argument("--json-out", help="also write the JSON here")
-    en.set_defaults(func=_cmd_price, price=total_energy)
-
-    rep = sub.add_parser("report", help="full rigidity diagnostics of a stored field")
-    rep.add_argument("field", help="path to a .field file")
-    rep.add_argument("--eta", type=float, required=True)
-    rep.add_argument("--json-out", help="also write the JSON here")
-    rep.set_defaults(func=_cmd_price, price=rigidity_report)
+    for name, summary, price in (
+        ("energy", "energy breakdown of a stored field", total_energy),
+        ("report", "full rigidity diagnostics of a stored field", rigidity_report),
+    ):
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("field", help="path to a .field file")
+        cmd.add_argument("--eta", type=float, required=True)
+        cmd.add_argument("--json-out", help="also write the JSON here")
+        cmd.set_defaults(func=_cmd_price, price=price)
 
     sw = sub.add_parser("sweep", help="tabulate energies and defects over eta")
     sw.add_argument("--config", help="flat key=value config file")

@@ -82,6 +82,18 @@ def extract_outer(p: PhaseField) -> OuterProfile:
 
     Both axes are tried; the one with the smaller mean absolute defect wins,
     the first axis on ties.  Sign ties within a row resolve to +1.
+    :func:`rigidity_report` breaks a tie between the axes instead.
+    """
+    (first, _), (second, _) = _outer_profiles(p)
+    return second if second.defect_l1 < first.defect_l1 else first
+
+
+def _outer_profiles(p: PhaseField) -> list[tuple[OuterProfile, int]]:
+    """The outer profiles along y1 and y2, from one pass over the labels.
+
+    Each comes with the mean square of chi3t's means over the rows along its
+    axis times (n1 n2)^2, the integer sum of the squared row sums times n_along:
+    the larger it is, the more of chi3t one profile along that axis carries.
     """
     rows = np.empty(p.grid.n1, dtype=np.int64)
     cols = np.zeros(p.grid.n2, dtype=np.int64)
@@ -89,9 +101,10 @@ def extract_outer(p: PhaseField) -> OuterProfile:
         chi3t = np.take(_SLOT_OF_LABEL[2], p.labels[block], mode="clip")  # labels are 1..4
         rows[block] = chi3t.sum(axis=1)
         cols += chi3t.sum(axis=0)
-    first = _sign_profile("y1", rows, p.grid.n2)
-    second = _sign_profile("y2", cols, p.grid.n1)
-    return second if second.defect_l1 < first.defect_l1 else first
+    return [
+        (_sign_profile("y1", rows, p.grid.n2), int(rows @ rows) * p.grid.n1),
+        (_sign_profile("y2", cols, p.grid.n1), int(cols @ cols) * p.grid.n2),
+    ]
 
 
 def _sign_profile(axis: str, sums: np.ndarray, n_trans: int) -> OuterProfile:
@@ -156,10 +169,27 @@ def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
 def _label_measures(p: PhaseField) -> tuple:
     """The outer profile, the inner profile along its axis, the phase fractions
     and their gaps d14, d12: all that the report, ``sweep`` and ``verify`` read
-    from the labels alone, so the choice of outer axis is made here only."""
-    outer, theta = extract_outer(p), volume_fractions(p)
+    from the labels alone, so the choice of outer axis is made here only.
+
+    The axis with the smaller outer defect wins.  On a tie, the axis along
+    which chi3t's row means have the larger mean square wins, then the first
+    axis; translations and reflections keep both keys and the transpose swaps
+    them, so a field and its transpose read one physical axis unless both tie.
+    The inner defects would not do: translations and reflections move them.
+    A tied axis whose shear is not grid-aligned gives way to the other.
+    """
+    (outer, _), (other, _) = sorted(
+        _outer_profiles(p), key=lambda fit: (fit[0].defect_l1, -fit[1])
+    )
+    try:
+        inner = extract_inner(p, outer)
+    except ValueError:  # the shear is not grid-aligned
+        if other.defect_l1 != outer.defect_l1:
+            raise
+        outer, inner = other, extract_inner(p, other)
+    theta = volume_fractions(p)
     gaps = (float(gap) for gap in incompatibility_defect(theta))
-    return outer, extract_inner(p, outer), theta, *gaps
+    return outer, inner, theta, *gaps
 
 
 def wave_decompose(f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:

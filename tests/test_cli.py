@@ -43,6 +43,21 @@ GOLDEN_GENERATE = {
 }
 
 
+def report_row(report):
+    """A sweep row as read from ``report``: its columns written out by name."""
+    return {
+        "eta": report.eta,
+        "E_elast": report.energy.elastic,
+        "E_surf": report.energy.surface,
+        "E": report.energy.total,
+        **{f"theta{i}": t for i, t in enumerate(report.theta, start=1)},
+        "d14": report.d14,
+        "d12": report.d12,
+        "outer_defect": report.outer.defect_l1,
+        "inner_defect": report.inner.defect_l2,
+    }
+
+
 class TestGenerate:
     @pytest.mark.parametrize(
         "argv",
@@ -519,20 +534,20 @@ class TestSweep:
         args = fourwell.cli.build_parser().parse_args(["sweep", "--grid", "32"])
         field = fourwell.cli._generate_field(kind, fourwell.cli._Resolver(args, {}), 0.05)
         for p in (field, from_modified(whole_array._transposed(to_modified(field)))):
-            report = rigidity_report(p, 0.05)
-            assert fourwell.cli._sweep_rows(p, [0.05]) == [
-                {
-                    "eta": 0.05,
-                    "E_elast": report.energy.elastic,
-                    "E_surf": report.energy.surface,
-                    "E": report.energy.total,
-                    **{f"theta{i}": t for i, t in enumerate(report.theta, start=1)},
-                    "d14": report.d14,
-                    "d12": report.d12,
-                    "outer_defect": report.outer.defect_l1,
-                    "inner_defect": report.inner.defect_l2,
-                }
-            ]
+            assert fourwell.cli._sweep_rows(p, [0.05]) == [report_row(rigidity_report(p, 0.05))]
+
+    def test_a_tied_field_and_its_transpose_read_one_axis(self):
+        """Both outer axes of this field fit chi3t's signs equally well; its
+        rows and its transpose's read the inner defect along one physical axis,
+        as the report does."""
+        field = gen_random_partition(4, Grid(128, 128), feature_scale=0.05)
+        rows = []
+        for p in (field, from_modified(whole_array._transposed(to_modified(field)))):
+            (row,) = fourwell.cli._sweep_rows(p, [1e-3])
+            assert row == report_row(rigidity_report(p, 1e-3))
+            rows.append(row)
+        assert rows[0]["outer_defect"] == rows[1]["outer_defect"] == 0.8046875
+        assert rows[0]["inner_defect"] == rows[1]["inner_defect"] == 0.94500732421875
 
     def test_output_is_golden_and_each_field_is_priced_once(
         self, tmp_path, capsys, monkeypatch

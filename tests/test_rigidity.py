@@ -440,6 +440,44 @@ class TestRigidityReport:
             assert report.inner.defect_l2 == 0.0
             assert report.weak_defect <= 0.05
 
+    @pytest.mark.parametrize("seed, axis", [(4, "y1"), (8, "y2")])
+    def test_a_tied_outer_axis_is_read_alike_in_the_transpose(self, seed, axis):
+        """Both axes of these fields fit chi3t's signs equally well, so
+        ``extract_outer`` takes the first axis in the field and in its
+        transpose; the report takes the axis whose row means have the larger
+        mean square, the same physical axis in both."""
+        p = gen_random_partition(seed, Grid(128, 128), feature_scale=0.05)
+        t = from_modified(whole_array._transposed(to_modified(p)))
+        assert extract_outer(p).axis == extract_outer(t).axis == "y1"
+        report, other = rigidity_report(p, 1e-3), rigidity_report(t, 1e-3)
+        assert report.outer.defect_l1 == other.outer.defect_l1
+        assert report.outer.axis == axis != other.outer.axis
+        assert other.inner.defect_l2 == report.inner.defect_l2
+        assert other.inner.defect_chi2 == report.inner.defect_chi2
+        assert other.char_residual == pytest.approx(report.char_residual, rel=1e-12)
+        assert other.weak_defect == pytest.approx(report.weak_defect, rel=1e-12)
+
+    def test_a_tied_axis_off_the_grid_gives_way(self):
+        """On 32x64 the y2 staircase moves half a cell per row.  This field
+        ties its outer axes, and its y2 row means have the larger mean square,
+        but y2's shear is not grid-aligned, so the report reads y1.  Its 64x32
+        transpose, whose first axis is that unaligned one, reads the same
+        physical axis instead of refusing."""
+        p = gen_random_partition(11, Grid(32, 64))
+        t = from_modified(whole_array._transposed(to_modified(p)))
+        chi3t = to_modified(p).chi3t
+        rows, cols = chi3t.sum(axis=1), chi3t.sum(axis=0)
+        assert rows @ rows * 32 < cols @ cols * 64
+        outer = extract_outer(t)
+        assert outer.axis == "y1" and outer.defect_l1 == extract_outer(p).defect_l1 == 0.71875
+        with pytest.raises(ValueError, match="grid-aligned"):
+            extract_inner(t, outer)
+        report, other = rigidity_report(p, 1e-3), rigidity_report(t, 1e-3)
+        assert (report.outer.axis, other.outer.axis) == ("y1", "y2")
+        assert other.inner.defect_l2 == report.inner.defect_l2
+        assert other.inner.defect_chi2 == report.inner.defect_chi2
+        assert other.char_residual == pytest.approx(report.char_residual, rel=1e-12)
+
     def test_json_is_deterministic_and_complete(self):
         grid = Grid(64, 64)
         p = gen_crossing_twin("y1", stripe_profile(64, 2), stripe_profile(64, 8), grid)

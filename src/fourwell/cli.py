@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--grid", type=int, help="cells per side (branching: grid cap)")
     sw.add_argument("--seed", type=int, help="seed for the random kind")
     sw.add_argument("--out", default=".", help="output directory")
-    sw.set_defaults(func=_cmd_sweep, inputs=input_keys | {"kinds", "etas"})
+    sw.set_defaults(func=_cmd_sweep, inputs=input_keys - {"eta"} | {"kinds", "etas"})
 
     ver = sub.add_parser("verify", help="run built-in self-checks")
     ver.add_argument(

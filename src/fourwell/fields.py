@@ -67,6 +67,11 @@ class Grid:
         return (np.arange(n) + 0.5) / n - 0.5
 
 
+def _frame(grid: Grid, transpose: bool) -> Grid:
+    """The grid a field on ``grid`` is seen on, turned if ``transpose``."""
+    return Grid(grid.n2, grid.n1) if transpose else grid
+
+
 # Rows per block wherever labels are made, expanded, written or read, or a
 # transform's row pass is taken, a block at a time: a block's temporaries stay
 # small beside the full-size arrays.

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, PhaseField, _from_signs, _row_blocks, shear_resample
+from .fields import Grid, PhaseField, _frame, _from_signs, _row_blocks, shear_resample
 from .model import _cbrt, _check_eta
 
 __all__ = [
@@ -86,7 +86,7 @@ def _along(axis: str, grid: Grid) -> Grid:
     """``grid`` laid out as (along ``axis``, transverse)."""
     if axis not in ("y1", "y2"):
         raise ValueError(f"axis must be 'y1' or 'y2', got {axis!r}")
-    return grid if axis == "y1" else Grid(grid.n2, grid.n1)
+    return _frame(grid, axis == "y2")
 
 
 def _placed(axis: str, along: Grid, chi1t: np.ndarray | int, chi3t: np.ndarray) -> PhaseField:
@@ -99,7 +99,7 @@ def _placed(axis: str, along: Grid, chi1t: np.ndarray | int, chi3t: np.ndarray) 
     """
     if axis == "y1":
         return _from_signs(along, chi1t, chi3t)
-    return _from_signs(Grid(along.n2, along.n1), np.transpose(chi1t), chi3t.T, slot=2)
+    return _from_signs(_frame(along, True), np.transpose(chi1t), chi3t.T, slot=2)
 
 
 def gen_laminate(axis: str, profile: np.ndarray, grid: Grid) -> PhaseField:

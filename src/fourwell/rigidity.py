@@ -28,10 +28,18 @@ from typing import Sequence
 import numpy as np
 
 from .energy import EnergyBreakdown, _cross, _shear, _sq, _to_json, _weighted, surface_energy
-from .fields import _SLOT_OF_LABEL, Grid, PhaseField, ScalarField, _row_blocks, volume_fractions
+from .fields import (
+    _SLOT_OF_LABEL,
+    Grid,
+    PhaseField,
+    ScalarField,
+    _frame,
+    _row_blocks,
+    volume_fractions,
+)
 from .microstructures import staircase_shifts
 from .model import _check_eta
-from .spectral import _coeffs, _fold_slabs, _frame, _potential, _profile_derivative
+from .spectral import _coeffs, _fold_slabs, _potential, _profile_derivative
 
 __all__ = [
     "OuterProfile",
@@ -78,22 +86,18 @@ class InnerProfile:
 
 
 def extract_outer(p: PhaseField) -> OuterProfile:
-    """Sign profile of the in-plane indicator chi3t, on the better axis.
+    """Sign profile of the in-plane indicator chi3t, on the better axis, from
+    one pass over the labels; the report, ``sweep`` and ``verify`` read the
+    axis chosen here.
 
-    Both axes are tried; the one with the smaller mean absolute defect wins,
-    the first axis on ties.  Sign ties within a row resolve to +1.
-    :func:`rigidity_report` breaks a tie between the axes instead.
-    """
-    (first, _), (second, _) = _outer_profiles(p)
-    return second if second.defect_l1 < first.defect_l1 else first
-
-
-def _outer_profiles(p: PhaseField) -> list[tuple[OuterProfile, int]]:
-    """The outer profiles along y1 and y2, from one pass over the labels.
-
-    Each comes with the mean square of chi3t's means over the rows along its
-    axis times (n1 n2)^2, the integer sum of the squared row sums times n_along:
-    the larger it is, the more of chi3t one profile along that axis carries.
+    The smaller mean absolute defect wins.  On a tie, an axis whose shear
+    lands on whole cells wins, then the one along which chi3t's row means have
+    the larger mean square (times (n1 n2)^2, the integer sum of the squared
+    row sums times n_along), then the first.  The transpose swaps these keys;
+    translations and reflections keep the defects and the mean squares, and on
+    a square grid, whose shears always land on whole cells, every key.  The
+    inner defects would not do: translations and reflections move them.  Sign
+    ties within a row resolve to +1.
     """
     rows = np.empty(p.grid.n1, dtype=np.int64)
     cols = np.zeros(p.grid.n2, dtype=np.int64)
@@ -101,25 +105,27 @@ def _outer_profiles(p: PhaseField) -> list[tuple[OuterProfile, int]]:
         chi3t = np.take(_SLOT_OF_LABEL[2], p.labels[block], mode="clip")  # labels are 1..4
         rows[block] = chi3t.sum(axis=1)
         cols += chi3t.sum(axis=0)
-    return [
-        (_sign_profile("y1", rows, p.grid.n2), int(rows @ rows) * p.grid.n1),
-        (_sign_profile("y2", cols, p.grid.n1), int(cols @ cols) * p.grid.n2),
-    ]
+    fits = []
+    for axis, sums, n_trans in (("y1", rows, p.grid.n2), ("y2", cols, p.grid.n1)):
+        # A row of sum s differs from its sign f in (n_trans - f s) / 2 cells, each by 2.
+        f = np.where(sums >= 0, 1, -1)
+        n_along = len(sums)
+        cells = n_along * n_trans
+        F = staircase_shifts(f, n_trans / n_along)
+        outer = OuterProfile(axis, f, (cells - int(f @ sums)) / cells, F)
+        key = (outer.defect_l1, _off_grid(F), -int(sums @ sums) * n_along)
+        fits.append((key, outer))
+    return min(fits, key=lambda fit: fit[0])[1]
 
 
-def _sign_profile(axis: str, sums: np.ndarray, n_trans: int) -> OuterProfile:
-    """The outer profile along ``axis``, from chi3t's sum over each of its
-    rows of ``n_trans`` cells: a row of sum s differs from its sign f in
-    (n_trans - f s) / 2 cells, each by 2."""
-    f = np.where(sums >= 0, 1, -1)
-    cells = len(sums) * n_trans
-    defect = (cells - int(f @ sums)) / cells
-    return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / len(sums)))
+def _off_grid(F: np.ndarray) -> bool:
+    """Whether the staircase shear F misses whole cells anywhere."""
+    return not np.allclose(F, np.rint(F), rtol=0, atol=1e-9)
 
 
 def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
     rounded = np.rint(outer.F)
-    if not np.allclose(outer.F, rounded, rtol=0, atol=1e-9):
+    if _off_grid(outer.F):
         worst = int(np.argmax(np.abs(outer.F - rounded)))
         raise ValueError(
             f"shear profile is not grid-aligned on the {grid.n1}x{grid.n2} grid: "
@@ -169,24 +175,9 @@ def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
 def _label_measures(p: PhaseField) -> tuple:
     """The outer profile, the inner profile along its axis, the phase fractions
     and their gaps d14, d12: all that the report, ``sweep`` and ``verify`` read
-    from the labels alone, so the choice of outer axis is made here only.
-
-    The axis with the smaller outer defect wins.  On a tie, the axis along
-    which chi3t's row means have the larger mean square wins, then the first
-    axis; translations and reflections keep both keys and the transpose swaps
-    them, so a field and its transpose read one physical axis unless both tie.
-    The inner defects would not do: translations and reflections move them.
-    A tied axis whose shear is not grid-aligned gives way to the other.
-    """
-    (outer, _), (other, _) = sorted(
-        _outer_profiles(p), key=lambda fit: (fit[0].defect_l1, -fit[1])
-    )
-    try:
-        inner = extract_inner(p, outer)
-    except ValueError:  # the shear is not grid-aligned
-        if other.defect_l1 != outer.defect_l1:
-            raise
-        outer, inner = other, extract_inner(p, other)
+    from the labels alone."""
+    outer = extract_outer(p)
+    inner = extract_inner(p, outer)
     theta = volume_fractions(p)
     gaps = (float(gap) for gap in incompatibility_defect(theta))
     return outer, inner, theta, *gaps

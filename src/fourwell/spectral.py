@@ -62,7 +62,15 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import _BLOCK_ROWS, Grid, ModifiedIndicators, ScalarField, VectorField, _row_blocks
+from .fields import (
+    _BLOCK_ROWS,
+    Grid,
+    ModifiedIndicators,
+    ScalarField,
+    VectorField,
+    _frame,
+    _row_blocks,
+)
 
 __all__ = [
     "spectral_derivative",
@@ -194,11 +202,6 @@ def _modes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     (k1, d1), (k2, d2) = _axis(grid.n1), _axis(grid.n2)
     half = slice(grid.n2 // 2 + 1)
     return k1[:, None], k2[None, half], d1[:, None], d2[None, half]
-
-
-def _frame(grid: Grid, transpose: bool) -> Grid:
-    """The grid a field on ``grid`` is seen on, turned if ``transpose``."""
-    return Grid(grid.n2, grid.n1) if transpose else grid
 
 
 def _frame_slabs(

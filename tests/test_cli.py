@@ -237,14 +237,15 @@ class TestGenerate:
         }  # fmt: skip
 
     def test_every_generator_option_is_a_config_key(self):
-        """The accepted keys are the generate options, less --out, --name and --config."""
+        """The accepted keys are the generate options, less --out, --name and
+        --config; the sweep takes its etas from its own list instead of eta."""
         parser = fourwell.cli.build_parser()
         generate = parser.parse_args(["generate", "constant"])
         options = {dest.replace("_", "-") for dest in vars(generate)}
         not_inputs = {"command", "kind", "func", "inputs", "out", "name", "config"}
         assert generate.inputs == options - not_inputs
         sweep = parser.parse_args(["sweep"])
-        assert sweep.inputs == generate.inputs | {"kinds", "etas"}
+        assert sweep.inputs == generate.inputs - {"eta"} | {"kinds", "etas"}
 
 
 class TestEnergyAndReport:
@@ -621,6 +622,22 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {reason}")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_eta_is_refused_by_name(self, tmp_path, capsys, via):
+        """Each row is priced at its own eta from --etas, so a single eta
+        would be read by no row."""
+        argv = ["--kinds", "branching", "--etas", "1e-2", "--grid", "16"]
+        if via == "set":
+            argv += ["--set", "eta=0.5"]
+        else:
+            cfg = tmp_path / "eta.cfg"
+            cfg.write_text("eta=0.5\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown config key 'eta'; choose from axis, beta, etas,")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_kind_is_refused_before_any_field_is_built(self, tmp_path, capsys, monkeypatch):

@@ -27,6 +27,7 @@ from fourwell.microstructures import (
     gen_crossing_twin,
     gen_laminate,
     gen_random_partition,
+    staircase_shifts,
 )
 from fourwell.rigidity import (
     OuterProfile,
@@ -443,12 +444,12 @@ class TestRigidityReport:
     @pytest.mark.parametrize("seed, axis", [(4, "y1"), (8, "y2")])
     def test_a_tied_outer_axis_is_read_alike_in_the_transpose(self, seed, axis):
         """Both axes of these fields fit chi3t's signs equally well, so
-        ``extract_outer`` takes the first axis in the field and in its
-        transpose; the report takes the axis whose row means have the larger
-        mean square, the same physical axis in both."""
+        ``extract_outer`` takes the axis whose row means have the larger mean
+        square, the same physical axis in the field and in its transpose, and
+        the report reads it."""
         p = gen_random_partition(seed, Grid(128, 128), feature_scale=0.05)
         t = from_modified(whole_array._transposed(to_modified(p)))
-        assert extract_outer(p).axis == extract_outer(t).axis == "y1"
+        assert extract_outer(p).axis == axis != extract_outer(t).axis
         report, other = rigidity_report(p, 1e-3), rigidity_report(t, 1e-3)
         assert report.outer.defect_l1 == other.outer.defect_l1
         assert report.outer.axis == axis != other.outer.axis
@@ -460,23 +461,53 @@ class TestRigidityReport:
     def test_a_tied_axis_off_the_grid_gives_way(self):
         """On 32x64 the y2 staircase moves half a cell per row.  This field
         ties its outer axes, and its y2 row means have the larger mean square,
-        but y2's shear is not grid-aligned, so the report reads y1.  Its 64x32
-        transpose, whose first axis is that unaligned one, reads the same
-        physical axis instead of refusing."""
+        but y2's shear is not grid-aligned, so ``extract_outer`` picks y1.  Its
+        64x32 transpose, whose first axis is that unaligned one, picks the same
+        physical axis, and the inner profile follows it instead of refusing."""
         p = gen_random_partition(11, Grid(32, 64))
         t = from_modified(whole_array._transposed(to_modified(p)))
         chi3t = to_modified(p).chi3t
         rows, cols = chi3t.sum(axis=1), chi3t.sum(axis=0)
         assert rows @ rows * 32 < cols @ cols * 64
-        outer = extract_outer(t)
-        assert outer.axis == "y1" and outer.defect_l1 == extract_outer(p).defect_l1 == 0.71875
+        f = np.where(cols >= 0, 1, -1)  # the transpose's first axis, half a cell per row
+        assert (32 * 64 - f @ cols) / (32 * 64) == 0.71875
+        unaligned = OuterProfile("y1", f, 0.71875, staircase_shifts(f, 0.5))
         with pytest.raises(ValueError, match="grid-aligned"):
-            extract_inner(t, outer)
+            extract_inner(t, unaligned)
+        outer, outer_p = extract_outer(t), extract_outer(p)
+        assert (outer_p.axis, outer.axis) == ("y1", "y2")
+        assert outer.defect_l1 == outer_p.defect_l1 == 0.71875
+        assert extract_inner(t, outer).defect_l2 == extract_inner(p, outer_p).defect_l2
         report, other = rigidity_report(p, 1e-3), rigidity_report(t, 1e-3)
         assert (report.outer.axis, other.outer.axis) == ("y1", "y2")
         assert other.inner.defect_l2 == report.inner.defect_l2
         assert other.inner.defect_chi2 == report.inner.defect_chi2
         assert other.char_residual == pytest.approx(report.char_residual, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.05, 0.125, 0.3])
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 32), (16, 48), (48, 16)], ids=str)
+    def test_extract_outer_picks_the_axis_the_report_reads(self, shape, scale):
+        """On non-square grids one axis's staircase moves by part of a cell
+        per row.  On each random field and on its transpose, the report reads
+        the outer profile ``extract_outer`` gives, and the inner profile along
+        it; where the report refuses, that inner profile does.  Both happen."""
+        accepted = refused = 0
+        for seed in range(40):
+            p = gen_random_partition(seed, Grid(*shape), feature_scale=scale)
+            for q in (p, from_modified(whole_array._transposed(to_modified(p)))):
+                outer = extract_outer(q)
+                try:
+                    report = rigidity_report(q, 1e-2)
+                except ValueError:
+                    with pytest.raises(ValueError, match="grid-aligned"):
+                        extract_inner(q, outer)
+                    refused += 1
+                    continue
+                accepted += 1
+                payload = json.loads(report.to_json())
+                assert payload["outer"] == plain(outer), (seed, q.grid)
+                assert payload["inner"] == plain(extract_inner(q, outer)), (seed, q.grid)
+        assert accepted and refused
 
     def test_json_is_deterministic_and_complete(self):
         grid = Grid(64, 64)

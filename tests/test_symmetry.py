@@ -214,9 +214,11 @@ def axes_tie(m):
 def test_report_defects_follow_the_transpose(kind, data):
     """Every defect is unchanged, and the two product defects trade places.
 
-    When both axes fit chi3t alike, the first axis wins in the field and in
-    its transpose alike; the defects read along the chosen axis are then
-    compared only when the axes do not tie on both keys.
+    Both shears of a square grid land on whole cells, so ``extract_outer``
+    breaks a tie between the outer defects by chi3t's row means, which the
+    transpose swaps: the field and its transpose read one physical axis.  When
+    the row means tie too, the first axis wins in both, so the defects read
+    along the chosen axis are compared only when the axes do not tie on both.
     """
     m, _ = draw_field(data, kind)
     report, values = defects(m)

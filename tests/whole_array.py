@@ -137,16 +137,27 @@ def spectral_weak_defect(m, outer, inner):
 
 def profiles(m):
     """The outer and inner profiles of the indicator slots ``m``; the inner one
-    is None when the staircase is not grid-aligned, so no pull-back exists."""
+    is None when the staircase is not grid-aligned, so no pull-back exists.
 
-    def row_profile(axis, chi3t):
-        f = np.where(chi3t.mean(axis=1) >= 0.0, 1, -1)
+    The outer axis is the one with the smaller mean absolute defect; on a tie,
+    one whose staircase lands on whole cells, then the one along which chi3t's
+    row means have the larger mean square, then the first.  Mean squares equal
+    but for the rounding of the row means tie."""
+
+    def fit(axis, chi3t):
+        means = chi3t.mean(axis=1)
+        f = np.where(means >= 0.0, 1, -1)
         n_along, n_trans = chi3t.shape
         defect = float(np.abs(chi3t - f[:, None]).mean())
-        return OuterProfile(axis, f, defect, staircase_shifts(f, n_trans / n_along))
+        F = staircase_shifts(f, n_trans / n_along)
+        off_grid = not np.allclose(F, np.rint(F), atol=1e-9)
+        key = (defect, off_grid, -float(np.mean(np.square(means))))
+        return key, OuterProfile(axis, f, defect, F)
 
-    first, second = row_profile("y1", m.chi3t), row_profile("y2", m.chi3t.T)
-    outer = second if second.defect_l1 < first.defect_l1 else first
+    (key1, outer1), (key2, outer2) = fit("y1", m.chi3t), fit("y2", m.chi3t.T)
+    if math.isclose(key1[2], key2[2], rel_tol=1e-12):
+        key2 = (*key2[:2], key1[2])
+    outer = outer2 if key2 < key1 else outer1
     shifts = np.rint(outer.F)
     if not np.allclose(outer.F, shifts, atol=1e-9):
         return outer, None

@@ -314,17 +314,12 @@ def gen_branching(p: BranchingParams, grid: Grid) -> PhaseField:
     heights = p.heights()
     sigma = np.ones(grid.shape, dtype=np.int8)
 
+    # Slab boundaries as fractions of a half band, measured outward from its
+    # midline; both bands split in the same proportions.
+    fractions = np.concatenate([[0.0], np.cumsum(heights)]) / heights.sum()
     for band, rows_half in half_rows.items():
-        if band == "lower":
-            mid = half_rows["lower"]
-            scale = p.lam / (1.0 - p.lam)
-        else:
-            mid = 2 * half_rows["lower"] + half_rows["upper"]
-            scale = 1.0
-        # Slab boundaries in rows, measured outward from the band midline.
-        half_height = heights.sum() * scale
-        bounds = np.concatenate([[0.0], np.cumsum(heights) * scale]) / half_height * rows_half
-        bounds = np.rint(bounds).astype(np.int64)
+        mid = half_rows["lower"] if band == "lower" else 2 * half_rows["lower"] + half_rows["upper"]
+        bounds = np.rint(fractions * rows_half).astype(np.int64)
         for n in range(p.N):
             period = cols_w1 >> n
             stripe = int(round(0.5 * p.mu * period))

@@ -26,6 +26,7 @@ from numbers import Real
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .energy import EnergyBreakdown, _cross, _shear, _sq, _to_json, _weighted, surface_energy
 from .fields import (
@@ -39,7 +40,7 @@ from .fields import (
 )
 from .microstructures import staircase_shifts
 from .model import _check_eta
-from .spectral import _coeffs, _fold_slabs, _potential, _profile_derivative
+from .spectral import _coeffs, _fold_slabs, _in_parts, _potential, _profile_derivative
 
 __all__ = [
     "OuterProfile",
@@ -200,6 +201,14 @@ def wave_decompose(f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
     return g1, g2, residual
 
 
+# Cells per batch of column offsets in the mixed-difference search: a worker's
+# buffer holds 8 offsets (1 MB) at 128^2.  On a 2-CPU machine at 128^2, per
+# search on Gaussian fields: one offset per operation took 126-142 ms on one
+# worker and 98-117 ms on two; 8 per operation 98-118 ms on one and 55-64 ms on
+# two; 2, 4, 16 and 32 per operation on two took 61-80, 53-67, 62-73 and 72-79.
+_BATCH_CELLS = 8 * 128 * 128
+
+
 def mixed_difference_sup(f: ScalarField) -> float:
     """Worst mixed-difference mass: the largest mean of ``|D_h2 D_h1 f|``.
 
@@ -208,25 +217,41 @@ def mixed_difference_sup(f: ScalarField) -> float:
     up to a translation by h and a sign) and h = 0 gives none, so only
     ``1 <= h <= n // 2`` is visited on each axis.  This is the quantity that
     bounds the :func:`wave_decompose` remainder.
+
+    The row offsets h1 are split across the spectral core's workers, and each
+    array operation takes a batch of column offsets h2, so that it releases
+    the GIL long enough for two workers to overlap.  Each offset's cells are
+    summed alone and whole, as ``diff.sum()`` would, and a maximum does not
+    depend on the order of the parts, so no bit depends on the worker count.
     """
     v = f.values
     n1, n2 = f.grid.shape
     half = n2 // 2
-    # D_h1 f, two row slices either side of the periodic wrap, followed by its
-    # first n2 // 2 columns again, so that each D_h2 D_h1 f is a slice minus
-    # D_h1 f; nothing is allocated per offset.
-    ext = np.empty((n1, n2 + half))
-    d1 = ext[:, :n2]
-    diff = np.empty((n1, n2))
-    sup = 0.0
-    for h1 in range(1, n1 // 2 + 1):
-        np.subtract(v[h1:], v[: n1 - h1], out=d1[: n1 - h1])
-        np.subtract(v[:h1], v[n1 - h1 :], out=d1[n1 - h1 :])
-        ext[:, n2:] = ext[:, :half]
-        for h2 in range(1, half + 1):
-            np.abs(np.subtract(ext[:, h2 : h2 + n2], d1, out=diff), out=diff)
-            sup = max(sup, float(diff.sum()) / diff.size)
-    return sup
+    batch = max(1, min(half, _BATCH_CELLS // (n1 * n2)))
+
+    def search(span: slice, parts: int) -> float:
+        # D_h1 f, two row slices either side of the periodic wrap, followed by
+        # its first n2 // 2 columns again, so that D_h2 D_h1 f is the window
+        # of n2 columns from column h2 minus D_h1 f; nothing is allocated per
+        # offset, and one operation takes a batch of windows.
+        ext = np.empty((n1, n2 + half))
+        d1 = ext[:, :n2]
+        windows = sliding_window_view(ext, n2, axis=1).transpose(1, 0, 2)
+        buf = np.empty((batch, n1, n2))
+        mass = 0.0
+        for h1 in range(span.start + 1, span.stop + 1):
+            np.subtract(v[h1:], v[: n1 - h1], out=d1[: n1 - h1])
+            np.subtract(v[:h1], v[n1 - h1 :], out=d1[n1 - h1 :])
+            ext[:, n2:] = ext[:, :half]
+            for h2 in range(1, half + 1, batch):
+                diff = buf[: min(batch, half + 1 - h2)]
+                np.abs(np.subtract(windows[h2 : h2 + len(diff)], d1, out=diff), out=diff)
+                # Each row is one offset's cells, summed as diff.sum() would be.
+                mass = max(mass, diff.reshape(len(diff), -1).sum(axis=1).max())
+        return mass
+
+    cells = n1 * n2 * (n1 // 2) * half
+    return float(max(_in_parts(search, n1 // 2, cells))) / (n1 * n2)
 
 
 def incompatibility_defect(theta: Sequence) -> tuple:

@@ -43,6 +43,8 @@ workers and folded; the modules on it write per-mode formulas only:
   unless there is only one, which numpy would sum pairwise.  So every 1-D
   transform is taken alone, every column is summed whole and in row order,
   and no output bit depends on the number of workers.
+  ``rigidity.mixed_difference_sup`` splits its row offsets the same way,
+  each worker with its own batch buffer.
 * Frames: ``_frame_slabs`` walks a field's half spectrum, or its transpose's
   (an exact re-indexing, so no transform is taken twice), a slab of at most
   ``_SLAB_COLS`` columns at a time with the table cut to the slab, and
@@ -95,7 +97,7 @@ _SPLIT_CELLS = 640 * 640
 
 
 def _workers(cells: int) -> int:
-    """How many parts the core splits the work on a grid of ``cells`` cells
+    """How many parts the core splits a pass that visits ``cells`` cells
     into: 2 from ``_SPLIT_CELLS`` cells up when this process may run on at
     least two CPUs, else 1."""
     if cells < _SPLIT_CELLS:
@@ -110,7 +112,9 @@ def _workers(cells: int) -> int:
 def _in_parts(work: Callable[[slice, int], object], n: int, cells: int) -> list:
     """``[work(span, parts) for span in _cut(n, parts)]`` with ``parts =
     _workers(cells)``, the parts run at once: part 0 in the caller, each other
-    on a thread of its own.
+    on a thread of its own.  ``cells`` counts the cells the whole pass visits:
+    the grid's cells for a pass over one field, n1 n2 (n1 // 2) (n2 // 2) for
+    the mixed-difference search, which visits a field once per offset pair.
 
     Every part finishes before this returns or raises; the first error of a
     part, in part order, is then raised here, so no error is lost and no

@@ -307,7 +307,9 @@ class TestMixedDifferenceSup:
         assert_allclose(d.values[:3], 2.0, rtol=0)
         assert_allclose(d.values[3], [-6.0, -6.0], rtol=0)
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    # A short last batch of column offsets at 130x66, one batch of 19 at 20x38,
+    # and no row offset for the second worker at n1 = 2 or 3.
+    @pytest.mark.parametrize("shape", SHAPES + [(20, 38), (2, 9), (3, 8), (130, 66)])
     def test_equals_the_finite_difference_loop(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1] + 1)
         for v in (rng.standard_normal(shape), rng.choice([-1.0, 1.0], size=shape)):

@@ -229,6 +229,20 @@ class TestDerivative:
         assert np.abs(f.values).min() == 1.0
         assert np.abs(spectral_derivative(f, 0).values).max() < 1e-12
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_unpaired_mode_is_annihilated_on_either_axis(self, axis):
+        """The alternating sign along ``axis`` times a sine across it, whose
+        modes all have the unpaired k = -4 along ``axis``.  Along axis 1 the
+        real inverse transform drops what a factor 2 pi i k would leave in that
+        column (it is imaginary), so there this pins the result, not the rule."""
+        grid = Grid(8, 8)
+        signs = np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
+        across = np.sin(2 * np.pi * np.arange(8) / 8)
+        values = np.outer(signs, across) if axis == 0 else np.outer(across, signs)
+        f = ScalarField(grid, values)
+        assert np.abs(f.values).max() == 1.0
+        assert np.abs(spectral_derivative(f, axis).values).max() < 1e-12
+
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
             spectral_derivative(random_field(Grid(4, 4), 0), 2)
@@ -252,6 +266,15 @@ class TestNegSobolev:
         y1, _ = coords(grid)
         g = ScalarField(grid, np.cos(2 * np.pi * y1) + np.zeros(grid.shape))
         assert neg_sobolev_norm(g, "full1") == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_full_weight_at_a_second_harmonic(self, axis):
+        """|k| = 2, where k^4 is not k^2: the weight 1 / (1 + 4) on the mean
+        square 1/2 of the cosine."""
+        grid = Grid(8, 8)
+        y = coords(grid)[axis]
+        f = ScalarField(grid, np.cos(2 * np.pi * 2 * y) + np.zeros(grid.shape))
+        assert neg_sobolev_norm(f, "full1") == pytest.approx(np.sqrt(0.5 / 5), rel=1e-12)
 
     def test_rejects_nonzero_mean_and_bad_order(self):
         f = ScalarField(Grid(4, 4), np.ones((4, 4)))

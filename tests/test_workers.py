@@ -11,6 +11,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
+import fourwell.rigidity
 import fourwell.spectral
 from fourwell.cli import main
 from fourwell.energy import _relaxed_from_labels, total_energy
@@ -18,12 +19,18 @@ from fourwell.fields import (
     _SLOT_OF_LABEL,
     Grid,
     PhaseField,
+    ScalarField,
     VectorField,
     to_modified,
     write_phase_field,
 )
 from fourwell.microstructures import gen_random_partition
-from fourwell.rigidity import characteristic_residual, extract_outer, rigidity_report
+from fourwell.rigidity import (
+    characteristic_residual,
+    extract_outer,
+    mixed_difference_sup,
+    rigidity_report,
+)
 from fourwell.spectral import (
     _SLAB_COLS,
     _SPLIT_CELLS,
@@ -238,10 +245,12 @@ class TestOneWorkerEqualsTwo:
 
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
         """Four workers on two CPUs, switched every microsecond: a write lost
-        to a race on the shared spectrum or column sums would change a bit."""
+        to a race on the shared spectrum or column sums, or a mixed-difference
+        search buffer shared by two workers, would change a bit."""
         p = gen_random_partition(5, Grid(130, 130), feature_scale=0.05)
         transposed = PhaseField(p.grid, np.ascontiguousarray(p.labels.T))
         values = np.random.default_rng(4).standard_normal((130, 192))
+        f = ScalarField(Grid(40, 50), np.ascontiguousarray(values[:40, :50]))
 
         def outputs():
             return (
@@ -249,6 +258,7 @@ class TestOneWorkerEqualsTwo:
                 _relaxed_from_labels(p),
                 rigidity_report(p, 1e-2).to_json(),
                 rigidity_report(transposed, 1e-2).to_json(),
+                mixed_difference_sup(f),
             )
 
         force_workers(monkeypatch, 1)
@@ -267,6 +277,56 @@ class TestOneWorkerEqualsTwo:
         for shapes in ({(1856, 1856)}, {(32, 64), (64, 32)}):
             axes = {extract_outer(p).axis for p in cases if p.grid.shape in shapes}
             assert axes == {"y1", "y2"}
+
+
+class TestMixedDifferenceSup:
+    """The search splits its row offsets across the workers and batches its
+    column offsets: the same float with one worker or two, and any batch."""
+
+    # Odd, even and non-square grids; n1 = 2 or 3 leaves the second worker's
+    # span of row offsets empty.
+    SHAPES = [(7, 9), (16, 16), (20, 38), (38, 20), (33, 17), (2, 9), (3, 8), (130, 66)]
+
+    @staticmethod
+    def fields(shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for v in (rng.standard_normal(shape), rng.choice([-1.0, 1.0], size=shape)):
+            yield ScalarField(Grid(*shape), v)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_one_worker_equals_two(self, monkeypatch, shape):
+        for f in self.fields(shape):
+            one, two = one_then_two(monkeypatch, lambda: mixed_difference_sup(f))
+            assert one == two
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_a_short_last_batch_changes_no_bit(self, monkeypatch, shape):
+        """Batches of 1, 3 and 8 column offsets, which leave a short last
+        batch wherever n2 // 2 is not a multiple of them (19 on 20x38)."""
+        n1, n2 = shape
+        for f in self.fields(shape):
+            force_workers(monkeypatch, 1)
+            expected = mixed_difference_sup(f)
+            for batch in (1, 3, 8):
+                monkeypatch.setattr(fourwell.rigidity, "_BATCH_CELLS", batch * n1 * n2)
+                assert one_then_two(monkeypatch, lambda: mixed_difference_sup(f)) == [expected] * 2
+
+    def test_verify_grid_runs_on_two_workers(self, monkeypatch):
+        """verify --grid 128's search is split in two when two CPUs are usable,
+        its default 32^2 grid is not."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        workers = fourwell.spectral._workers
+        counts = []
+
+        def counted(cells):
+            counts.append(workers(cells))
+            return counts[-1]
+
+        monkeypatch.setattr(fourwell.spectral, "_workers", counted)
+        rng = np.random.default_rng(0)
+        for n in (128, 32):
+            mixed_difference_sup(ScalarField(Grid(n, n), rng.standard_normal((n, n))))
+        assert counts == [2, 1]
 
 
 class TestMemoryPinsWithTwoWorkers:

@@ -14,8 +14,10 @@ A report transforms each indicator once: the pricing pass shares
 and the weak defect read the same coefficients of chi1t and chi2t in one walk
 over column slabs of the frame, the grid turned so that the outer axis is
 axis 0, where the outer sign is one value per row.  The walk, its split
-between workers and the folds are the spectral core's ``_fold_slabs``; this
-module gives it the per-slab column sums only.
+between workers and the folds are the spectral core's ``_fold_slabs``, and
+every transform, scale, shift phase and weight the walk reads comes from the
+core's slab helpers; this module takes no transform and gives the walk the
+per-slab column sums only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,16 @@ from .fields import (
 )
 from .microstructures import staircase_shifts
 from .model import _check_eta
-from .spectral import _coeffs, _fold_slabs, _in_parts, _potential, _profile_derivative
+from .spectral import (
+    _coeffs,
+    _derivative_rows,
+    _fold_slabs,
+    _full1_weight,
+    _in_parts,
+    _potential,
+    _sheared_rows,
+    _slab_coeffs,
+)
 
 __all__ = [
     "OuterProfile",
@@ -295,13 +306,11 @@ def _transport_sums(u: np.ndarray, modes: tuple, f: np.ndarray) -> np.ndarray:
     coefficients, whose modes are ``modes``; f is the outer sign of each row.
 
     R holds the row spectra of the residual: f is constant along each row, so
-    they are A - f B, with A and B the column inverses of the derivatives
-    along and across.  By Parseval on each row the mean square of the residual
-    is n1 times the fold of these sums.
+    they are A - f B, with A and B the core's row spectra of the derivatives
+    along and across, and the mean square of the residual is n1 times the
+    fold of these sums.
     """
-    _, _, d1, d2 = modes
-    along = np.fft.ifft(2j * np.pi * d1 * u, axis=0)
-    across = np.fft.ifft(2j * np.pi * d2 * u, axis=0)
+    along, across = _derivative_rows(u, modes)
     across *= f
     along -= across
     return _sq(along).sum(axis=0)
@@ -342,37 +351,33 @@ def _slab_pass(
     carried along the staircase shear, in the inhomogeneous first-order norm,
     both components in quadrature; an exact crossing twin or laminate, whatever
     its mean, matches its template.
-    Template row j is that profile shifted by s_j cells: its row spectrum is
-    the profile's times ``exp(2 pi i q s_j / n2)``, a root of unity from a
-    table, and a slab's column transform gives the template's coefficients.
+    Template row j is that profile shifted by s_j cells; the core's
+    ``_sheared_rows`` gives its row spectra on a slab and ``_slab_coeffs``
+    the template's coefficients there.
     """
     transpose = outer.axis == "y2"
     if transpose:  # the transpose swaps the slots with the axes
         c1, c2 = c2, c1
-    n1, n2 = _frame(grid, transpose).shape
+    frame = _frame(grid, transpose)
     f = outer.f[:, None]
     gm = inner.g - inner.g.mean()
-    deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
-    deriv[0] += n2 * inner.g.mean()
-    roots = np.exp(2j * np.pi * np.arange(n2) / n2)
-    shifts = _integer_shifts(outer, grid)[:, None]
+    primitive = (np.cumsum(gm) - 0.5 * gm) / frame.n2
+    template_rows = _sheared_rows(primitive, inner.g.mean(), _integer_shifts(outer, grid))
 
     def gap_sums(field: np.ndarray, rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        template = np.fft.fft(rows, axis=0)
-        template /= n1 * n2
-        return (_sq(field - template) * weight).sum(axis=0)
+        return (_sq(field - _slab_coeffs(rows, frame)) * weight).sum(axis=0)
 
     def column_sums(cols, modes, a, b):
         k1, k2, _, _ = modes
         residual = _transport_sums(_potential(b, a, *modes), modes, f)
-        weight = 1.0 / (1.0 + k1**2 + k2**2)
-        rows = deriv[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n2]
+        weight = _full1_weight(k1, k2)
+        rows = template_rows(cols)
         primary = gap_sums(a, rows, weight)
         rows *= f
         return residual, primary, gap_sums(b, rows, weight)
 
     residual, primary, product = _fold_slabs(column_sums, (c1, c2), grid, transpose)
-    return math.sqrt(n1 * residual), math.hypot(math.sqrt(primary), math.sqrt(product))
+    return math.sqrt(frame.n1 * residual), math.hypot(math.sqrt(primary), math.sqrt(product))
 
 
 def _spectral_pass(

@@ -1,10 +1,12 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
 The private core (``_coeffs``, ``_values``, ``_axis``, ``_modes``,
-``_frame_slabs``, ``_ksq``, ``_drop``, ``_fold``, ``_fold_sum``,
+``_frame_slabs``, ``_derivative_rows``, ``_slab_coeffs``, ``_sheared_rows``,
+``_ksq``, ``_full1_weight``, ``_drop``, ``_fold``, ``_fold_sum``,
 ``_fold_blocks``, ``_fold_slabs``, ``_in_parts``) alone owns the Fourier
-conventions and how transforms and per-mode sums are blocked, split across
-workers and folded; the modules on it write per-mode formulas only:
+conventions, makes every transform, and owns how transforms and per-mode sums
+are blocked, split across workers and folded; the modules on it write
+per-mode formulas only and call no ``numpy.fft``:
 
 * Every field is real, so only half of its spectrum is stored: coefficients
   are ``rfft2(values) / (n1 * n2)``, an ``n1 x (n2 // 2 + 1)`` array holding
@@ -24,7 +26,8 @@ workers and folded; the modules on it write per-mode formulas only:
   that frequency.  Derivatives therefore drop the unpaired modes, and so do
   projections and potentials, whose multipliers hold odd powers of k.
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
-  set to 1; derivatives carry the physical factor ``2 pi i d``.
+  set to 1, and ``_full1_weight`` is the one inhomogeneous weight
+  ``1 / (1 + |k|^2)``; derivatives carry the physical factor ``2 pi i d``.
 * Blocks: ``_coeffs`` takes the row pass of a 2-D transform a block of
   ``fields._BLOCK_ROWS`` rows at a time and runs the column pass in place
   over the whole half spectrum (numpy's ``out=``), so the only full-size
@@ -49,6 +52,12 @@ workers and folded; the modules on it write per-mode formulas only:
   (an exact re-indexing, so no transform is taken twice), a slab of at most
   ``_SLAB_COLS`` columns at a time with the table cut to the slab, and
   ``_fold_slabs`` folds each row of column sums a per-slab term gives.
+  A term's 1-D transforms are the core's too: ``_derivative_rows`` gives
+  the row spectra of a slab's two derivatives (column inverses, so a row's
+  normalized coefficients over n1), ``_slab_coeffs`` a slab's coefficients
+  from its rows' unnormalised spectra (a column ``fft`` over n1 n2), and
+  ``_sheared_rows`` the row spectra of a 1-D profile's derivative moved a
+  whole number of cells per row, by roots of unity from one table.
 
 Callers that hold coefficients use the core directly, so a report transforms
 each indicator once.  :func:`permode_elastic_oracle` keeps its own plain
@@ -309,11 +318,56 @@ def _fold_slabs(term: Callable, spectra: Sequence, grid: Grid, transpose: bool) 
     return _fold(sums, frame).tolist()
 
 
-def _profile_derivative(profile: np.ndarray) -> np.ndarray:
-    """Spectral derivative of a periodic 1-D profile on the unit interval."""
+def _derivative_rows(c: np.ndarray, modes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Row spectra of the two derivatives of the field whose coefficients on
+    a frame slab are ``c``, with the slab's table ``modes``: the column
+    inverses of ``2 pi i d1 c`` and ``2 pi i d2 c``, new arrays.  Each is a
+    row's normalized coefficients over n1, so by Parseval on each row the
+    mean square of a derivative is n1 times the fold of its squared moduli."""
+    _, _, d1, d2 = modes
+    return np.fft.ifft(2j * np.pi * d1 * c, axis=0), np.fft.ifft(2j * np.pi * d2 * c, axis=0)
+
+
+def _slab_coeffs(rows: np.ndarray, frame: Grid) -> np.ndarray:
+    """Normalized coefficients, on a slab of ``frame``'s half spectrum, of the
+    field whose unnormalised row spectra there are ``rows``: their column
+    ``fft`` divided by n1 n2, a new array."""
+    c = np.fft.fft(rows, axis=0)
+    c /= frame.n1 * frame.n2
+    return c
+
+
+def _sheared_rows(
+    profile: np.ndarray, mean: float, shifts: np.ndarray
+) -> Callable[[slice], np.ndarray]:
+    """``rows(cols)``: the unnormalised row spectra, at the half-spectrum
+    columns ``cols``, of the field whose row j is ``mean`` plus the spectral
+    derivative of the periodic 1-D ``profile`` on the unit interval, read
+    ``shifts[j]`` whole cells on (row j at t is that profile at t + s_j).
+
+    The profile's spectrum is the ``rfft`` of its derivative's values, the
+    ``irfft`` of ``rfft(profile)`` times ``2 pi i d``, with ``n * mean``
+    added to the mean mode; row j is it times ``exp(2 pi i q s_j / n)``, a
+    root of unity from one table, so no row is transformed.  The round trip
+    through the values is kept: dropping it moves the weak defect's bits.
+    """
     n = profile.size
     d = _axis(n)[1][: n // 2 + 1]
-    return np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * d, n)
+    spectrum = np.fft.rfft(np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * d, n))
+    spectrum[0] += n * mean
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    shifts = shifts[:, None]
+
+    def rows(cols: slice) -> np.ndarray:
+        return spectrum[cols] * roots[np.arange(cols.start, cols.stop) * shifts % n]
+
+    return rows
+
+
+def _full1_weight(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """The inhomogeneous first-order weight ``1 / (1 + |k|^2)``, which keeps
+    the mean mode."""
+    return 1.0 / (1.0 + k1**2 + k2**2)
 
 
 def _potential(c1: np.ndarray, c2: np.ndarray, *modes: np.ndarray) -> np.ndarray:
@@ -354,7 +408,7 @@ def neg_sobolev_norm(f: ScalarField, s: int | str = 1) -> float:
         raise ValueError(f"order must be 1, 2 or 'full1', got {s!r}")
     k1, k2 = _modes(f.grid)[:2]
     if s == "full1":
-        c, w = _coeffs(f.values), 1.0 / (1.0 + k1**2 + k2**2)
+        c, w = _coeffs(f.values), _full1_weight(k1, k2)
     else:
         c = _mean_coeff_checked(f, f"neg_sobolev_norm(s={s})")
         w = _ksq(k1, k2) ** (-int(s))

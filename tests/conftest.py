@@ -15,11 +15,11 @@ settings.register_profile("fourwell", derandomize=True, deadline=None)
 settings.load_profile("fourwell")
 
 # The spectral core's transforms: a forward 2-D transform passes through
-# ``_coeffs``, an inverse one through ``_values``, and a 1-D profile's
-# forward-and-inverse pair through ``_profile_derivative``.  Each is one call,
-# however many numpy calls its blocks take.  The column transforms of a frame
-# slab's template and residual spectra are per-slab work, not counted here.
-CORE_TRANSFORMS = ("_coeffs", "_values", "_profile_derivative")
+# ``_coeffs``, an inverse one through ``_values``, a 1-D profile's template
+# row spectra through ``_sheared_rows``, a frame slab's derivative row spectra
+# through ``_derivative_rows`` and a slab's coefficients from its row spectra
+# through ``_slab_coeffs``.  Each is one call, however many numpy calls it takes.
+CORE_TRANSFORMS = ("_coeffs", "_values", "_sheared_rows", "_derivative_rows", "_slab_coeffs")
 # numpy's full complex 2-D transforms, which the half-spectrum core never takes.
 FULL_COMPLEX = ("fft2", "ifft2", "fftn", "ifftn")
 

@@ -50,10 +50,7 @@ from fourwell.rigidity import (
 )
 from fourwell.spectral import curl_neg_sobolev, leray_project, permode_elastic_oracle
 
-
-def stripe_profile(n, stripes):
-    """Balanced +-1 profile with the given number of equal stripes."""
-    return np.repeat(np.resize([1.0, -1.0], stripes), n // stripes)
+from whole_array import stripe_profile
 
 
 def random_indicators(rng, grid):

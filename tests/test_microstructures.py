@@ -27,9 +27,7 @@ from fourwell.microstructures import (
     zigzag_potential,
 )
 
-
-def stripe_profile(n, stripes):
-    return np.repeat(np.resize([1.0, -1.0], stripes), n // stripes)
+from whole_array import stripe_profile
 
 
 def exact_fractions(p):
@@ -91,6 +89,11 @@ class TestLaminate:
             gen_laminate("y1", np.full(8, 0.5), grid)
         with pytest.raises(ValueError):
             gen_laminate("y1", stripe_profile(4, 2), grid)
+
+    def test_refusal_names_the_first_bad_entry(self):
+        profile = np.array([1.0, -1.0, 0.5, 1.0, 2.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match=r"^profile\[2\] = 0\.5 is not \+-1$"):
+            gen_laminate("y1", profile, Grid(8, 8))
 
 
 class TestCrossingTwin:
@@ -190,6 +193,17 @@ class TestBranchingParams:
         p = BranchingParams(mu=0.25, lam=0.0625, beta=4.0, N=1, w1=0.125, eta=1.0)
         with pytest.raises(ValueError, match="finest period"):
             p.check_admissible()
+
+    def test_refusals_name_both_lengths(self):
+        wide = BranchingParams(mu=0.25, lam=0.5, beta=1.5, N=1, w1=0.5, eta=1.0)
+        message = r"^generation 1 is wider than tall: w=0\.5 > l=0\.25$"
+        with pytest.raises(ValueError, match=message):
+            wide.check_admissible()
+        tip = BranchingParams(mu=0.25, lam=0.0625, beta=4.0, N=1, w1=0.125, eta=1.0)
+        with pytest.raises(
+            ValueError, match=r"^finest period 0\.0625 exceeds half the lower band 0\.03125$"
+        ):
+            tip.check_admissible()
 
 
 def test_branching_bound_frozen_value():

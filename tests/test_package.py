@@ -1,5 +1,7 @@
-"""Tests for the package namespace: each module's ``__all__`` is the one list of its names."""
+"""Tests for the package namespace: each module's ``__all__`` is the one list
+of its names, and only the spectral core touches ``numpy.fft``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -77,3 +79,57 @@ def test_import_leaves_the_cli_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False"] * 6
+
+
+def references_numpy_fft(source: str) -> bool:
+    """Whether Python ``source`` names ``numpy.fft``: ``import numpy.fft``,
+    ``from numpy import fft``, ``from numpy.fft import ...`` or ``<numpy>.fft``
+    for any name numpy is imported as."""
+    tree = ast.parse(source)
+    numpy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[:2] == ["numpy", "fft"] for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[:2] == ["numpy", "fft"]:
+                return True
+            if node.module == "numpy" and any(alias.name == "fft" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "fft":
+            if isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nnp.fft.rfft(x)",
+        "import numpy\nf = numpy.fft",
+        "import numpy.fft",
+        "from numpy import fft",
+        "from numpy import linalg, fft as transforms",
+        "from numpy.fft import irfft",
+    ],
+)
+def test_the_probe_sees_every_spelling_of_numpy_fft(source):
+    assert references_numpy_fft(source)
+
+
+def test_the_probe_ignores_other_fft_names():
+    assert not references_numpy_fft("import numpy as np\nfrom . import spectral\nspectral.fft")
+
+
+def test_only_the_spectral_core_references_numpy_fft():
+    """The core owns every transform, so no other module names ``numpy.fft``."""
+    package = Path(fourwell.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    users = [path.name for path in paths if references_numpy_fft(path.read_text())]
+    assert users == ["spectral.py"]

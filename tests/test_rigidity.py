@@ -16,6 +16,7 @@ from fourwell.fields import (
     PhaseField,
     ScalarField,
     VectorField,
+    _frame,
     _from_signs,
     from_modified,
     shear_resample,
@@ -39,13 +40,10 @@ from fourwell.rigidity import (
     rigidity_report,
     wave_decompose,
 )
-from fourwell.spectral import helmholtz_potential, permode_elastic_oracle
+from fourwell.spectral import _SLAB_COLS, _cut, helmholtz_potential, permode_elastic_oracle
 
 import whole_array
-
-
-def stripe_profile(n, stripes):
-    return np.repeat(np.resize([1.0, -1.0], stripes), n // stripes)
+from whole_array import stripe_profile
 
 
 def coords(grid):
@@ -129,6 +127,23 @@ class TestExtractInner:
         assert outer.axis == "y1" and list(outer.F) == [-100000.5, 0.0]
         with pytest.raises(ValueError, match="grid-aligned"):
             extract_inner(wide, outer)
+
+    def test_refusal_names_the_row_furthest_from_whole_cells(self):
+        """On 8x10 the shear steps 1.25 cells a row: F is 0, 1.25, 0, 1.25, 0,
+        1.25, 2.5, 3.75, so row 6 misses whole cells by most, neither row 0
+        nor row 7, the largest shear."""
+        f = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        p = gen_laminate("y1", f, Grid(8, 10))
+        outer = extract_outer(p)
+        assert outer.axis == "y1" and outer.F.tolist() == [0, 1.25, 0, 1.25, 0, 1.25, 2.5, 3.75]
+        message = (
+            r"^shear profile is not grid-aligned on the 8x10 grid: "
+            r"F\[6\] = 2\.5 is not a whole number of cells$"
+        )
+        with pytest.raises(ValueError, match=message):
+            extract_inner(p, outer)
+        with pytest.raises(ValueError, match=message):
+            rigidity_report(p, 1e-2)
 
 
 def reference_cases():
@@ -570,11 +585,26 @@ class TestReportSpectralPass:
     """The report transforms each indicator once and shares the coefficients."""
 
     def test_transform_count(self, fft_calls):
-        p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
-        rigidity_report(p, 1e-2)
-        used = {k: v for k, v in fft_calls.items() if v}
-        assert used == {"_coeffs": 3, "_profile_derivative": 1}
-        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
+        """One transform per indicator and one of the profile; then, per slab
+        of the frame walk, one derivative pair and two template transforms.
+        Below the split one worker walks the frame's half spectrum in the
+        slabs ``_cut`` gives at ``_SLAB_COLS``: 3 of 33 columns untransposed
+        (outer axis y1), 4 of 49 transposed (y2)."""
+        for shape, seed, axis, slabs in (((32, 64), 0, "y1", 3), ((96, 32), 1, "y2", 4)):
+            grid = Grid(*shape)
+            p = gen_random_partition(seed, grid, feature_scale=0.1)
+            assert extract_outer(p).axis == axis
+            width = _frame(grid, axis == "y2").n2 // 2 + 1
+            assert len(_cut(width, -(-width // _SLAB_COLS))) == slabs
+            fft_calls.update(dict.fromkeys(fft_calls, 0))
+            rigidity_report(p, 1e-2)
+            used = {k: v for k, v in fft_calls.items() if v}
+            assert used == {
+                "_coeffs": 3,
+                "_sheared_rows": 1,
+                "_derivative_rows": slabs,
+                "_slab_coeffs": 2 * slabs,
+            }
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
     def test_report_is_built_in_few_full_size_arrays(self, float_fields_peak, transpose):

@@ -14,6 +14,11 @@ sheared frame's slots translated back row by row and the misfits averaged in
 float64.  The extractors must give its axis, f, F, g and outer defect exactly
 and its two inner defects to rounding.
 
+``profile_derivative`` is the template's profile derivative as real values,
+the round trip the core keeps inside its template row spectra.
+``stripe_profile`` is the balanced stripe profile the tests build laminates
+and twins from.
+
 The rest are references no command reads: ``strain_from_displacement``, the
 strain of a displacement, whose pointwise energy bounds the relaxed one from
 above; ``full_multiplier_energy``, the multiplier on any symmetric target,
@@ -32,18 +37,25 @@ from fourwell.energy import DEFAULT_DIAG, SymStrainField, _re_dot, _sq
 from fourwell.fields import Grid, ModifiedIndicators, ScalarField, shear_resample
 from fourwell.microstructures import staircase_shifts
 from fourwell.rigidity import InnerProfile, OuterProfile
-from fourwell.spectral import (
-    _coeffs,
-    _fold_sum,
-    _ksq,
-    _modes,
-    _profile_derivative,
-    spectral_derivative,
-)
+from fourwell.spectral import _coeffs, _fold_sum, _ksq, _modes, spectral_derivative
 
 
 def coeffs(values):
     return np.fft.rfft2(values) / values.size
+
+
+def stripe_profile(n, stripes):
+    """Balanced +-1 profile with the given number of equal stripes."""
+    return np.repeat(np.resize([1.0, -1.0], stripes), n // stripes)
+
+
+def profile_derivative(profile):
+    """Spectral derivative of a periodic 1-D profile on the unit interval, as
+    real values; the unpaired even-grid mode is dropped."""
+    n = profile.size
+    d = np.arange(n // 2 + 1)
+    d[2 * d == n] = 0
+    return np.fft.irfft(np.fft.rfft(profile) * 2j * np.pi * d, n)
 
 
 def ksq(grid):
@@ -92,7 +104,7 @@ def weak_defect(m, outer, inner):
     shifts = np.rint(outer.F).astype(np.int64)
     c = m if outer.axis == "y1" else _transposed(m)
     gm = inner.g - inner.g.mean()
-    deriv = _profile_derivative((np.cumsum(gm) - 0.5 * gm) / c.grid.n2) + inner.g.mean()
+    deriv = profile_derivative((np.cumsum(gm) - 0.5 * gm) / c.grid.n2) + inner.g.mean()
     template = shear_resample(np.broadcast_to(deriv[None, :], c.grid.shape), shifts)
     gap_primary = full1_norm(c.chi1t - template, c.grid)
     template *= outer.f[:, None]
@@ -123,7 +135,7 @@ def spectral_weak_defect(m, outer, inner):
     frame = Grid(n1, n2)
     k1, k2, _, _ = _modes(frame)
     gm = inner.g - inner.g.mean()
-    deriv = np.fft.rfft(_profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
+    deriv = np.fft.rfft(profile_derivative((np.cumsum(gm) - 0.5 * gm) / n2))
     deriv[0] += n2 * inner.g.mean()
     roots = np.exp(2j * np.pi * np.arange(n2) / n2)
     shifts = np.rint(outer.F).astype(np.int64)

@@ -57,12 +57,19 @@ def staircase_shifts(profile: np.ndarray, step: float) -> np.ndarray:
     Entry j is ``step * sum(profile[anchor:j])`` with the anchor at row
     ``n // 2``, negated sums below the anchor; no periodic wrap-around is
     applied, so the result is the exact primitive of the step function on
-    the fundamental domain.
+    the fundamental domain, in integers when ``profile`` and ``step`` are.
     """
-    profile = np.asarray(profile, dtype=float)
-    partial = np.concatenate([[0.0], np.cumsum(profile)])
+    profile = np.asarray(profile)
+    partial = np.concatenate([[0], np.cumsum(profile)])
     anchor = profile.shape[0] // 2
     return (partial[:-1] - partial[anchor]) * step
+
+
+def _staircase_cells(profile: np.ndarray, n_trans: int) -> tuple[np.ndarray, np.ndarray]:
+    """``staircase_shifts(profile, n_trans / n)`` of a +-1 ``profile`` of n rows,
+    exactly: the quotients and remainders by n of its integer staircase of step
+    n_trans.  It lands on whole cells, at the quotients, iff n divides n_trans."""
+    return np.divmod(staircase_shifts(np.asarray(profile, dtype=np.int64), n_trans), len(profile))
 
 
 def _check_pm1(profile: np.ndarray, name: str, n: int) -> np.ndarray:
@@ -124,12 +131,12 @@ def gen_crossing_twin(
     along = _along(axis, grid)
     f = _check_pm1(f_profile, "f_profile", along.n1)
     g = _check_pm1(g_profile, "g_profile", along.n2).astype(np.int8)
-    if along.n2 % along.n1 != 0:
+    shifts, misses = _staircase_cells(f, along.n2)
+    if misses.any():
         raise ValueError(
             f"transverse resolution {along.n2} must be a multiple of {along.n1} "
             "so the staircase shear lands on whole cells"
         )
-    shifts = staircase_shifts(f, float(along.n2 // along.n1)).astype(np.int64)
     sheared = shear_resample(np.broadcast_to(g, along.shape), shifts)
     return _placed(axis, along, sheared, f.astype(np.int8)[:, None])
 

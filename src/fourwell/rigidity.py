@@ -40,7 +40,7 @@ from .fields import (
     _row_blocks,
     volume_fractions,
 )
-from .microstructures import staircase_shifts
+from .microstructures import _staircase_cells, staircase_shifts
 from .model import _check_eta
 from .spectral import (
     _coeffs,
@@ -73,8 +73,8 @@ class OuterProfile:
 
     f holds the sign profile along ``axis`` as ints +1 and -1, defect_l1 the
     mean absolute deviation from it, and F the staircase primitive of f in
-    transverse grid cells (zero at the central row, no wrap), which is the
-    shear the inner structure is expected to follow.
+    transverse grid cells (zero at the central row, no wrap): the shear the
+    inner structure should follow, reported only, as readers take it from f.
     """
 
     axis: str
@@ -125,33 +125,17 @@ def extract_outer(p: PhaseField) -> OuterProfile:
         cells = n_along * n_trans
         F = staircase_shifts(f, n_trans / n_along)
         outer = OuterProfile(axis, f, (cells - int(f @ sums)) / cells, F)
-        key = (outer.defect_l1, _off_grid(F), -int(sums @ sums) * n_along)
+        key = (outer.defect_l1, _staircase_cells(f, n_trans)[1].any(), -int(sums @ sums) * n_along)
         fits.append((key, outer))
     return min(fits, key=lambda fit: fit[0])[1]
-
-
-def _off_grid(F: np.ndarray) -> bool:
-    """Whether the staircase shear F misses whole cells anywhere."""
-    return not np.allclose(F, np.rint(F), rtol=0, atol=1e-9)
-
-
-def _integer_shifts(outer: OuterProfile, grid: Grid) -> np.ndarray:
-    rounded = np.rint(outer.F)
-    if _off_grid(outer.F):
-        worst = int(np.argmax(np.abs(outer.F - rounded)))
-        raise ValueError(
-            f"shear profile is not grid-aligned on the {grid.n1}x{grid.n2} grid: "
-            f"F[{worst}] = {float(outer.F[worst])!r} is not a whole number of cells"
-        )
-    return rounded.astype(np.int64)
 
 
 def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
     """Average the out-of-plane pair along the sheared characteristics.
 
     In the frame whose axis 0 is the outer axis, cell (a, t) lies on the
-    characteristic of column ``(t + s_a) mod n_trans``, s the staircase shear
-    recorded in ``outer`` (which must land on whole cells).  S sums chi1t and
+    characteristic of column ``(t + s_a) mod n_trans``, s the exact staircase
+    shear of ``outer.f``, not F, refused off whole cells.  S sums chi1t and
     H sums f chi2t over each characteristic; the transpose swaps chi1t and
     chi2t with the axes.  Both come from one unweighted count, a row block of
     labels at a time: cell (a, t) goes to bin ``t + (s_a mod n_trans) +
@@ -162,9 +146,16 @@ def extract_inner(p: PhaseField, outer: OuterProfile) -> InnerProfile:
     D = n_along^2 n_trans the two mean-square defects are the integer ratios
     (D - S.S) / D and (D - 2 S.H + S.S) / D, each rounded once.
     """
-    shifts = _integer_shifts(outer, p.grid)
     transpose = outer.axis == "y2"
     n_along, n_trans = _frame(p.grid, transpose).shape
+    shifts, misses = _staircase_cells(outer.f, n_trans)
+    if misses.any():
+        F = staircase_shifts(outer.f, n_trans / n_along)
+        worst = int(np.argmax(np.abs(F - np.rint(F))))
+        raise ValueError(
+            f"shear profile is not grid-aligned on the {p.grid.n1}x{p.grid.n2} grid: "
+            f"F[{worst}] = {float(F[worst])!r} is not a whole number of cells"
+        )
     first, second = _SLOT_OF_LABEL[1::-1] if transpose else _SLOT_OF_LABEL[:2]
     code = 2 * (first < 0) + (np.array([[1], [-1]]) * second < 0)  # by [f < 0], label
     # Row a: the bin offset of each label in outer row a, so bin = t + bins[a, label].
@@ -362,7 +353,7 @@ def _slab_pass(
     f = outer.f[:, None]
     gm = inner.g - inner.g.mean()
     primitive = (np.cumsum(gm) - 0.5 * gm) / frame.n2
-    template_rows = _sheared_rows(primitive, inner.g.mean(), _integer_shifts(outer, grid))
+    template_rows = _sheared_rows(primitive, inner.g.mean(), _staircase_cells(outer.f, frame.n2)[0])
 
     def gap_sums(field: np.ndarray, rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return (_sq(field - _slab_coeffs(rows, frame)) * weight).sum(axis=0)

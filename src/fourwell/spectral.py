@@ -323,7 +323,8 @@ def _derivative_rows(c: np.ndarray, modes: tuple) -> tuple[np.ndarray, np.ndarra
     a frame slab are ``c``, with the slab's table ``modes``: the column
     inverses of ``2 pi i d1 c`` and ``2 pi i d2 c``, new arrays.  Each is a
     row's normalized coefficients over n1, so by Parseval on each row the
-    mean square of a derivative is n1 times the fold of its squared moduli."""
+    mean square of a derivative is n1 times the fold of its squared moduli;
+    callers scale the folded float, as n1 taken ahead of the fold moves bits."""
     _, _, d1, d2 = modes
     return np.fft.ifft(2j * np.pi * d1 * c, axis=0), np.fft.ifft(2j * np.pi * d2 * c, axis=0)
 

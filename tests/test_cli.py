@@ -171,6 +171,16 @@ class TestGenerate:
         assert err == "error: beta = 1e-300 is too small: 0.5**beta rounds to 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_bands_a_planned_grid_cannot_split_are_refused_by_name(self, tmp_path, capsys):
+        argv = ["generate", "branching", "--eta", "1e-2", "--lam", "0.3", "--grid", "256"]
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: grid 224 cannot split the bands evenly for lam=0.3; "
+            "use a lam with a small power-of-two denominator\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert main(["generate", "mystery"]) == 2
 

@@ -1,5 +1,6 @@
 """Tests for the energy functionals and the residual decomposition."""
 
+import json
 import math
 
 import numpy as np
@@ -272,6 +273,7 @@ class TestTotalEnergy:
         text = total_energy(p, 0.5).to_json()
         assert text.index('"elastic"') < text.index('"eta"') < text.index('"surface"')
         assert text == total_energy(p, 0.5).to_json()
+        assert total_energy(p, 0.5).as_dict() == json.loads(text)
 
 
 class TestResiduals:

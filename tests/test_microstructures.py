@@ -39,6 +39,8 @@ def exact_fractions(p):
 def test_staircase_shifts_anchor_and_scale():
     shifts = staircase_shifts(np.array([1.0, 1.0, -1.0, -1.0]), 2.0)
     assert_allclose(shifts, [-4.0, -2.0, 0.0, -2.0], rtol=0)
+    exact = staircase_shifts(np.array([1, 1, -1, -1]), 2)
+    assert exact.dtype.kind == "i" and exact.tolist() == [-4, -2, 0, -2]
 
 
 def test_staircase_shifts_balanced_profile_stays_bounded():
@@ -270,6 +272,12 @@ class TestBranchingField:
         params, _ = plan_branching(1e-2)
         with pytest.raises(ValueError, match="integer"):
             gen_branching(params, Grid(100, 448))
+
+    def test_coarsest_period_must_halve_down_to_the_finest(self):
+        params = BranchingParams(mu=0.25, lam=0.25, beta=1.5, N=2, w1=1 / 11, eta=1e-2)
+        message = r"^coarsest period 3 cells must be divisible by 2\^\(N-1\) = 2$"
+        with pytest.raises(ValueError, match=message):
+            gen_branching(params, Grid(33, 32))
 
     def test_rows_must_split_the_bands(self):
         params, _ = plan_branching(1e-2)

@@ -112,14 +112,19 @@ class TestExtractInner:
         assert inner.defect_chi2 == 0.0
         assert np.array_equal(inner.g, g_profile)
 
+    @pytest.mark.parametrize("F", [np.full(8, 0.25), np.zeros(8)], ids=["off-grid", "unsheared"])
+    def test_reads_the_shear_from_f(self, F):
+        """The shear is read from f in exact integers, not from the reported
+        F, so an F that disagrees with f, off the grid or not, changes nothing."""
+        g = stripe_profile(8, 4)
+        p = gen_crossing_twin("y1", stripe_profile(8, 2), g, Grid(8, 8))
+        outer = extract_outer(p)
+        assert outer.F.tolist() == [-4, -3, -2, -1, 0, -1, -2, -3]
+        inner = extract_inner(p, dataclasses.replace(outer, F=F))
+        assert np.array_equal(inner.g, g)
+        assert inner.defect_l2 == 0.0 and inner.defect_chi2 == 0.0
+
     def test_rejects_fractional_shear(self):
-        grid = Grid(8, 8)
-        p = gen_laminate("y1", np.ones(8), grid)
-        broken = OuterProfile(
-            axis="y1", f=np.ones(8), defect_l1=0.0, F=np.full(8, 0.25)
-        )
-        with pytest.raises(ValueError, match="grid-aligned"):
-            extract_inner(p, broken)
         # A half cell past 100000 cells is no closer to whole for being far out.
         labels = np.repeat(np.array([[1], [2]], dtype=np.uint8), 200001, axis=1)
         wide = PhaseField(Grid(2, 200001), labels)

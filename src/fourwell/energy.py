@@ -8,17 +8,21 @@ solution reduces to a two-term multiplier acting on the indicator
 coefficients.  An independent brute-force oracle for the same minimum lives
 in :mod:`fourwell.spectral` so the algebra here never checks itself.
 
-The relaxed energy is priced by a blocked pass: the spectral core's blocked
-transforms give each half spectrum, and the multiplier's two independent
-folds, ``_shear`` over c1 and c2 and ``_cross`` over c3, are per-block terms
-that the core's ``_fold_blocks`` walks over its mode table a row block at a
-time, splitting the columns between workers itself.  Column sums run in row
-order, so each fold is the whole-array pass's float exactly, with at most two
-half spectra and no half-size term alive.  A phase field is priced from its labels:
-the transforms look each slot up a row block at a time, so beside the labels
-only the half spectra are full-size and no indicator slot is alive.  Each
-pricing is the one expression ``_shear(c1, c2) + _cross(c3)``: c1 and c2 are
-dropped when ``_shear`` returns, before c3's transform starts.
+The relaxed energy is two independent folds, the shear term over c1 and c2
+and the cross term over c3, per-mode formulas that the spectral core walks.
+A pricing streams both: each slot's distinct rows are transformed once into
+a compact array (``_row_spectra``), and the core's ``_fold_rows`` gathers
+them by the distinct-row map a column slab at a time, finishes the
+transform there and sums each column in row order, so each fold is the
+whole-array pass's float exactly and no half spectrum is made.  A phase
+field is priced from its labels, with one map: the row transforms look each
+slot up a row block at a time, so beside the labels only two slots' compact
+spectra and one slab's temporaries are alive, and no indicator slot.  A
+field with no repeated row is the one exception: its compact spectra are
+whole half spectra, folded as they are.  Each pricing is the one expression
+``_relaxed``: c2's row spectra are dropped when the shear fold returns, and
+c3's are written over c1's.  The report folds the shear over its whole c1
+and c2 instead (``_shear``).
 
 The total energy weights interfacial area by ``eta^(1/3)`` and relaxed
 elastic energy by ``eta^(-2/3)``; the cube root is correctly rounded, so
@@ -42,7 +46,7 @@ from .fields import (
     _jump_mass,
 )
 from .model import MaterialParams, _cbrt, _check_eta
-from .spectral import _coeffs, _fold_blocks, _ksq, inv_gradient
+from .spectral import _distinct_rows, _fold_blocks, _fold_rows, _ksq, _row_spectra, inv_gradient
 
 __all__ = [
     "DEFAULT_DIAG",
@@ -142,63 +146,81 @@ def relaxed_elastic_energy(m: ModifiedIndicators) -> float:
     on every grid.
 
     It is two folds that share no array, one over c1 and c2 and one over c3,
-    so at most two half spectra are alive at once; per-mode work runs a row
-    block at a time.  No command prices through it: they price phase fields
-    from their labels with the same folds.  It is the raw-triple form the
-    tests compare the label route and the oracle with.
+    each streamed from the slots' distinct row spectra under one map: a row
+    of the triple repeats where all three slots' rows repeat, the map of the
+    three slots' maps.  No command prices through it: they price phase
+    fields from their labels with the same routine.  It is the raw-triple
+    form the tests compare the label route and the oracle with.
     """
-    grid = m.grid
-    return _shear(_coeffs(m.chi1t), _coeffs(m.chi2t), grid) + _cross(_coeffs(m.chi3t), grid)
+    slots = (m.chi1t, m.chi2t, m.chi3t)
+    first = _distinct_rows(np.stack([_distinct_rows(slot) for slot in slots], axis=1))
+    return _relaxed(m.grid, *((slot, first) for slot in slots))
 
 
 def _relaxed_from_labels(p: PhaseField) -> float:
     """:func:`relaxed_elastic_energy` of ``to_modified(p)``, the same float,
-    with each slot looked up from the labels a row block at a time inside its
-    transform, so no full-size slot is made.  ``energy``, ``sweep`` and
-    ``verify``'s energy checks all price through it."""
-    t1, t2, t3 = _SLOT_OF_LABEL
-    grid = p.grid
-    return _shear(_coeffs(p.labels, t1), _coeffs(p.labels, t2), grid) + _cross(
-        _coeffs(p.labels, t3), grid
-    )
+    from one distinct-row map of the labels, each slot looked up from the
+    labels a row block at a time inside its row transforms, so no full-size
+    slot is made.  ``energy``, ``sweep`` and ``verify``'s energy checks all
+    price through it."""
+    first = _distinct_rows(p.labels)
+    return _relaxed(p.grid, *((p.labels, first, table) for table in _SLOT_OF_LABEL))
+
+
+def _relaxed(grid: Grid, *slots: tuple) -> float:
+    """The shear fold over c1 and c2 plus the cross fold over c3, each slot
+    given as :func:`~fourwell.spectral._row_spectra`'s arguments, all under
+    one map, and streamed by :func:`~fourwell.spectral._fold_rows`.  When the
+    shear fold returns, c2's row spectra are dropped and c3's are written
+    over c1's, so at most two slots' are alive at once."""
+    one, two, three = slots
+    c1 = _row_spectra(*one)
+    shear = 2.0 * _fold_rows(_shear_term, grid, c1, _row_spectra(*two))
+    c3 = _row_spectra(*three, out=c1[0])  # c1's memory, under the same map
+    del c1
+    return shear + _cross(c3, grid)
 
 
 def _shear(c1: np.ndarray, c2: np.ndarray, grid: Grid) -> float:
-    """Fold of ``2 (k1^2 |c1|^2 + k2^2 |c2|^2 - 2 d1 d2 Re(c2 conj(c1))) / |k|^2``.
+    """:func:`_shear_term`'s fold over the half spectra ``c1`` and ``c2``,
+    left as they are; the exact factor 2 is taken outside the fold."""
+    return 2.0 * _fold_blocks(_shear_term, grid, c1, c2)
 
-    ``d1, d2`` are the derivative frequencies, zero at unpaired modes; the
-    inputs are left as they are.  The exact factor 2 is taken outside the
-    fold, and the mean mode adds exactly 0.
+
+def _cross(c3: tuple, grid: Grid) -> float:
+    """:func:`_cross_term`'s fold over the half spectrum whose distinct row
+    spectra are ``c3``, a :func:`~fourwell.spectral._row_spectra` pair; the
+    exact factor 4 is taken outside the fold."""
+    return 4.0 * _fold_rows(_cross_term, grid, c3)
+
+
+def _shear_term(k1, k2, d1, d2, a, b):
+    """``(k1^2 |c1|^2 + k2^2 |c2|^2 - 2 d1 d2 Re(c2 conj(c1))) / |k|^2`` on a
+    piece of the table, a new array, the mean mode exactly 0.
+
+    ``d1, d2`` are the derivative frequencies, zero at unpaired modes, where
+    the sign-sensitive term averages to 0.
     """
-
-    def per_mode(k1, k2, d1, d2, a, b):
-        # The sign-sensitive term averages to 0 at unpaired modes, where d is 0.
-        block = _sq(a)
-        block *= k1**2
-        term = _sq(b)
-        term *= k2**2
-        block += term
-        np.multiply(2.0 * d1, d2, out=term)
-        term *= _re_dot(b, a)
-        block -= term
-        block /= _ksq(k1, k2)
-        return block
-
-    return 2.0 * _fold_blocks(per_mode, grid, c1, c2)
+    block = _sq(a)
+    block *= k1**2
+    term = _sq(b)
+    term *= k2**2
+    block += term
+    np.multiply(2.0 * d1, d2, out=term)
+    term *= _re_dot(b, a)
+    block -= term
+    block /= _ksq(k1, k2)
+    return block
 
 
-def _cross(c3: np.ndarray, grid: Grid) -> float:
-    """Fold of ``4 k1^2 k2^2 |c3|^2 / |k|^4``, ``c3`` left as it is; the exact
-    factor 4 is taken outside the fold, and the mean mode adds exactly 0."""
-
-    def per_mode(k1, k2, d1, d2, c):
-        ksq = _ksq(k1, k2)
-        block = _sq(c)
-        block *= (k1 * k2) ** 2
-        block /= np.square(ksq, out=ksq)
-        return block
-
-    return 4.0 * _fold_blocks(per_mode, grid, c3)
+def _cross_term(k1, k2, d1, d2, c):
+    """``k1^2 k2^2 |c3|^2 / |k|^4`` on a piece of the table, a new array, the
+    mean mode exactly 0; the cross fold takes the exact factor 4 outside."""
+    ksq = _ksq(k1, k2)
+    block = _sq(c)
+    block *= (k1 * k2) ** 2
+    block /= np.square(ksq, out=ksq)
+    return block
 
 
 def _sq(c: np.ndarray) -> np.ndarray:
@@ -236,8 +258,9 @@ def _label_jumps(labels: np.ndarray) -> int:
 def total_energy(p: PhaseField, eta: float) -> EnergyBreakdown:
     """Weighted sum of surface and relaxed elastic parts.
 
-    The elastic part is priced from the labels, with two half spectra beside
-    them and no indicator slot made.
+    The elastic part is priced from the labels, with two slots' distinct row
+    spectra beside them (two half spectra if no row repeats) and no
+    indicator slot made.
     """
     _check_eta(eta)
     return _weighted(eta, _relaxed_from_labels(p), surface_energy(p))

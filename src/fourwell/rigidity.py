@@ -45,10 +45,12 @@ from .model import _check_eta
 from .spectral import (
     _coeffs,
     _derivative_rows,
+    _distinct_rows,
     _fold_slabs,
     _full1_weight,
     _in_parts,
     _potential,
+    _row_spectra,
     _sheared_rows,
     _slab_coeffs,
 )
@@ -375,18 +377,23 @@ def _spectral_pass(
     p: PhaseField, outer: OuterProfile, inner: InnerProfile
 ) -> tuple[float, float, float]:
     """Relaxed elastic energy, characteristic residual and weak defect, from
-    one transform of each indicator, each read from the labels.
+    one transform of each indicator, each read from the labels with one
+    distinct-row map.
 
-    The slab walk and the energy's shear fold read c1 and c2; chi3t is
-    transformed for the cross fold only after they are freed, so beside the
-    labels at most two half spectra, no half-size term and no indicator slot
-    are alive at once.
+    The slab walk and the energy's shear fold read c1 and c2, made whole;
+    chi3t's distinct rows are transformed and streamed through the cross fold
+    only after they are spent (into c1's memory when no row repeats), so
+    beside the labels at most two half spectra, no half-size term and no
+    indicator slot are alive at once.
     """
-    c1, c2 = (_coeffs(p.labels, table) for table in _SLOT_OF_LABEL[:2])
+    first = _distinct_rows(p.labels)
+    c1, c2 = (_coeffs(p.labels, table, first) for table in _SLOT_OF_LABEL[:2])
     char, weak = _slab_pass(c1, c2, p.grid, outer, inner)
     shear = _shear(c1, c2, p.grid)
-    del c1, c2
-    return shear + _cross(_coeffs(p.labels, _SLOT_OF_LABEL[2]), p.grid), char, weak
+    del c2
+    c3 = _row_spectra(p.labels, first, _SLOT_OF_LABEL[2], out=c1)  # c1's memory, if no row repeats
+    del c1
+    return shear + _cross(c3, p.grid), char, weak
 
 
 def rigidity_report(p: PhaseField, eta: float) -> RigidityReport:

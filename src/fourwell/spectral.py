@@ -1,9 +1,10 @@
 """Fourier-side operations: norms, potentials, projections, and an oracle.
 
-The private core (``_coeffs``, ``_values``, ``_axis``, ``_modes``,
-``_frame_slabs``, ``_derivative_rows``, ``_slab_coeffs``, ``_sheared_rows``,
-``_ksq``, ``_full1_weight``, ``_drop``, ``_fold``, ``_fold_sum``,
-``_fold_blocks``, ``_fold_slabs``, ``_in_parts``) alone owns the Fourier
+The private core (``_distinct_rows``, ``_coeffs``, ``_row_spectra``,
+``_values``, ``_axis``, ``_modes``, ``_frame_slabs``, ``_derivative_rows``,
+``_slab_coeffs``, ``_sheared_rows``, ``_ksq``, ``_full1_weight``, ``_drop``,
+``_fold``, ``_fold_sum``, ``_fold_blocks``, ``_fold_rows``, ``_fold_slabs``,
+``_in_parts`` and their helpers) alone owns the Fourier
 conventions, makes every transform, and owns how transforms and per-mode sums
 are blocked, split across workers and folded; the modules on it write
 per-mode formulas only and call no ``numpy.fft``:
@@ -28,14 +29,30 @@ per-mode formulas only and call no ``numpy.fft``:
 * Negative-order weights divide by the integer ``|k|^2`` with the mean mode
   set to 1, and ``_full1_weight`` is the one inhomogeneous weight
   ``1 / (1 + |k|^2)``; derivatives carry the physical factor ``2 pi i d``.
-* Blocks: ``_coeffs`` takes the row pass of a 2-D transform a block of
-  ``fields._BLOCK_ROWS`` rows at a time and runs the column pass in place
+* Distinct rows: the paper's fields are piecewise constant, so most rows
+  of a fine grid repeat.  ``_distinct_rows`` gives one map per field: for
+  each row, the first row with the same bytes, found by hashing each row
+  and confirming each repeat byte for byte, so the map holds no copy of a
+  row.  A pricing or a report computes it once, from the labels, and each
+  transform of that field starts from the spectra of its distinct rows,
+  each row ``rfft`` taken once, a block of ``fields._BLOCK_ROWS`` rows at
+  a time.  A transform can read an indicator slot straight from the phase
+  labels, a row block looked up at a time, so no full-size slot is made.
+* Two consumers of those row spectra.  ``_coeffs`` materialises: it writes
+  each distinct row's spectrum into that row of one preallocated half
+  spectrum, copies it to the repeats and runs the column pass in place
   over the whole half spectrum (numpy's ``out=``), so the only full-size
   array it makes is its half spectrum, and it equals numpy's ``rfft2`` bit
-  for bit.  It can read an indicator slot straight from the phase labels,
-  a row block looked up at a time, so pricing needs no full-size slot.
-  ``_fold_blocks`` folds a per-mode term given the table and the half
-  spectra cut to row blocks, with the whole array's column sums.
+  for bit; ``_fold_blocks`` folds a per-mode term given the table and such
+  half spectra cut to row blocks, with the whole array's column sums.
+  ``_row_spectra`` and ``_fold_rows`` stream: the distinct rows' spectra
+  make a compact d x (n2 // 2 + 1) array, and the fold walks column slabs,
+  gathering rows by the map, taking the column ``fft`` and the scale, and
+  summing each column of the per-mode term in row order, the floats
+  ``_fold_blocks`` gives, with no half spectrum alive.  The one exception
+  is a field with no repeated row: ``_row_spectra`` then finishes its
+  spectra in place into the half spectrum at once, and ``_fold_rows`` folds
+  them with ``_fold_blocks``.
 * Workers: ``_in_parts`` runs a pass over ``range(n)`` (rows, columns or
   frame columns) on two threads from ``_SPLIT_CELLS`` (640^2) cells up when
   two CPUs are usable, else on one; numpy's transforms and array loops
@@ -96,6 +113,18 @@ __all__ = [
 # Columns per slab where a frame's half spectrum is walked a column slab at a
 # time: a slab's temporaries stay a small fraction of one half spectrum.
 _SLAB_COLS = 16
+
+# A streamed fold (``_fold_rows``) walks slabs of ``n2 // _STREAM_SLABS``
+# columns, split between workers: a slab's temporaries stay a few percent of
+# one half spectrum.
+_STREAM_SLABS = 32
+
+# The odd multiplier that mixes each word of a row before it is hashed, and
+# splitmix64's step between the weights of consecutive words.
+_HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+# The words of each row hashed first: 512 bytes, 512 labels of a phase field.
+_HASH_PREFIX_WORDS = 64
 
 # The smallest grid, in cells, whose work is split across two workers.  On a
 # 2-CPU machine, in medians of 8-10 interleaved rounds on random fields, two
@@ -160,24 +189,120 @@ def _cut(width: int, parts: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _coeffs(values: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
-    """Normalized half-spectrum Fourier coefficients of a real 2-D array, or,
-    given a ``table``, of the array ``table[values]``.
+def _hash_weights(count: int) -> np.ndarray:
+    """One fixed pseudo-random uint64 weight per word of a row ``count``
+    words wide: :func:`_distinct_rows` hashes a row as the wrapping sum of
+    its mixed words times these.  They are splitmix64's outputs, computed
+    here because importing ``numpy.random`` costs each process about 6 MB."""
+    x = np.arange(1, count + 1, dtype=np.uint64) * _HASH_MIX
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(multiplier)
+    x ^= x >> np.uint64(31)
+    return x
 
-    Equal bit for bit to ``rfft2(values) / (n1 * n2)``, which takes the same
-    two passes: the row ``rfft`` of each row block is written into one
-    preallocated half spectrum, then the column ``fft`` runs over it in place.
-    With a table, such as one slot's row of ``fields._SLOT_OF_LABEL``, each
-    row block of ``values`` (phase labels) is looked up just before its row
-    ``rfft``, so the looked-up array is never made whole.
-    """
-    n1, n2 = values.shape
-    c = np.empty((n1, n2 // 2 + 1), dtype=complex)
+
+def _distinct_rows(values: np.ndarray) -> np.ndarray:
+    """The distinct-row map of a 2-D array: for each row, the first row with
+    the same bytes (itself if none before it has them), as an intp array.
+
+    Each worker (:func:`_in_parts`) hashes its span of rows, a few rows at a
+    time so the hash terms stay one float row block: a row's bytes are read
+    as the widest unsigned words that tile it, each word is mixed (a
+    multiply and a xor-shift, so a difference in high bits reaches low ones)
+    and the row's hash is the wrapping sum of its words times
+    :func:`_hash_weights`.  The first ``_HASH_PREFIX_WORDS`` words are
+    hashed first: rows whose prefixes differ differ, so if every prefix hash
+    is its own, no row repeats and the rest is not read; else whole rows are
+    hashed.  Rows are grouped by hash and each repeat is confirmed byte for byte
+    against its group's first row, so no copy of a row is kept and a hash
+    collision costs only a slower confirmation, never a wrong map."""
+    n1 = values.shape[0]
+    width = values.shape[1] * values.itemsize
+    unit = next(size for size in (8, 4, 2, 1) if width % size == 0)
+    weights = _hash_weights(width // unit)
+    hashes = np.empty(n1, dtype=np.uint64)
+
+    def hash_words(words: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Hash each row's words ``words``; return the rows in the order of
+        their hashes, and the hashes in that order."""
+        terms = weights[words]
+
+        def hash_rows(span: slice, parts: int) -> None:
+            size = max(1, _BLOCK_ROWS * values.shape[1] // (terms.size * parts))
+            for rows in _row_blocks(span.stop, size, span.start):
+                block = np.ascontiguousarray(values[rows]).view(f"u{unit}")[:, words]
+                mixed = np.multiply(block, _HASH_MIX, dtype=np.uint64)
+                mixed ^= mixed >> np.uint64(32)
+                mixed *= terms
+                mixed.sum(axis=1, out=hashes[rows])
+
+        _in_parts(hash_rows, n1, values.size)
+        order = np.argsort(hashes, kind="stable")
+        return order, hashes[order]
+
+    order, grouped = hash_words(slice(_HASH_PREFIX_WORDS))
+    if weights.size > _HASH_PREFIX_WORDS:
+        if (grouped[1:] != grouped[:-1]).all():
+            return np.arange(n1, dtype=np.intp)
+        order, grouped = hash_words(slice(None))
+    starts = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
+    first = np.empty(n1, dtype=np.intp)
+    first[order] = order[np.repeat(starts, np.diff(np.append(starts, n1)))]
+    repeats = np.flatnonzero(first != np.arange(n1))
+    same = np.empty(repeats.size, dtype=bool)
+
+    def confirm(span: slice, parts: int) -> None:
+        for part in _row_blocks(span.stop, _BLOCK_ROWS // parts, span.start):
+            rows = repeats[part]
+            equal = values[rows].view(np.uint8) == values[first[rows]].view(np.uint8)
+            equal.all(axis=1, out=same[part])
+
+    if repeats.size:
+        _in_parts(confirm, repeats.size, values.size)
+
+    def row_bytes(row: int) -> np.ndarray:
+        return np.ascontiguousarray(values[row]).view(np.uint8)
+
+    for row in repeats[~same]:  # a hash collision: look through the group's earlier rows
+        group = np.flatnonzero(hashes[:row] == hashes[row])
+        group = group[first[group] == group]
+        match = (j for j in group if np.array_equal(row_bytes(j), row_bytes(row)))
+        first[row] = next(match, row)
+    return first
+
+
+def _as_slice(index: np.ndarray) -> slice | np.ndarray:
+    """A sorted run of row indices as the slice it spans, if it has no gap."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _rfft_rows(
+    values: np.ndarray, table: np.ndarray | None, src: np.ndarray, out: np.ndarray, dst: np.ndarray
+) -> None:
+    """Write the row ``rfft`` of ``values[src]``, or of ``table[values[src]]``,
+    into ``out[dst]``, each worker (:func:`_in_parts`) a row block of its span
+    of ``src`` at a time, the block looked up just before its ``rfft``."""
 
     def row_pass(span: slice, parts: int) -> None:
-        for rows in _row_blocks(span.stop, _BLOCK_ROWS // parts, span.start):
+        for part in _row_blocks(span.stop, _BLOCK_ROWS // parts, span.start):
+            rows = _as_slice(src[part])
             block = values[rows] if table is None else np.take(table, values[rows], mode="clip")
-            np.fft.rfft(block, axis=1, out=c[rows])
+            target = _as_slice(dst[part])
+            if isinstance(target, slice):
+                np.fft.rfft(block, axis=1, out=out[target])
+            else:
+                out[target] = np.fft.rfft(block, axis=1)
+
+    _in_parts(row_pass, src.size, values.size)
+
+
+def _finish(c: np.ndarray, cells: int) -> np.ndarray:
+    """Turn the unnormalised row spectra ``c`` of every row of a field of
+    ``cells`` cells into its normalized half spectrum, in place: the column
+    ``fft``, then the division by n1 n2."""
 
     def column_pass(cols: slice, parts: int) -> None:
         half = c[:, cols]
@@ -185,11 +310,70 @@ def _coeffs(values: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
 
     def scale(rows: slice, parts: int) -> None:
         # Whole rows: numpy divides a column slice through iterator buffers.
-        c[rows] /= n1 * n2
+        c[rows] /= cells
 
-    for work, n in ((row_pass, n1), (column_pass, c.shape[1]), (scale, n1)):
-        _in_parts(work, n, values.size)
+    _in_parts(column_pass, c.shape[1], cells)
+    _in_parts(scale, c.shape[0], cells)
     return c
+
+
+def _coeffs(
+    values: np.ndarray, table: np.ndarray | None = None, first: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalized half-spectrum Fourier coefficients of a real 2-D array, or,
+    given a ``table``, of the array ``table[values]``.
+
+    Equal bit for bit to ``rfft2(values) / (n1 * n2)``, which takes the same
+    two passes.  The row ``rfft`` of each distinct row (``first``, the
+    :func:`_distinct_rows` map of ``values``, computed here if not given) is
+    written into its own row of one preallocated half spectrum and copied to
+    its repeats; then the column ``fft`` runs over it in place.  With a
+    table, such as one slot's row of ``fields._SLOT_OF_LABEL``, each row
+    block of ``values`` (phase labels) is looked up just before its row
+    ``rfft``, so the looked-up array is never made whole.
+    """
+    n1, n2 = values.shape
+    if first is None:
+        first = _distinct_rows(values)
+    c = np.empty((n1, n2 // 2 + 1), dtype=complex)
+    rows = np.arange(n1)
+    distinct, repeats = np.flatnonzero(first == rows), np.flatnonzero(first != rows)
+    _rfft_rows(values, table, distinct, c, distinct)
+
+    def copy_pass(span: slice, parts: int) -> None:
+        for part in _row_blocks(span.stop, _BLOCK_ROWS // parts, span.start):
+            c[repeats[part]] = c[first[repeats[part]]]
+
+    if repeats.size:
+        _in_parts(copy_pass, repeats.size, values.size)
+    return _finish(c, values.size)
+
+
+def _row_spectra(
+    values: np.ndarray,
+    first: np.ndarray,
+    table: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(spectra, where)``: the unnormalised row ``rfft`` of each distinct
+    row of ``values`` (or of ``table[values]``), in the order of first
+    occurrence, and for each row of ``values`` the index of its spectrum,
+    read from ``first``, the :func:`_distinct_rows` map of ``values``.  The
+    compact input of :func:`_fold_rows`: d rows for d distinct ones.
+
+    If no row repeats, the spectra are every row's, so they are finished in
+    place into the normalized half spectrum (:func:`_finish`) at once, while
+    they are still in cache, and :func:`_fold_rows` folds them as they are.
+    ``spectra`` is ``out``, a spent array whose memory is reused, when that
+    has its shape (as another slot's under the same map has), so no fresh
+    mapping is paid for; else a new array."""
+    distinct = np.flatnonzero(first == np.arange(first.size))
+    shape = (distinct.size, values.shape[1] // 2 + 1)
+    spectra = out if out is not None and out.shape == shape else np.empty(shape, dtype=complex)
+    _rfft_rows(values, table, distinct, spectra, np.arange(distinct.size))
+    if distinct.size == first.size:
+        _finish(spectra, values.size)
+    return spectra, np.searchsorted(distinct, first)
 
 
 def _values(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -298,6 +482,43 @@ def _fold_blocks(term: Callable[..., np.ndarray], grid: Grid, *spectra: np.ndarr
         return sums
 
     sums = _in_parts(span_sums, grid.n2 // 2 + 1, grid.n1 * grid.n2)
+    return float(_fold(np.concatenate(sums), grid))
+
+
+def _fold_rows(term: Callable[..., np.ndarray], grid: Grid, *sources: tuple) -> float:
+    """:func:`_fold_blocks` of ``term`` over the half spectra whose distinct
+    row spectra are ``sources``, :func:`_row_spectra` pairs under one map,
+    with no half spectrum made.
+
+    Each worker (:func:`_in_parts`) walks its span of columns in slabs ``1 /
+    parts`` of ``n2 // _STREAM_SLABS`` columns: it gathers each source's rows
+    by the map, takes their column ``fft``, divides by n1 n2, evaluates
+    ``term`` on the slab's table and sums each column in row order.  These
+    are the floats the materialised half spectra give.  The one exception is
+    a fold whose sources have no repeated row: :func:`_row_spectra` has then
+    finished them into the half spectra, and :func:`_fold_blocks` folds them,
+    as a walk over slabs of a whole half spectrum is slower.
+    """
+    n1, n2 = grid.shape
+    if all(spectra.shape[0] == n1 for spectra, _ in sources):
+        return _fold_blocks(term, grid, *(spectra for spectra, _ in sources))
+    k1, k2, d1, d2 = _modes(grid)
+
+    def span_sums(span: slice, parts: int) -> np.ndarray:
+        sums = np.empty(span.stop - span.start)
+        width = max(1, n2 // _STREAM_SLABS // parts)
+        for cut in _cut(sums.size, -(-sums.size // width)):
+            cols = slice(span.start + cut.start, span.start + cut.stop)
+            slabs = []
+            for spectra, where in sources:
+                slab = np.take(spectra[:, cols], where, axis=0)
+                np.fft.fft(slab, axis=0, out=slab)
+                slab /= n1 * n2
+                slabs.append(slab)
+            sums[cut] = term(k1, k2[:, cols], d1, d2[:, cols], *slabs).sum(axis=0)
+        return sums
+
+    sums = _in_parts(span_sums, n2 // 2 + 1, n1 * n2)
     return float(_fold(np.concatenate(sums), grid))
 
 

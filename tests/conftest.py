@@ -15,11 +15,23 @@ settings.register_profile("fourwell", derandomize=True, deadline=None)
 settings.load_profile("fourwell")
 
 # The spectral core's transforms: a forward 2-D transform passes through
-# ``_coeffs``, an inverse one through ``_values``, a 1-D profile's template
-# row spectra through ``_sheared_rows``, a frame slab's derivative row spectra
-# through ``_derivative_rows`` and a slab's coefficients from its row spectra
-# through ``_slab_coeffs``.  Each is one call, however many numpy calls it takes.
-CORE_TRANSFORMS = ("_coeffs", "_values", "_sheared_rows", "_derivative_rows", "_slab_coeffs")
+# ``_coeffs`` when its half spectrum is made, or, streamed, through
+# ``_row_spectra`` (its distinct rows' row transforms, and the column pass
+# too if no row repeats) and then ``_fold_rows`` (the column transforms of a
+# fold over one or two of them, when rows repeat); an inverse one
+# passes through ``_values``, a 1-D profile's template row spectra through
+# ``_sheared_rows``, a frame slab's derivative row spectra through
+# ``_derivative_rows`` and a slab's coefficients from its row spectra through
+# ``_slab_coeffs``.  Each is one call, however many numpy calls it takes.
+CORE_TRANSFORMS = (
+    "_coeffs",
+    "_row_spectra",
+    "_fold_rows",
+    "_values",
+    "_sheared_rows",
+    "_derivative_rows",
+    "_slab_coeffs",
+)
 # numpy's full complex 2-D transforms, which the half-spectrum core never takes.
 FULL_COMPLEX = ("fft2", "ifft2", "fftn", "ifftn")
 

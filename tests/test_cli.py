@@ -393,14 +393,14 @@ class TestHalfSpectrum:
             argv = [command, str(path), "--eta", "1e-2"]
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert fft_calls["_coeffs"] > 0
+        assert fft_calls["_row_spectra"] > 0  # every command prices chi3t streamed
         assert {name: fft_calls[name] for name in self.FULL} == dict.fromkeys(self.FULL, 0)
 
 
 class TestNoSlotDuringTransforms:
     """Energy, report and sweep read only the labels: they make no
     ``ModifiedIndicators``, so none made by the code under test is alive at
-    any ``_coeffs`` call."""
+    any ``_coeffs`` or ``_row_spectra`` call."""
 
     @pytest.fixture
     def slots_made(self, monkeypatch):
@@ -417,21 +417,28 @@ class TestNoSlotDuringTransforms:
 
     @pytest.fixture
     def slots_alive(self, monkeypatch):
-        """One entry per ``_coeffs`` call made through a fourwell module that
-        binds it: the count of ``ModifiedIndicators`` then alive that were not
-        alive when the test began (those are held, so no id is reused)."""
+        """One entry per call of a transform that reads a slot, ``_coeffs``
+        (a half spectrum) or ``_row_spectra`` (distinct rows' spectra), made
+        through a fourwell module that binds it: the count of
+        ``ModifiedIndicators`` then alive that were not alive when the test
+        began (those are held, so no id is reused)."""
         held = [o for o in gc.get_objects() if isinstance(o, ModifiedIndicators)]
         counts = []
-        original = fourwell.spectral._coeffs
 
-        def checked(*args, **kwargs):
-            alive = [o for o in gc.get_objects() if isinstance(o, ModifiedIndicators)]
-            counts.append(sum(not any(o is h for h in held) for o in alive))
-            return original(*args, **kwargs)
+        def checked(original):
+            def call(*args, **kwargs):
+                alive = [o for o in gc.get_objects() if isinstance(o, ModifiedIndicators)]
+                counts.append(sum(not any(o is h for h in held) for o in alive))
+                return original(*args, **kwargs)
 
-        for name, module in sys.modules.items():
-            if name.startswith("fourwell.") and getattr(module, "_coeffs", None) is original:
-                monkeypatch.setattr(module, "_coeffs", checked)
+            return call
+
+        for transform in ("_coeffs", "_row_spectra"):
+            original = getattr(fourwell.spectral, transform)
+            wrapper = checked(original)
+            for name, module in sys.modules.items():
+                if name.startswith("fourwell.") and getattr(module, transform, None) is original:
+                    monkeypatch.setattr(module, transform, wrapper)
         return counts
 
     FIELD = gen_random_partition(1, Grid(130, 130), feature_scale=0.05)

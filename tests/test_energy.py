@@ -257,15 +257,41 @@ class TestTotalEnergy:
         with pytest.raises(ValueError, match="eta"):
             total_energy(p, 0.0)
 
-    def test_transforms_each_slot_once(self, fft_calls):
-        total_energy(gen_random_partition(1, Grid(16, 16), feature_scale=0.125), 1e-2)
-        assert {name: n for name, n in fft_calls.items() if n} == {"_coeffs": 3}
+    def test_transforms_each_distinct_row_once(self, fft_calls, monkeypatch):
+        """Each slot's distinct rows' row spectra, then one streamed fold over
+        slots 1 and 2 and one over slot 3: 3 d rows go through ``rfft`` for
+        a field with d distinct rows, 8 of 16 here."""
+        p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)
+        distinct = len({row.tobytes() for row in p.labels})
+        assert distinct == 8
+        rows = []
+        rfft = np.fft.rfft
+
+        def counted(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        total_energy(p, 1e-2)
+        used = {name: n for name, n in fft_calls.items() if n}
+        assert used == {"_row_spectra": 3, "_fold_rows": 2}
+        assert sum(rows) == 3 * distinct
 
     def test_prices_in_few_full_size_arrays(self, float_fields_peak):
-        """Two half spectra beside the labels; no slot alive, no half-size
-        term, and every other temporary one row block in size."""
+        """The distinct rows' spectra of two slots beside the labels, a
+        quarter unit each for this field's 128 distinct rows of 512; no slot
+        alive, no half spectrum, and every other temporary one slab in size."""
         grid = Grid(512, 512)
         p = gen_random_partition(1, grid, feature_scale=0.01)
+        assert float_fields_peak(lambda: total_energy(p, 1e-2), grid) <= 1.0
+
+    def test_prices_a_field_of_distinct_rows_in_few_full_size_arrays(self, float_fields_peak):
+        """With no repeated row, two half spectra beside the labels; no slot
+        alive, no half-size term, and every other temporary one row block in
+        size."""
+        grid = Grid(512, 512)
+        p = PhaseField(grid, np.random.default_rng(0).integers(1, 5, size=grid.shape))
+        assert len({row.tobytes() for row in p.labels}) == grid.n1
         assert float_fields_peak(lambda: total_energy(p, 1e-2), grid) <= 2.5
 
     def test_json_is_sorted_and_stable(self):
@@ -274,6 +300,30 @@ class TestTotalEnergy:
         assert text.index('"elastic"') < text.index('"eta"') < text.index('"surface"')
         assert text == total_energy(p, 0.5).to_json()
         assert total_energy(p, 0.5).as_dict() == json.loads(text)
+
+
+class TestDistinctRowPricing:
+    """Pricing transforms each distinct row once and streams the column pass,
+    giving the whole-array pass's floats wherever the repeats fall."""
+
+    SHAPES = [(9, 9), (33, 17), (17, 33), (2, 40), (40, 2), (63, 64), (64, 96)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_equals_the_whole_array_pass(self, shape):
+        fields = whole_array.repeating_fields(shape)
+        assert whole_array.first_occurrence(fields["shuffled"].labels)[-1] == 0
+        for name, p in fields.items():
+            m = to_modified(p)
+            expected = whole_array.elastic(m)
+            assert total_energy(p, 1e-2).elastic == expected, name
+            assert relaxed_elastic_energy(m) == expected, name
+
+    def test_repeats_are_not_consecutive(self):
+        """Some row repeats an earlier row that is not the row before it."""
+        for name, p in whole_array.repeating_fields((64, 96)).items():
+            first = whole_array.first_occurrence(p.labels)
+            apart = (first[1:] < np.arange(1, 64)) & (first[1:] != first[:-1])
+            assert apart.any(), name
 
 
 class TestResiduals:

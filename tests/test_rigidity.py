@@ -590,8 +590,9 @@ class TestReportSpectralPass:
     """The report transforms each indicator once and shares the coefficients."""
 
     def test_transform_count(self, fft_calls):
-        """One transform per indicator and one of the profile; then, per slab
-        of the frame walk, one derivative pair and two template transforms.
+        """One transform per indicator, chi1t's and chi2t's made whole and
+        chi3t's streamed through one fold, and one of the profile; then, per
+        slab of the frame walk, one derivative pair and two template transforms.
         Below the split one worker walks the frame's half spectrum in the
         slabs ``_cut`` gives at ``_SLAB_COLS``: 3 of 33 columns untransposed
         (outer axis y1), 4 of 49 transposed (y2)."""
@@ -605,7 +606,9 @@ class TestReportSpectralPass:
             rigidity_report(p, 1e-2)
             used = {k: v for k, v in fft_calls.items() if v}
             assert used == {
-                "_coeffs": 3,
+                "_coeffs": 2,
+                "_row_spectra": 1,
+                "_fold_rows": 1,
                 "_sheared_rows": 1,
                 "_derivative_rows": slabs,
                 "_slab_coeffs": 2 * slabs,
@@ -622,6 +625,38 @@ class TestReportSpectralPass:
             p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
         assert extract_outer(p).axis == ("y1" if transpose else "y2")
         assert float_fields_peak(lambda: rigidity_report(p, 1e-2), grid) <= 2.65
+
+    # The report's char_residual on gen_random_partition(seed, n x n), by (n,
+    # seed).  No n is a power of two, and there the Parseval factor n1 is
+    # folded last for a reason: taken ahead of the fold, onto each column sum,
+    # it moves 7 of these 20 floats.
+    CHAR_RESIDUALS = {
+        (12, 0): 0.870338414431339,
+        (12, 1): 0.86575628812225,
+        (12, 2): 0.9191676173318621,
+        (12, 3): 0.8795234837070003,
+        (12, 4): 0.925132762512355,
+        (20, 0): 0.9874472706662503,
+        (20, 1): 0.9452187155034303,
+        (20, 2): 0.9597638614944548,
+        (20, 3): 0.844954437690543,
+        (20, 4): 0.9070762682533,
+        (48, 0): 0.935116016155554,
+        (48, 1): 0.8870310090457829,
+        (48, 2): 0.9527659995905498,
+        (48, 3): 0.9230349443562941,
+        (48, 4): 0.925769527131963,
+        (100, 0): 0.9940129009609759,
+        (100, 1): 0.9530493747008911,
+        (100, 2): 0.9661324974074674,
+        (100, 3): 0.8529400044329349,
+        (100, 4): 0.9125039913316276,
+    }
+
+    def test_char_residual_bits_where_n1_is_not_a_power_of_two(self):
+        for (n, seed), expected in self.CHAR_RESIDUALS.items():
+            report = rigidity_report(gen_random_partition(seed, Grid(n, n)), 1e-2)
+            assert repr(report.char_residual) == repr(expected), (n, seed)
 
     def test_bad_eta_fails_before_any_transform(self, fft_calls):
         p = gen_random_partition(1, Grid(16, 16), feature_scale=0.125)

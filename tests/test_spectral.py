@@ -9,10 +9,13 @@ from fourwell.fields import _SLOT_OF_LABEL, Grid, ScalarField, VectorField, _row
 from fourwell.spectral import (
     _coeffs,
     _cut,
+    _distinct_rows,
     _fold_blocks,
+    _fold_rows,
     _fold_sum,
     _frame_slabs,
     _modes,
+    _row_spectra,
     _values,
     curl_neg_sobolev,
     helmholtz_potential,
@@ -22,6 +25,8 @@ from fourwell.spectral import (
     permode_elastic_oracle,
     spectral_derivative,
 )
+
+import whole_array
 
 
 def coords(grid):
@@ -210,6 +215,95 @@ class TestBlockedCore:
         grid = Grid(shape[0], 2 * shape[1] - 2)
         whole = _fold_sum(per_mode.copy(), grid)
         assert _fold_blocks(lambda k1, k2, d1, d2, block: block.copy(), grid, per_mode) == whole
+
+
+def repeating_labels(shape, seed=0):
+    """Labels whose rows repeat out of order and all share their first label."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1, 5, size=(max(2, shape[0] // 3), shape[1]), dtype=np.uint8)
+    rows[:, 0] = 1
+    picks = rng.integers(0, len(rows), size=shape[0])
+    picks[-1] = picks[0]
+    return rows[picks]
+
+
+class TestDistinctRows:
+    """The distinct-row map gives each row's first row with the same bytes,
+    and the transforms built on it equal numpy's whole-array ones bit for bit."""
+
+    @staticmethod
+    def arrays(shape):
+        labels = repeating_labels(shape)
+        yield labels
+        yield np.asarray(labels.T)  # not contiguous
+        yield _SLOT_OF_LABEL[0][labels]
+        yield labels.astype(float) - 2.5
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_map_is_the_first_row_with_the_same_bytes(self, shape):
+        for values in self.arrays(shape):
+            assert np.array_equal(_distinct_rows(values), whole_array.first_occurrence(values))
+
+    def test_rows_that_differ_past_the_hashed_prefix(self):
+        """Rows alike in their first 1200 bytes, wider than the words hashed
+        first, are told apart by the rest."""
+        values = np.ones((6, 1500), dtype=np.uint8)
+        values[[1, 3], 1200] = 2
+        values[4, 1499] = 3
+        assert _distinct_rows(values).tolist() == [0, 1, 0, 1, 4, 0]
+        assert _distinct_rows(values.astype(float)).tolist() == [0, 1, 0, 1, 4, 0]
+
+    def test_equal_values_with_other_bytes_are_other_rows(self):
+        """0.0 and -0.0 compare equal but are other bytes; a NaN row repeats."""
+        values = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0], [0.0, 1.0], [np.nan, 1.0]])
+        assert _distinct_rows(values).tolist() == [0, 1, 2, 0, 2]
+
+    @pytest.mark.parametrize("shape", [(9, 8), (64, 64), (131, 66)])
+    def test_hash_collisions_are_confirmed(self, monkeypatch, shape):
+        """With every row's hash 0, each repeat is still found by its bytes."""
+        zero = lambda count: np.zeros(count, np.uint64)  # noqa: E731
+        monkeypatch.setattr(fourwell.spectral, "_hash_weights", zero)
+        for values in self.arrays(shape):
+            assert np.array_equal(_distinct_rows(values), whole_array.first_occurrence(values))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_coeffs_with_repeats_equal_rfft2(self, shape):
+        labels = repeating_labels(shape)
+        for table in _SLOT_OF_LABEL:
+            expected = np.fft.rfft2(table[labels].astype(float)) / labels.size
+            assert np.array_equal(_coeffs(table[labels]), expected)
+            assert np.array_equal(_coeffs(labels, table, _distinct_rows(labels)), expected)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_row_spectra_are_the_distinct_rows_transformed(self, shape):
+        """The distinct rows' row spectra; if no row repeats, the finished
+        half spectrum instead."""
+        uniform = np.random.default_rng(1).integers(1, 5, size=shape, dtype=np.uint8)
+        for labels in (repeating_labels(shape), uniform):
+            first = _distinct_rows(labels)
+            for table in _SLOT_OF_LABEL:
+                signs = table[labels].astype(float)
+                spectra, where = _row_spectra(labels, first, table)
+                assert spectra.shape[0] == np.count_nonzero(first == np.arange(shape[0]))
+                if spectra.shape[0] == shape[0]:
+                    assert np.array_equal(spectra, np.fft.rfft2(signs) / signs.size)
+                else:
+                    assert np.array_equal(spectra[where], np.fft.rfft(signs, axis=1))
+
+    @pytest.mark.parametrize("shape", [(7, 9), (64, 12), (65, 12), (129, 66), (300, 8), (2, 40)])
+    def test_streamed_fold_equals_the_blocked_fold(self, shape):
+        """Gathered, transformed and summed a column slab at a time, the
+        per-mode floats and their column sums are those of the half spectra."""
+        grid = Grid(*shape)
+        labels = repeating_labels(shape)
+        first = _distinct_rows(labels)
+        tables = _SLOT_OF_LABEL[:2]
+
+        def term(k1, k2, d1, d2, a, b):
+            return (a * np.conj(b)).real * (k1 - 2 * k2) + np.abs(a) * d1
+
+        whole = _fold_blocks(term, grid, *(_coeffs(labels, table) for table in tables))
+        assert _fold_rows(term, grid, *(_row_spectra(labels, first, t) for t in tables)) == whole
 
 
 class TestDerivative:

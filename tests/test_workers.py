@@ -14,7 +14,7 @@ import pytest
 import fourwell.rigidity
 import fourwell.spectral
 from fourwell.cli import main
-from fourwell.energy import _relaxed_from_labels, total_energy
+from fourwell.energy import _relaxed_from_labels, relaxed_elastic_energy, total_energy
 from fourwell.fields import (
     _SLOT_OF_LABEL,
     Grid,
@@ -41,6 +41,8 @@ from fourwell.spectral import (
     _workers,
     helmholtz_potential,
 )
+
+import whole_array
 
 
 def force_workers(monkeypatch, count):
@@ -353,6 +355,10 @@ class TestMemoryPinsWithTwoWorkers:
 
     def test_total_energy(self, grid, float_fields_peak):
         p = gen_random_partition(1, grid, feature_scale=0.01)
+        assert max(self.peaks(float_fields_peak, lambda: total_energy(p, 1e-2), grid)) <= 1.0
+
+    def test_total_energy_of_distinct_rows(self, grid, float_fields_peak):
+        p = PhaseField(grid, np.random.default_rng(0).integers(1, 5, size=grid.shape))
         assert max(self.peaks(float_fields_peak, lambda: total_energy(p, 1e-2), grid)) <= 2.5
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["y2", "y1"])
@@ -362,6 +368,19 @@ class TestMemoryPinsWithTwoWorkers:
             p = PhaseField(grid, np.ascontiguousarray(p.labels.T))
         assert extract_outer(p).axis == ("y1" if transpose else "y2")
         assert max(self.peaks(float_fields_peak, lambda: rigidity_report(p, 1e-2), grid)) <= 2.65
+
+
+class TestDistinctRowPricingWithTwoWorkers:
+    """On 1024^2, where the split is real, pricing fields whose repeats are
+    not consecutive gives the whole-array pass's floats with two workers."""
+
+    def test_equals_the_whole_array_pass(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        for name, p in whole_array.repeating_fields((1024, 1024), n=1024).items():
+            m = to_modified(p)
+            expected = whole_array.elastic(m)
+            assert total_energy(p, 1e-2).elastic == expected, name
+            assert relaxed_elastic_energy(m) == expected, name
 
 
 class TestWorkerErrorsReachTheCli:

@@ -19,6 +19,10 @@ the round trip the core keeps inside its template row spectra.
 ``stripe_profile`` is the balanced stripe profile the tests build laminates
 and twins from.
 
+``first_occurrence`` is the distinct-row map by a dictionary of row bytes,
+and ``repeating_fields`` gives fields whose repeated rows are not
+consecutive, which the map's tests price.
+
 The rest are references no command reads: ``strain_from_displacement``, the
 strain of a displacement, whose pointwise energy bounds the relaxed one from
 above; ``full_multiplier_energy``, the multiplier on any symmetric target,
@@ -34,8 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fourwell.energy import DEFAULT_DIAG, SymStrainField, _re_dot, _sq
-from fourwell.fields import Grid, ModifiedIndicators, ScalarField, shear_resample
-from fourwell.microstructures import staircase_shifts
+from fourwell.fields import Grid, ModifiedIndicators, PhaseField, ScalarField, shear_resample
+from fourwell.microstructures import (
+    gen_branching,
+    gen_crossing_twin,
+    plan_branching,
+    staircase_shifts,
+)
 from fourwell.rigidity import InnerProfile, OuterProfile
 from fourwell.spectral import _coeffs, _fold_sum, _ksq, _modes, spectral_derivative
 
@@ -47,6 +56,33 @@ def coeffs(values):
 def stripe_profile(n, stripes):
     """Balanced +-1 profile with the given number of equal stripes."""
     return np.repeat(np.resize([1.0, -1.0], stripes), n // stripes)
+
+
+def first_occurrence(values):
+    """For each row of ``values``, the first row with the same bytes."""
+    seen = {}
+    rows = (np.ascontiguousarray(row).tobytes() for row in values)
+    return np.array([seen.setdefault(row, i) for i, row in enumerate(rows)])
+
+
+def repeating_fields(shape, n=64):
+    """Fields on ``shape`` whose repeated rows are not consecutive: rows drawn
+    with repeats in shuffled order, and a crossing twin on ``n^2`` and a
+    branching field planned for at most ``n^2``, each also transposed, tiled
+    and cut to ``shape``."""
+    n1, n2 = shape
+    rng = np.random.default_rng(n1 * 1000 + n2)
+    rows = rng.integers(1, 5, size=(max(2, n1 // 3), n2))
+    picks = rng.integers(0, len(rows), size=n1)
+    picks[-1] = picks[0]  # at least one repeat, away from its first row on n1 > 2
+    fields = {"shuffled": rows[picks]}
+    twin = gen_crossing_twin("y1", stripe_profile(n, 2), stripe_profile(n, 8), Grid(n, n))
+    branching = gen_branching(*plan_branching(1e-2, max_grid=n))
+    for name, p in (("twin", twin), ("branching", branching)):
+        for turned, labels in (("", p.labels), ("-turned", p.labels.T)):
+            reps = (-(-n1 // labels.shape[0]), -(-n2 // labels.shape[1]))
+            fields[name + turned] = np.tile(labels, reps)[:n1, :n2]
+    return {name: PhaseField(Grid(*shape), labels) for name, labels in fields.items()}
 
 
 def profile_derivative(profile):
